@@ -39,7 +39,7 @@ from .homeo import (
     simplify,
     structurally_equal,
 )
-from .reals import Interval, Real, RealLike
+from .reals import Interval, Real, RealLike, parse_real
 from .words import (
     GroupElement,
     Presentation,
@@ -185,31 +185,11 @@ def _alpha_param(alpha) -> Real:
     if isinstance(alpha, (int, Fraction)):
         return Real.coerce(alpha)
     if isinstance(alpha, str):
-        named = {
-            "sqrt2": Real.sqrt2,
-            "sqrt3": Real.sqrt3,
-            "pi": Real.pi,
-            "e": Real.e,
-        }
-        if alpha in named:
-            return named[alpha]()
         try:
-            if "/" in alpha:
-                return Real.from_fraction(Fraction(alpha))
-            return Real.from_fraction(Fraction(alpha).limit_denominator(10**30)
-                                      if "." not in alpha else _decimal_fraction(alpha))
+            return parse_real(alpha)
         except ValueError:
-            raise BadParameter(f"cannot parse alpha {alpha!r}") from None
+            pass
     raise BadParameter(f"cannot parse alpha {alpha!r}")
-
-
-def _decimal_fraction(text: str) -> Fraction:
-    sign = -1 if text.startswith("-") else 1
-    body = text.lstrip("+-")
-    whole, _, frac = body.partition(".")
-    den = 10 ** len(frac)
-    num = int(whole or "0") * den + int(frac or "0")
-    return Fraction(sign * num, den)
 
 
 def _one() -> Real:

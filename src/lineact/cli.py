@@ -60,8 +60,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="seed for randomized sweeps (default 0)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="write payload to a file")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallelism cap (sweeps currently run serially)")
 
 
 def _add_action_source(p: argparse.ArgumentParser):
@@ -137,7 +135,6 @@ def _config(args, extra: dict) -> dict:
         "ceiling": args.ceiling,
         "seed": args.seed,
         "format": args.format,
-        "workers": args.workers,
     }
     cfg.update(extra)
     return cfg

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .actions import Action, realize
@@ -36,10 +37,10 @@ from .reals import (
     PrecisionExhausted,
     Real,
     RealLike,
-    current_precision,
-    precision,
+    UndecidableComparison,
+    retry_precision,
 )
-from .words import GroupElement, multiply
+from .words import GroupElement, Letter, multiply, normal_form_key, walk
 
 __all__ = [
     "NotApplicable",
@@ -85,92 +86,34 @@ class ConstructionFailed(Exception):
 # ---------------------------------------------------------------------------
 # incremental ball sweeps
 
-Letter = tuple[int, int]
 
-
-def _letter_images(act: Action) -> dict[Letter, HomeoExpr]:
-    out: dict[Letter, HomeoExpr] = {}
+def _letter_step(act: Action, apply):
+    """A walk step applying each letter's homeomorphism: apply(h, carry)."""
+    imgs: dict[Letter, HomeoExpr] = {}
     for i in range(act.presentation.rank):
         img = act.image_by_index(i)
-        out[(i, 1)] = img
-        out[(i, -1)] = inverse(img)
-    return out
+        imgs[(i, 1)] = img
+        imgs[(i, -1)] = inverse(img)
+    return lambda letter, carry: apply(imgs[letter], carry)
 
 
-def _ball_values(act: Action, x: Real, radius: int):
-    """Yield (element, value) over the deduplicated ball, shortlex order.
+def _image_or_none(h: HomeoExpr, J: Optional[Interval]) -> Optional[Interval]:
+    if J is None:
+        return None
+    try:
+        return eval_interval(h, J)
+    except PrecisionExhausted:
+        return None
 
-    Values are computed incrementally: extending a word on the left costs a
-    single generator application.
+
+def _ball_images(act: Action, iv: Interval, radius: int, dedup: bool = True):
+    """Yield (word, image of iv) over the ball, identity first.
+
+    A word whose image cannot be evaluated (cell exponent out of range)
+    carries ``None``, and so do all its extensions.
     """
-    from .words import normal_form_key, reduce_letters
-
-    p = act.presentation
-    imgs = _letter_images(act)
-    ident = p.identity()
-    yield ident, x
-    seen = {normal_form_key(p, ident)}
-    frontier: list[tuple[GroupElement, Real]] = [(ident, x)]
-    letters = [(i, s) for i in range(p.rank) for s in (1, -1)]
-    for _ in range(radius):
-        nxt: list[tuple[GroupElement, Real]] = []
-        for lg, le in letters:
-            img = imgs[(lg, le)]
-            for w, v in frontier:
-                if w.word and w.word[0][0] == lg and (w.word[0][1] > 0) != (le > 0):
-                    continue
-                w2 = reduce_letters(p, ((lg, le),) + w.word)
-                key = normal_form_key(p, w2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                v2 = evaluate(img, v)
-                nxt.append((w2, v2))
-                yield w2, v2
-        frontier = nxt
-
-
-def _ball_images(act: Action, iv: Interval, radius: int,
-                 dedup: bool = True, include_identity: bool = False):
-    """Yield (element-or-word, image interval) in shortlex order.
-
-    ``dedup=True`` walks distinct group elements; ``dedup=False`` walks all
-    freely reduced words.  Words whose image cannot be evaluated (cell
-    exponent out of range) yield ``None`` as image.
-    """
-    from .words import normal_form_key, reduce_letters
-
-    p = act.presentation
-    imgs = _letter_images(act)
-    ident = p.identity()
-    if include_identity:
-        yield ident, iv
-    seen = {normal_form_key(p, ident)} if dedup else None
-    frontier: list[tuple[GroupElement, Optional[Interval]]] = [(ident, iv)]
-    letters = [(i, s) for i in range(p.rank) for s in (1, -1)]
-    for _ in range(radius):
-        nxt: list[tuple[GroupElement, Optional[Interval]]] = []
-        for lg, le in letters:
-            img = imgs[(lg, le)]
-            for w, J in frontier:
-                if w.word and w.word[0][0] == lg and (w.word[0][1] > 0) != (le > 0):
-                    continue
-                w2 = reduce_letters(p, ((lg, le),) + w.word)
-                if dedup:
-                    key = normal_form_key(p, w2)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                if J is None:
-                    J2 = None
-                else:
-                    try:
-                        J2 = eval_interval(img, J)
-                    except PrecisionExhausted:
-                        J2 = None
-                nxt.append((w2, J2))
-                yield w2, J2
-        frontier = nxt
+    return walk(act.presentation, radius, dedup, iv,
+                _letter_step(act, _image_or_none))
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +134,22 @@ def orbit(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
     word that produced it.
     """
     x = Real.coerce(x)
-    pts = [OrbitPoint(v, w) for w, v in _ball_values(act, x, radius)]
-    order = sorted(range(len(pts)), key=lambda i: pts[i].value.mid())
-    merged: list[OrbitPoint] = []
-    for idx in order:
-        pt = pts[idx]
+    pts = [OrbitPoint(v, w) for w, v in walk(
+        act.presentation, radius, True, x, _letter_step(act, evaluate))]
+    return _merge_overlapping(pts, lambda pt: pt.value)
+
+
+def _merge_overlapping(items: list, value=lambda r: r) -> list:
+    """Items sorted by value midpoint, minus each one whose enclosure overlaps
+    the last one kept; of equal midpoints the earlier item comes first."""
+    merged: list = []
+    for item in sorted(items, key=lambda it: value(it).mid()):
         if merged:
-            prev = merged[-1]
-            plo, phi = prev.value.bounds()
-            lo, hi = pt.value.bounds()
+            plo, phi = value(merged[-1]).bounds()
+            lo, hi = value(item).bounds()
             if lo <= phi and plo <= hi:
                 continue
-        merged.append(pt)
+        merged.append(item)
     return merged
 
 
@@ -248,7 +195,7 @@ def transitivity_search(act: Action, U: Interval, V: Interval,
     for iv in (U, V):
         if iv.is_empty or not iv.is_finite:
             raise ValueError("U and V must be nonempty finite intervals")
-    for w, img in _ball_images(act, U, radius, dedup=True, include_identity=True):
+    for w, img in _ball_images(act, U, radius):
         if img is not None and img.certainly_intersects(V):
             return w
     return None
@@ -284,25 +231,6 @@ class WanderingCertificate:
         return out
 
 
-def _disjoint_with_retry(act: Action, w: GroupElement, J: Interval) -> Optional[bool]:
-    """True/False when certain, retrying at higher precision; None at ceiling."""
-    ctx = current_precision()
-    bits = ctx.bits
-    while True:
-        with precision(bits, ctx.ceiling):
-            try:
-                img = eval_interval(realize(act, w), J)
-            except PrecisionExhausted:
-                return None
-            if img.certainly_disjoint(J):
-                return True
-            if img.certainly_intersects(J):
-                return False
-        if bits >= ctx.ceiling:
-            return None
-        bits = min(bits * 2, ctx.ceiling)
-
-
 def wandering_certificate(act: Action, J: Interval, radius: int,
                           grid_n: int = 64,
                           tol: RealLike = Fraction(1, 10**12)) -> WanderingCertificate:
@@ -316,35 +244,41 @@ def wandering_certificate(act: Action, J: Interval, radius: int,
     if J.is_empty or not J.is_finite:
         raise ValueError("J must be a nonempty finite open interval")
     tol = Real.coerce(tol)
-    verdicts: list[WordVerdict] = []
-    witness = None
-    for w, img in _ball_images(act, J, radius, dedup=False, include_identity=False):
-        if img is not None and img.certainly_disjoint(J):
-            verdicts.append(WordVerdict(w, "disjoint"))
-            continue
-        hw = realize(act, w)
-        try:
-            if is_identity_on(hw, J, grid_n, tol):
-                verdicts.append(WordVerdict(w, "pointwise-fixed"))
-                continue
-        except PrecisionExhausted:
-            verdicts.append(WordVerdict(w, "violation", "identity test undecidable"))
-            witness = witness or w
-            continue
-        disj = _disjoint_with_retry(act, w, J)
-        if disj is True:
-            verdicts.append(WordVerdict(w, "disjoint"))
-        elif disj is False:
-            verdicts.append(WordVerdict(w, "violation", "image overlaps"))
-            witness = witness or w
-        else:
-            verdicts.append(WordVerdict(w, "violation", "undecidable at ceiling"))
-            witness = witness or w
-    certified = all(v.verdict != "violation" for v in verdicts)
+    verdicts = [_word_verdict(act, w, img, J, grid_n, tol) for w, img in
+                islice(_ball_images(act, J, radius, dedup=False), 1, None)]
+    witness = next((v.word for v in verdicts if v.verdict == "violation"), None)
     return WanderingCertificate(
         interval=J, radius=radius, grid_n=grid_n, tolerance=tol,
-        verdicts=verdicts, certified=certified, witness=witness,
+        verdicts=verdicts, certified=witness is None, witness=witness,
     )
+
+
+def _word_verdict(act: Action, w: GroupElement, img: Optional[Interval],
+                  J: Interval, grid_n: int, tol: Real) -> WordVerdict:
+    if img is not None and img.certainly_disjoint(J):
+        return WordVerdict(w, "disjoint")
+    hw = realize(act, w)
+    try:
+        if is_identity_on(hw, J, grid_n, tol):
+            return WordVerdict(w, "pointwise-fixed")
+    except PrecisionExhausted:
+        return WordVerdict(w, "violation", "identity test undecidable")
+    try:
+        if retry_precision(lambda: _certainly_disjoint(hw, J)):
+            return WordVerdict(w, "disjoint")
+    except PrecisionExhausted:
+        return WordVerdict(w, "violation", "undecidable at ceiling")
+    return WordVerdict(w, "violation", "image overlaps")
+
+
+def _certainly_disjoint(h: HomeoExpr, J: Interval) -> bool:
+    """Whether h(J) misses J; raises UndecidableComparison when unclear."""
+    img = eval_interval(h, J)
+    if img.certainly_disjoint(J):
+        return True
+    if img.certainly_intersects(J):
+        return False
+    raise UndecidableComparison("image neither certainly misses nor meets J")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +399,7 @@ def find_wandering_interval(act: Action, window: Interval,
         for lab in outer[1:]:
             h = act.image(lab)
             moved = eval_interval(h, comp)
-            ok2 = moved.certainly_disjoint(comp) or _setwise_fixed(h, comp, tol)
+            ok2 = moved.certainly_disjoint(comp) or _endpoints_fixed(moved, comp, tol)
             claims.append(ClaimCheck(
                 f"outermost-{lab}-compatible", ok2, f"{lab}({comp}) = {moved}",
             ))
@@ -500,10 +434,9 @@ def find_wandering_interval(act: Action, window: Interval,
     return FindReport(J, pivot_label, comp, claims)
 
 
-def _setwise_fixed(h: HomeoExpr, iv: Interval, tol: Real) -> bool:
-    lo_ok = abs(evaluate(h, iv.lo) - iv.lo).leq(tol)
-    hi_ok = abs(evaluate(h, iv.hi) - iv.hi).leq(tol)
-    return bool(lo_ok) and bool(hi_ok)
+def _endpoints_fixed(img: Interval, iv: Interval, tol: Real) -> bool:
+    """Whether each endpoint of the image img of iv is within tol of its own."""
+    return bool(abs(img.lo - iv.lo).leq(tol)) and bool(abs(img.hi - iv.hi).leq(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +498,7 @@ def _movers(act: Action, U: Interval, radius: int, candidates: int,
     xs = [lo + span * Real.rational(j, candidates + 1)
           for j in range(1, candidates + 1)]
     best = None
-    for w, img in _ball_images(act, U, radius, dedup=True, include_identity=False):
+    for w, img in islice(_ball_images(act, U, radius), 1, None):
         if img is None or img.certainly_disjoint(U):
             continue
         hw = realize(act, w)
@@ -693,42 +626,29 @@ def _grid_orbit_in(act: Action, grid: list[Fraction], V: Interval,
     for g in grid:
         consider(Real.from_fraction(g))
 
-    if orbit_depth > 0:
-        for w, _ in _ball_images(act, V, orbit_depth, dedup=True,
-                                 include_identity=False):
-            hw = realize(act, w)
+    for w, _ in islice(walk(act.presentation, orbit_depth, True), 1, None):
+        hw = realize(act, w)
+        try:
+            pre = eval_interval(inverse(hw), Vc)
+        except PrecisionExhausted:
+            continue
+        plo = pre._lo_fr()
+        phi = pre._hi_fr()
+        for g in grid:
+            if plo is not None and g < plo:
+                continue
+            if phi is not None and g > phi:
+                continue
             try:
-                pre = eval_interval(inverse(hw), Vc)
+                v = evaluate(hw, Real.from_fraction(g))
             except PrecisionExhausted:
                 continue
-            plo = pre._lo_fr()
-            phi = pre._hi_fr()
-            for g in grid:
-                if plo is not None and g < plo:
-                    continue
-                if phi is not None and g > phi:
-                    continue
-                try:
-                    v = evaluate(hw, Real.from_fraction(g))
-                except PrecisionExhausted:
-                    continue
-                consider(v)
+            consider(v)
 
-    hits.sort(key=lambda v: v.mid())
-    dedup: list[Real] = []
-    for v in hits:
-        if dedup:
-            plo, phi = dedup[-1].bounds()
-            lo, hi = v.bounds()
-            if lo <= phi and plo <= hi:
-                continue
-        dedup.append(v)
-    return dedup
+    return _merge_overlapping(hits)
 
 
 def _assemble_ladder(act, depth, radius, seed, params, levels) -> CantorLadder:
-    from .words import normal_form_key
-
     element_sets: list[list[GroupElement]] = []
     lambda_sets: list[list[Interval]] = []
     p = act.presentation
@@ -761,14 +681,9 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
     for every element of the radius-L ball.  Equality in (2) is relative to
     the level tolerance (the construction's resolution, diam U_i).
     """
-    from .words import ball as word_ball
-    from .words import normal_form_key
-
     checks: list[LadderCheck] = []
     unit = Interval.closed(0, 1)
     U_prev = ladder.seed
-    ball_elems = [w for w in word_ball(act.presentation, ladder.radius)
-                  if not w.is_identity_word]
 
     for lvl in ladder.levels:
         i = lvl.index
@@ -789,18 +704,12 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
         bad = None
         small_bad = None
         bound = Real.rational(1, i)
-        for w in ball_elems:
-            hw = realize(act, w)
-            try:
-                img = eval_interval(hw, U)
-            except PrecisionExhausted:
+        for w, img in islice(_ball_images(act, U, ladder.radius), 1, None):
+            if img is None:
                 bad = bad or (w, "image not evaluable")
                 continue
-            if not img.certainly_disjoint(U):
-                lo_close = abs(evaluate(hw, U.lo) - U.lo).leq(tol)
-                hi_close = abs(evaluate(hw, U.hi) - U.hi).leq(tol)
-                if not (lo_close and hi_close):
-                    bad = bad or (w, f"image {img} partially overlaps")
+            if not (img.certainly_disjoint(U) or _endpoints_fixed(img, U, tol)):
+                bad = bad or (w, f"image {img} partially overlaps")
             clipped = img.intersection_hull(unit)
             d = clipped.diameter()
             if d is not None and not d.definitely_lt(bound):

@@ -25,8 +25,7 @@ from .reals import (
     Real,
     RealLike,
     UndecidableComparison,
-    current_precision,
-    precision,
+    retry_precision,
 )
 
 __all__ = [
@@ -489,22 +488,6 @@ def _sign_of(d: Real, tol: Real) -> int:
     return c
 
 
-def _retry_precision(fn):
-    """Run fn(), doubling working precision on undecidable comparisons."""
-    ctx = current_precision()
-    bits = ctx.bits
-    while True:
-        try:
-            with precision(bits, ctx.ceiling):
-                return fn()
-        except UndecidableComparison:
-            if bits >= ctx.ceiling:
-                raise PrecisionExhausted(
-                    f"undecidable at the {ctx.ceiling}-bit ceiling"
-                )
-            bits = min(bits * 2, ctx.ceiling)
-
-
 def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256,
                  tol: RealLike = Fraction(1, 10**12)) -> FixReport:
     """Locate Fix(h) inside a finite window by grid scan plus bisection."""
@@ -517,7 +500,7 @@ def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256,
         raise ValueError("grid_n must be at least 2")
     tol = Real.coerce(tol)
 
-    return _retry_precision(lambda: _fixed_points_pass(h, window, grid_n, tol))
+    return retry_precision(lambda: _fixed_points_pass(h, window, grid_n, tol))
 
 
 def _fixed_points_pass(h, window, grid_n, tol) -> FixReport:
@@ -607,7 +590,7 @@ def is_identity_on(h: HomeoExpr, iv: Interval, grid_n: int = 64,
                 return False
         return True
 
-    return _retry_precision(run)
+    return retry_precision(run)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Expression grammar (prefix notation, case-insensitive names):
 
 Scalar literals: integers, rationals ``p/q``, decimal strings (exact), and
 the named constants ``sqrt2``, ``sqrt3``, ``pi``, ``e`` materialized at the
-current working precision.
+current working precision.  The grammar lives in :func:`lineact.reals.parse_real`
+and is shared with the CLI's points, windows and ``--alpha``.
 
 Action-specification files: a ``group`` header line followed by one ``gen``
 line per generator, e.g. ::
@@ -27,7 +28,6 @@ Parse errors carry the line and column of the offending token.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .homeo import (
@@ -40,6 +40,7 @@ from .homeo import (
     UnitPowerLadder,
     compose_all,
 )
+from . import reals
 from .reals import Real
 from .words import Presentation
 from .actions import Action
@@ -90,35 +91,12 @@ def _tokenize(text: str, start_line: int = 1) -> list[_Token]:
     return tokens
 
 
-_CONSTANTS = {
-    "sqrt2": Real.sqrt2,
-    "sqrt3": Real.sqrt3,
-    "pi": Real.pi,
-    "e": Real.e,
-}
-
-
 def parse_real(text: str, line: int = 1, column: int = 1) -> Real:
-    """Parse a scalar literal: rational, decimal, or named constant."""
-    t = text.strip().lower()
-    if t in _CONSTANTS:
-        return _CONSTANTS[t]()
-    neg = False
-    if t.startswith("-"):
-        neg, t = True, t[1:]
+    """Parse a scalar literal; a bad one raises ParseError at (line, column)."""
     try:
-        if "/" in t:
-            num, _, den = t.partition("/")
-            q = Fraction(int(num), int(den))
-        elif "." in t:
-            whole, _, frac = t.partition(".")
-            den = 10 ** len(frac)
-            q = Fraction(int(whole or "0") * den + int(frac or "0"), den)
-        else:
-            q = Fraction(int(t))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad numeric literal {text!r}", line, column) from None
-    return Real.from_fraction(-q if neg else q)
+        return reals.parse_real(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), line, column) from None
 
 
 class _Parser:

@@ -36,6 +36,8 @@ __all__ = [
     "PrecisionContext",
     "precision",
     "current_precision",
+    "retry_precision",
+    "parse_real",
     "Real",
     "Interval",
     "RealLike",
@@ -88,6 +90,22 @@ def precision(bits: int, ceiling: Optional[int] = None):
         yield _state.ctx
     finally:
         _state.ctx = old
+
+
+def retry_precision(fn):
+    """Run fn(), doubling working precision on undecidable comparisons."""
+    ctx = current_precision()
+    bits = ctx.bits
+    while True:
+        try:
+            with precision(bits, ctx.ceiling):
+                return fn()
+        except UndecidableComparison:
+            if bits >= ctx.ceiling:
+                raise PrecisionExhausted(
+                    f"undecidable at the {ctx.ceiling}-bit ceiling"
+                )
+            bits = min(bits * 2, ctx.ceiling)
 
 
 def _prec() -> int:
@@ -485,6 +503,40 @@ class Real:
 
     def __repr__(self) -> str:
         return f"Real({self})"
+
+
+_CONSTANTS = {
+    "sqrt2": Real.sqrt2,
+    "sqrt3": Real.sqrt3,
+    "pi": Real.pi,
+    "e": Real.e,
+}
+
+
+def parse_real(text: str) -> Real:
+    """Parse a scalar literal: rational, decimal, or named constant.
+
+    Raises ValueError on anything else.
+    """
+    t = text.strip().lower()
+    if t in _CONSTANTS:
+        return _CONSTANTS[t]()
+    neg = False
+    if t.startswith("-"):
+        neg, t = True, t[1:]
+    try:
+        if "/" in t:
+            num, _, den = t.partition("/")
+            q = Fraction(int(num), int(den))
+        elif "." in t:
+            whole, _, frac = t.partition(".")
+            den = 10 ** len(frac)
+            q = Fraction(int(whole or "0") * den + int(frac or "0"), den)
+        else:
+            q = Fraction(int(t))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad numeric literal {text!r}") from None
+    return Real.from_fraction(-q if neg else q)
 
 
 _NEG_INF = object()

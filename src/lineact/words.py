@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 __all__ = [
     "UnknownGenerator",
@@ -33,6 +33,7 @@ __all__ = [
     "normal_form_key",
     "multiply",
     "WordBall",
+    "walk",
     "ball",
     "free_reduced_words",
     "parse_word",
@@ -316,7 +317,6 @@ class WordBall:
     presentation: Presentation
     radius: int
     elements: list[GroupElement]
-    exact: bool = True  # False would flag reduced-word dedup fallback
 
     def __iter__(self):
         return iter(self.elements)
@@ -333,37 +333,47 @@ def _letter_order(p: Presentation) -> list[Letter]:
     return out
 
 
-def ball(p: Presentation, radius: int) -> WordBall:
-    """Shortlex enumeration of the radius-L ball with normal-form dedup."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+def walk(p: Presentation, radius: int, dedup: bool, carry: Any = None,
+         step: Optional[Callable[[Letter, Any], Any]] = None
+         ) -> Iterator[tuple[GroupElement, Any]]:
+    """Yield (word, carry) over the radius-L ball in shortlex order.
+
+    The identity comes first, carrying ``carry``.  Words grow on the left and
+    ``letter * w`` carries ``step(letter, carry of w)`` (or ``carry`` itself
+    when there is no step).  With ``dedup`` on, only the shortlex-first word
+    of each group element is kept and extended, judged by
+    :func:`normal_form_key`; with it off, every freely reduced word is.
+    """
     ident = p.identity()
-    try:
-        seen = {normal_form_key(p, ident)}
-        exact = True
-    except UnsupportedPresentation:
-        seen = {ident.word}
-        exact = False
-    elements = [ident]
-    frontier: list[GroupElement] = [ident]
+    yield ident, carry
+    seen = {normal_form_key(p, ident)} if dedup else None
+    frontier = [(ident, carry)]
     letters = _letter_order(p)
     for _ in range(radius):
-        nxt: list[GroupElement] = []
+        nxt = []
         for lg, le in letters:
-            for w in frontier:
+            for w, c in frontier:
                 # left extension keeps words freely reduced and shortlex sorted
                 if w.word and w.word[0][0] == lg and (w.word[0][1] > 0) != (le > 0):
                     continue
                 w2 = GroupElement(p, _reduce(((lg, le),) + w.word))
-                key = normal_form_key(p, w2) if exact else w2.word
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(w2)
+                if dedup:
+                    key = normal_form_key(p, w2)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                c2 = c if step is None else step((lg, le), c)
+                nxt.append((w2, c2))
+                yield w2, c2
         # words generated above are lex within this length by construction
         frontier = nxt
-        elements.extend(nxt)
-    return WordBall(p, radius, elements, exact)
+
+
+def ball(p: Presentation, radius: int) -> WordBall:
+    """Shortlex enumeration of the radius-L ball with normal-form dedup."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    return WordBall(p, radius, [w for w, _ in walk(p, radius, True)])
 
 
 def free_reduced_words(p: Presentation, radius: int,
@@ -371,25 +381,15 @@ def free_reduced_words(p: Presentation, radius: int,
     """All freely reduced words of length <= radius, shortlex order.
 
     Unlike :func:`ball`, no relations are applied: the same group element may
-    appear under several words.  This is the exhaustive quantifier used by
-    certificate sweeps, which makes their verdict lists robust to normal-form
-    errors.
+    appear under several words.  Certificate sweeps walk these same words
+    (``walk`` with dedup off), which makes their verdict lists robust to
+    normal-form errors.
     """
-    ident = p.identity()
-    if include_identity:
-        yield ident
-    frontier = [ident]
-    letters = _letter_order(p)
-    for _ in range(radius):
-        nxt = []
-        for lg, le in letters:
-            for w in frontier:
-                if w.word and w.word[0][0] == lg and (w.word[0][1] > 0) != (le > 0):
-                    continue
-                w2 = GroupElement(p, _reduce(((lg, le),) + w.word))
-                nxt.append(w2)
-                yield w2
-        frontier = nxt
+    words = walk(p, radius, False)
+    if not include_identity:
+        next(words)
+    for w, _ in words:
+        yield w
 
 
 # ---------------------------------------------------------------------------

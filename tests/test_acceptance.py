@@ -7,7 +7,7 @@ mover in the radius-5 ball displaces points by at least a quarter-exponent
 power step, which exceeds the width any level-2 gap can have after the
 grid-and-orbit refinement.  That test is marked as a strict expected failure
 with the analysis, and the criterion's structural assertions are instead
-demonstrated at the nearest feasible radius (7).  See the decisions ledger.
+demonstrated at the nearest feasible radius (7).
 """
 
 import math
@@ -73,9 +73,9 @@ def test_criterion_1_dilation_exactness():
     report(1, "conjugated translations exact", t0, 1.0)
 
 
+@mpmath.workdps(80)
 def test_criterion_2_ladder_relation_and_orbit_formula():
     t0 = time.perf_counter()
-    mpmath.mp.dps = 80
     for k in (2, 3):
         act = gallery("ex_1_4", k=k)
         pts = sample_points(Interval.closed(-4, 5), 1000)
@@ -261,7 +261,7 @@ def test_criterion_6_free_transitive():
 LADDER_ANALYSIS = (
     "depth 3 at radius 5 admits no level-2/3 moving pair: the radius-5 ball's "
     "gentlest in-cell movers displace points by a 2^(1/4)-power step, wider "
-    "than any gap the grid-orbit refinement leaves; see notes/decisions.md"
+    "than any gap the grid-orbit refinement leaves"
 )
 
 

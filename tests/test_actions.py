@@ -134,13 +134,25 @@ class TestGallery:
         with pytest.raises(BadParameter):
             gallery("ex_1_3", n=1)
 
+    def test_alpha_literals_and_values(self):
+        def shift(alpha):
+            return gallery("ex_1_2", alpha=alpha).image("b").b
+
+        assert shift("3/8") == shift(Fraction(3, 8)) == shift(R(3, 8))
+        assert shift("0.375").as_fraction() == Fraction(3, 8)
+        assert shift(2).as_fraction() == 2
+        assert shift("SQRT2").bounds() == shift("sqrt2").bounds()
+        for bad in ("1/0", "1e-3", "two", 1.5, None):
+            with pytest.raises(BadParameter):
+                gallery("ex_1_2", alpha=bad)
+
 
 class TestLadderOrbitFormula:
+    @mpmath.workdps(60)
     def test_closed_form(self):
         # w = f^m g^l f^n sends 1/2 to (1/2)^(2^((-1)^n k^-n l)) + n + m
         k = 2
         act = gallery("ex_1_4", k=k)
-        mpmath.mp.dps = 60
         half = mpmath.mpf(1) / 2
         for m in range(-2, 3):
             for l in range(-2, 3):

@@ -148,6 +148,12 @@ class TestErrorPaths:
                      "--radius", "1"])
         assert code == 2
 
+    def test_bad_alpha_exit_2(self, capsys):
+        code = main(["orbit", "--gallery", "ex_1_2", "--alpha", "1/0",
+                     "--point", "0", "--radius", "1"])
+        assert code == 2
+        assert "error: cannot parse alpha '1/0'" in capsys.readouterr().err
+
     def test_missing_action_source(self, capsys):
         code = main(["orbit", "--point", "0", "--radius", "1"])
         assert code == 2

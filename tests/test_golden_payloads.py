@@ -1,0 +1,99 @@
+"""Golden CLI payloads: one fast input per subcommand, pinned byte for byte.
+
+Each case runs ``line-act`` in-process and compares its payload with the
+file of the same name under ``tests/golden``.  JSON payloads are compared
+after removing ``timestamp`` and re-serializing with sorted keys; CSV
+payloads are compared verbatim.
+
+The golden files were written from the code as it stood before the ball
+walk was unified, with ``timestamp`` and ``config.workers`` removed.  The
+``--workers`` flag was dropped at that change (it never did anything), so
+the missing ``config.workers`` key is the one intended difference; every
+other byte must match.
+
+To rewrite the files after an intended payload change::
+
+    PYTHONPATH=src python tests/test_golden_payloads.py
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from lineact.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# file name -> (exit status, argv)
+CASES = {
+    "gallery_list.json": (0, ["gallery-list"]),
+    "eval.json": (0, ["eval", "--expr", "compose(affine(1,1),oddpower(3,root))",
+                      "--point", "2"]),
+    "orbit.json": (0, ["orbit", "--gallery", "ex_1_4", "--k", "2",
+                       "--point", "1/2", "--radius", "4", "--window", "-2", "2"]),
+    "orbit.csv": (0, ["orbit", "--gallery", "ex_1_2", "--alpha", "sqrt2",
+                      "--point", "0", "--radius", "3", "--window", "0", "1",
+                      "--format", "csv"]),
+    "orbit_alpha.json": (0, ["orbit", "--gallery", "ex_1_2", "--alpha", "0.375",
+                             "--point", "0", "--radius", "3"]),
+    "relations.json": (0, ["relations", "--gallery", "ex_1_4", "--k", "2",
+                           "--points", "40", "--window", "-4", "5"]),
+    "transitive_found.json": (0, ["transitive", "--gallery", "free_transitive",
+                                  "--u", "0.1", "0.2", "--v", "10.5", "10.6",
+                                  "--radius", "12"]),
+    "transitive_absent.json": (1, ["transitive", "--gallery", "ex_1_1",
+                                   "--u", "0", "0.3", "--v", "0.5", "0.8",
+                                   "--radius", "8"]),
+    "wander_find.json": (0, ["wander-find", "--gallery", "klein_bottle",
+                             "--window", "-4", "4"]),
+    "wander_check_certified.json": (0, ["wander-check", "--gallery",
+                                        "klein_bottle", "--interval", "0.4375",
+                                        "0.5625", "--radius", "4"]),
+    "wander_check_refuted.json": (1, ["wander-check", "--gallery", "ex_1_4",
+                                      "--k", "2", "--interval", "0.2", "0.3",
+                                      "--radius", "5"]),
+    "cantor.json": (0, ["cantor", "--gallery", "ex_1_4", "--k", "2",
+                        "--depth", "2", "--radius", "4", "--orbit-depth", "1"]),
+    "classify.json": (0, ["classify", "--gallery", "ex_1_2", "--alpha", "sqrt2",
+                          "--point", "0", "--radius", "20", "--window", "0", "1"]),
+    "extend.json": (0, ["extend", "--pairs", "30", "--points", "6"]),
+}
+
+
+def payload(argv: list[str]) -> tuple[int, str]:
+    """(exit status, payload text with the timestamp removed)."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    text = buf.getvalue()
+    if not text.startswith("{"):
+        return code, text
+    doc = json.loads(text)
+    doc.pop("timestamp")
+    return code, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_payload_matches_golden(name):
+    status, argv = CASES[name]
+    code, text = payload(argv)
+    assert code == status
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert text == fh.read()
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name, (_, argv) in CASES.items():
+        _, text = payload(argv)
+        if name.endswith(".json"):
+            doc = json.loads(text)
+            doc["config"].pop("workers", None)
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(name, file=sys.stderr)

@@ -48,9 +48,9 @@ class TestEvaluate:
         assert v.kind == "exact-rational"
         assert v.as_fraction() == Fraction(1, 4)
 
+    @mpmath.workdps(60)
     def test_ladder_odd_cell_oracle(self):
         # independent oracle: (1/2)^(2^(-1/2)) + 1 at 60 digits
-        mpmath.mp.dps = 60
         oracle = mpmath.mpf(1) / 2
         oracle = oracle ** (2 ** (-mpmath.mpf(1) / 2)) + 1
         v = evaluate(UnitPowerLadder(2, 1), R(3, 2))

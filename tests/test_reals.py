@@ -47,8 +47,8 @@ class TestRealArithmetic:
         assert lo <= 1 <= hi
         assert v.err() > 0
 
+    @mpmath.workdps(120)
     def test_sqrt2_encloses_truth(self):
-        mpmath.mp.dps = 120
         truth = mpmath.mpf(2) ** mpmath.mpf("0.5")
         lo, hi = Real.sqrt2().bounds()
         assert float(lo) <= float(truth) <= float(hi)
