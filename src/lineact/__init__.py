@@ -75,7 +75,6 @@ from .dynamics import (
     NotApplicable,
     OrbitClosureClass,
     OrbitPoint,
-    Thresholds,
     WanderingCertificate,
     cantor_ladder,
     check_ladder,

@@ -37,7 +37,6 @@ from .homeo import (
     inverse,
     power,
     simplify,
-    structurally_equal,
 )
 from .reals import Interval, Real, RealLike, parse_real
 from .words import (
@@ -161,7 +160,7 @@ def check_relations(act: Action, points: Sequence[Real],
     for lhs, rhs in act.presentation.relations():
         hl = simplify(realize(act, lhs))
         hr = simplify(realize(act, rhs))
-        if structurally_equal(hl, hr):
+        if hl == hr:
             checks.append(RelationCheck(lhs, rhs, Real.rational(0), True, True))
             continue
         worst = Real.rational(0)

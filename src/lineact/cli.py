@@ -41,7 +41,7 @@ from .dynamics import (
     transitivity_search,
     wandering_certificate,
 )
-from .homeo import eval_interval, evaluate
+from .homeo import HorizonExceeded, eval_interval, evaluate
 from .parse import ParseError, parse_action_file, parse_expr, parse_real
 from .reals import Interval, PrecisionExhausted, precision
 from .words import UnknownGenerator, UnsupportedPresentation
@@ -396,7 +396,8 @@ def main(argv=None) -> int:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (BadParameter, UnknownGalleryName, UnknownGenerator,
-            UnsupportedPresentation, NotApplicable, ValueError) as exc:
+            UnsupportedPresentation, NotApplicable, HorizonExceeded,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -61,7 +61,6 @@ __all__ = [
     "cantor_ladder",
     "LadderCheck",
     "check_ladder",
-    "Thresholds",
     "OrbitClosureClass",
     "classify_orbit_closure",
 ]
@@ -313,10 +312,16 @@ def _wandering_chain(act: Action) -> list[str]:
     )
 
 
+# Tolerance of the fixed-point search and the fixed-set claims: far below the
+# spacing (window width / grid_n) of the grid the fixed points are found on.
+_FIND_TOL = Real.rational(1, 10**10)
+# Fixed-set anchors checked for invariance under the outer generator; caps
+# the claim's cost at 24 point evaluations.
+_CLAIM_SAMPLES = 24
+
+
 def find_wandering_interval(act: Action, window: Interval,
-                            grid_n: int = 512,
-                            tol: RealLike = Fraction(1, 10**10),
-                            claim_samples: int = 24) -> FindReport:
+                            grid_n: int = 512) -> FindReport:
     """Construct a candidate wandering interval from the fixed-set geometry.
 
     Finds the innermost generator with fixed points missing somewhere in the
@@ -325,7 +330,7 @@ def find_wandering_interval(act: Action, window: Interval,
     chain, then shrinks a subinterval off itself under the pivot generator.
     """
     chain = _wandering_chain(act)
-    tol = Real.coerce(tol)
+    tol = _FIND_TOL
     if not window.is_finite:
         raise ValueError("window must be finite")
 
@@ -373,7 +378,7 @@ def find_wandering_interval(act: Action, window: Interval,
         fixed_objs += [(iv.lo, iv.hi) for iv in pivot_report.fixed_intervals]
         anchors = [a for a, _ in fixed_objs] + [b for _, b in fixed_objs]
         checked = passed = 0
-        for s in anchors[:claim_samples]:
+        for s in anchors[:_CLAIM_SAMPLES]:
             y = evaluate(nxt, s)
             if not window.certainly_contains_point(y):
                 continue
@@ -381,7 +386,7 @@ def find_wandering_interval(act: Action, window: Interval,
             near = any(
                 abs(y - a).leq(tol * Real.rational(4)) for a, _ in fixed_objs
             ) or any(
-                (a - tol).definitely_le(y) and y.definitely_le(b + tol)
+                bool((a - tol).leq(y)) and bool(y.leq(b + tol))
                 for a, b in fixed_objs
             )
             if near:
@@ -455,9 +460,15 @@ class LadderParams:
     """
 
     orbit_depth: Optional[int] = None
-    candidates: int = 40
-    max_halvings: int = 60
-    eq_tol_scale: Fraction = Fraction(1)
+
+
+# Points sampled per mover scan; each costs one evaluation per moving ball
+# word, and the acceptance ladder and demo 07 are built with 40.
+_MOVER_CANDIDATES = 40
+# Halvings of the separation radius before a sample point is given up: the
+# radius is then under 1e-18 of the room, and each point costs at most 60
+# evaluation pairs.
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -481,22 +492,21 @@ class CantorLadder:
     lambda_sets: list[list[Interval]]          # closed components per level
 
     def level_tolerance(self, i: int) -> Real:
-        u = self.levels[i - 1].u_interval
-        return u.diameter() * Real.coerce(Fraction(self.params.eq_tol_scale))
+        # the construction's resolution, diam U_i
+        return self.levels[i - 1].u_interval.diameter()
 
 
 def _grid_fractions(n: int) -> list[Fraction]:
     return [Fraction(j, n) for j in range(n + 1)]
 
 
-def _movers(act: Action, U: Interval, radius: int, candidates: int,
-            max_halvings: int):
+def _movers(act: Action, U: Interval, radius: int):
     """Deterministic mover scan: (word, x, delta) with the largest safe V radius."""
     p = act.presentation
     lo, hi = U.lo, U.hi
     span = hi - lo
-    xs = [lo + span * Real.rational(j, candidates + 1)
-          for j in range(1, candidates + 1)]
+    xs = [lo + span * Real.rational(j, _MOVER_CANDIDATES + 1)
+          for j in range(1, _MOVER_CANDIDATES + 1)]
     best = None
     for w, img in islice(_ball_images(act, U, radius), 1, None):
         if img is None or img.certainly_disjoint(U):
@@ -510,7 +520,7 @@ def _movers(act: Action, U: Interval, radius: int, candidates: int,
             if not (x.definitely_lt(y) and y.definitely_lt(hi)
                     and lo.definitely_lt(x)):
                 continue
-            delta = _max_separation(hw, x, y, U, max_halvings)
+            delta = _max_separation(hw, x, y, U)
             if delta is None:
                 continue
             if best is None or delta.mid() > best[2].mid():
@@ -518,8 +528,8 @@ def _movers(act: Action, U: Interval, radius: int, candidates: int,
     return best
 
 
-def _max_separation(hw: HomeoExpr, x: Real, y: Real, U: Interval,
-                    max_halvings: int) -> Optional[Real]:
+def _max_separation(hw: HomeoExpr, x: Real, y: Real,
+                    U: Interval) -> Optional[Real]:
     """Largest halving-found radius d with [x-d,x+d] and its image separated in U."""
     lo, hi = U.lo, U.hi
     room = x - lo
@@ -528,7 +538,7 @@ def _max_separation(hw: HomeoExpr, x: Real, y: Real, U: Interval,
     if (y - x).mid() / 2 < room.mid():
         room = (y - x) / Real.rational(2)
     d = room * Real.rational(9, 10)
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         if d.cmp_fraction(Fraction(0)) != 1:
             return None
         a, b = x - d, x + d
@@ -563,7 +573,7 @@ def cantor_ladder(act: Action, depth: int, radius: int,
     levels: list[LadderLevel] = []
     U_prev = seed
     for i in range(1, depth + 1):
-        found = _movers(act, U_prev, radius, params.candidates, params.max_halvings)
+        found = _movers(act, U_prev, radius)
         if found is None:
             if i == 1:
                 raise NoMovingPair(
@@ -632,12 +642,9 @@ def _grid_orbit_in(act: Action, grid: list[Fraction], V: Interval,
             pre = eval_interval(inverse(hw), Vc)
         except PrecisionExhausted:
             continue
-        plo = pre._lo_fr()
-        phi = pre._hi_fr()
+        plo, phi = pre.lo.bounds()[0], pre.hi.bounds()[1]
         for g in grid:
-            if plo is not None and g < plo:
-                continue
-            if phi is not None and g > phi:
+            if g < plo or g > phi:
                 continue
             try:
                 v = evaluate(hw, Real.from_fraction(g))
@@ -754,11 +761,14 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
 # orbit-closure classification
 
 
-@dataclass
-class Thresholds:
-    dense_fraction: Fraction = Fraction(1, 20)
-    discrete_spacing: Fraction = Fraction(1, 5)
-    growth_ratio: Fraction = Fraction(5, 2)
+# Classification thresholds, heuristics fixed on the gallery actions.  Dense:
+# the largest gap is under 1/20 of the window.  Discrete: the smallest gap is
+# over 1/5 of the median gap (evenly spread points) and doubling the radius
+# grows the in-window sample at most 5/2-fold (a discrete orbit meets a
+# bounded window in boundedly many points).
+_DENSE_FRACTION = Fraction(1, 20)
+_DISCRETE_SPACING = Fraction(1, 5)
+_GROWTH_RATIO = Fraction(5, 2)
 
 
 @dataclass
@@ -768,15 +778,13 @@ class OrbitClosureClass:
 
 
 def classify_orbit_closure(act: Action, x: RealLike, radius: int,
-                           window: Interval,
-                           thresholds: Optional[Thresholds] = None) -> OrbitClosureClass:
+                           window: Interval) -> OrbitClosureClass:
     """Heuristic orbit-closure shape from a finite sample.
 
     The verdict is a deterministic function of the orbit sample and the
-    declared thresholds.  'cantor-like' is best-effort: no finite sample can
+    module's fixed thresholds.  'cantor-like' is best-effort: no finite sample can
     witness a Cantor structure, so it is the residual class.
     """
-    th = thresholds or Thresholds()
     x = Real.coerce(x)
     diam = window.diameter()
     pts_half = orbit(act, x, max(radius // 2, 1))
@@ -796,7 +804,7 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     gap = coverage_gap(inside, window)
     evidence["coverage_gap"] = float(gap.mid())
     evidence["window_diameter"] = float(diam.mid())
-    if gap.mid() < Fraction(th.dense_fraction) * diam.mid():
+    if gap.mid() < _DENSE_FRACTION * diam.mid():
         return OrbitClosureClass("dense", evidence)
 
     gaps = sorted(
@@ -808,7 +816,6 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     evidence["min_gap"] = float(min_gap)
     evidence["median_gap"] = float(median_gap)
     evidence["growth_ratio"] = float(growth)
-    if min_gap > Fraction(th.discrete_spacing) * median_gap \
-            and growth <= th.growth_ratio:
+    if min_gap > _DISCRETE_SPACING * median_gap and growth <= _GROWTH_RATIO:
         return OrbitClosureClass("discrete-sequence", evidence)
     return OrbitClosureClass("cantor-like", evidence)

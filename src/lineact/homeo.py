@@ -48,7 +48,6 @@ __all__ = [
     "compose_all",
     "power",
     "simplify",
-    "structurally_equal",
     "FixReport",
     "fixed_points",
     "is_identity_on",
@@ -382,10 +381,6 @@ def power(h: HomeoExpr, n: int) -> HomeoExpr:
     return out
 
 
-def structurally_equal(h1: HomeoExpr, h2: HomeoExpr) -> bool:
-    return h1 == h2
-
-
 def _flatten(h: HomeoExpr) -> list[HomeoExpr]:
     if isinstance(h, Compose):
         return _flatten(h.left) + _flatten(h.right)
@@ -597,16 +592,12 @@ def is_identity_on(h: HomeoExpr, iv: Interval, grid_n: int = 64,
 # canonical text form
 
 
-def _real_text(r: Real) -> str:
-    return str(r)
-
-
 def to_text(h: HomeoExpr) -> str:
     """Canonical prefix notation, e.g. compose(affine(1,1), oddpower(3,fwd))."""
     if isinstance(h, Identity):
         return "identity"
     if isinstance(h, Affine):
-        return f"affine({_real_text(h.a)},{_real_text(h.b)})"
+        return f"affine({h.a},{h.b})"
     if isinstance(h, OddPower):
         return f"oddpower({h.p},{'root' if h.root else 'fwd'})"
     if isinstance(h, UnitPowerLadder):

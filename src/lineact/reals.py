@@ -52,8 +52,13 @@ class UndecidableComparison(Exception):
     """Two tracked enclosures overlap; the comparison needs more precision."""
 
 
+# Default working precision, and the fixed precision tracked values are
+# printed at, so output does not depend on the context active when printing.
+_DEFAULT_BITS = 256
+
+
 class PrecisionContext:
-    def __init__(self, bits: int = 256, ceiling: int = 4096):
+    def __init__(self, bits: int = _DEFAULT_BITS, ceiling: int = 4096):
         if bits < 8 or ceiling < bits:
             raise ValueError("need 8 <= bits <= ceiling")
         self.bits = bits
@@ -184,12 +189,8 @@ class Real:
         return Real(q)
 
     @staticmethod
-    def tracked(mpi) -> "Real":
-        return Real(None, mpi)
-
-    @staticmethod
-    def tracked_from_fraction(q: Fraction, prec: Optional[int] = None) -> "Real":
-        return Real(None, _mpi_from_fraction(q, prec or _prec()))
+    def tracked_from_fraction(q: Fraction) -> "Real":
+        return Real(None, _mpi_from_fraction(q, _prec()))
 
     @staticmethod
     def coerce(x: RealLike) -> "Real":
@@ -214,23 +215,23 @@ class Real:
         ))
 
     @staticmethod
-    def sqrt2(prec: Optional[int] = None) -> "Real":
-        p = prec or _prec()
+    def sqrt2() -> "Real":
+        p = _prec()
         return Real(None, _mp.mpi_sqrt(_mpi_from_fraction(Fraction(2), p), p))
 
     @staticmethod
-    def sqrt3(prec: Optional[int] = None) -> "Real":
-        p = prec or _prec()
+    def sqrt3() -> "Real":
+        p = _prec()
         return Real(None, _mp.mpi_sqrt(_mpi_from_fraction(Fraction(3), p), p))
 
     @staticmethod
-    def pi(prec: Optional[int] = None) -> "Real":
-        p = prec or _prec()
+    def pi() -> "Real":
+        p = _prec()
         return Real(None, (_mp.mpf_pi(p, round_floor), _mp.mpf_pi(p, round_ceiling)))
 
     @staticmethod
-    def e(prec: Optional[int] = None) -> "Real":
-        p = prec or _prec()
+    def e() -> "Real":
+        p = _prec()
         return Real(None, (_mp.mpf_e(p, round_floor), _mp.mpf_e(p, round_ceiling)))
 
     # -- inspection ---------------------------------------------------
@@ -436,22 +437,6 @@ class Real:
     def definitely_lt(self, other: RealLike) -> bool:
         return self.cmp(other) == -1
 
-    def definitely_gt(self, other: RealLike) -> bool:
-        return self.cmp(other) == 1
-
-    def definitely_le(self, other: RealLike) -> bool:
-        other = Real.coerce(other)
-        if self._rat is not None and other._rat is not None:
-            return self._rat <= other._rat
-        _, shi = self.bounds()
-        olo, _ = other.bounds()
-        return shi <= olo
-
-    def approx_eq(self, other: RealLike, tol: RealLike) -> Optional[bool]:
-        """Is |self - other| <= tol?  None when undecidable at this precision."""
-        d = abs(self - Real.coerce(other))
-        return d.leq(tol)
-
     def leq(self, bound: RealLike) -> Optional[bool]:
         """Is self <= bound?  True/False only when certain."""
         bound = Real.coerce(bound)
@@ -492,14 +477,10 @@ class Real:
             if q.denominator == 1:
                 return str(q.numerator)
             return f"{q.numerator}/{q.denominator}"
-        p = _prec()
-        mid = _mp.mpi_mid(self._mpi, p)
-        delta = _mp.mpi_delta(self._mpi, p)
-        digits = max(6, int(p / 3.33)) // 1
-        return "%s±%s" % (
-            _mp.to_str(mid, min(digits, 40)),
-            _mp.to_str(delta, 3),
-        )
+        # 40 significant digits: 256 bits hold about 77
+        mid = _mp.mpi_mid(self._mpi, _DEFAULT_BITS)
+        delta = _mp.mpi_delta(self._mpi, _DEFAULT_BITS)
+        return "%s±%s" % (_mp.to_str(mid, 40), _mp.to_str(delta, 3))
 
     def __repr__(self) -> str:
         return f"Real({self})"
@@ -612,88 +593,37 @@ class Interval:
             raise ValueError("midpoint of an unbounded interval")
         return (self.lo + self.hi) / Real.rational(2)
 
-    # Outer bounds as Fractions, for rigorous geometry. None = infinite.
-    def _lo_fr(self) -> Optional[Fraction]:
-        return None if self.lo is None else self.lo.bounds()[0]
-
-    def _lo_fr_hi(self) -> Optional[Fraction]:
-        return None if self.lo is None else self.lo.bounds()[1]
-
-    def _hi_fr(self) -> Optional[Fraction]:
-        return None if self.hi is None else self.hi.bounds()[1]
-
-    def _hi_fr_lo(self) -> Optional[Fraction]:
-        return None if self.hi is None else self.hi.bounds()[0]
+    # Every endpoint comparison below is a Real.cmp or Real.leq call: cmp
+    # is 0 only for two equal exact rationals, so a tie settles a question
+    # only between exact endpoints, and an open end on either side of it.
 
     def certainly_contains_point(self, x: Real) -> bool:
         if self._empty:
             return False
-        xlo, xhi = x.bounds()
         if self.lo is not None:
-            llo, lhi = self.lo.bounds()
-            if self.open_lo:
-                if not (xlo > lhi):
-                    return False
-            else:
-                if not (xlo >= lhi):
-                    return False
+            if not (self.lo.cmp(x) == -1 if self.open_lo else self.lo.leq(x) is True):
+                return False
         if self.hi is not None:
-            hlo, hhi = self.hi.bounds()
-            if self.open_hi:
-                if not (xhi < hlo):
-                    return False
-            else:
-                if not (xhi <= hlo):
-                    return False
+            if not (x.cmp(self.hi) == -1 if self.open_hi else x.leq(self.hi) is True):
+                return False
         return True
 
     def certainly_disjoint(self, other: "Interval") -> bool:
         if self._empty or other._empty:
             return True
-        # self entirely left of other?
-        if self.hi is not None and other.lo is not None:
-            shi_hi = self.hi.bounds()[1]
-            olo_lo = other.lo.bounds()[0]
-            if shi_hi < olo_lo:
-                return True
-            if shi_hi == olo_lo and self.hi.is_rational and other.lo.is_rational \
-                    and (self.open_hi or other.open_lo):
-                return True
-        if other.hi is not None and self.lo is not None:
-            ohi_hi = other.hi.bounds()[1]
-            slo_lo = self.lo.bounds()[0]
-            if ohi_hi < slo_lo:
-                return True
-            if ohi_hi == slo_lo and other.hi.is_rational and self.lo.is_rational \
-                    and (other.open_hi or self.open_lo):
-                return True
-        return False
+        return any(
+            a.hi is not None and b.lo is not None
+            and _precedes(a.hi, b.lo, a.open_hi or b.open_lo)
+            for a, b in ((self, other), (other, self))
+        )
 
     def certainly_intersects(self, other: "Interval") -> bool:
         """Certainly nonempty open-overlap (interiors meet)."""
         if self._empty or other._empty:
             return False
-
-        def lt(a: Optional[Fraction], b: Optional[Fraction]) -> bool:
-            # a < b with None meaning the favorable infinity
-            if a is None or b is None:
-                return True
-            return a < b
-
-        # need sup(lo bounds) < inf(hi bounds), certified
-        a1 = self._lo_fr_hi()
-        a2 = other._lo_fr_hi()
-        b1 = self._hi_fr_lo()
-        b2 = other._hi_fr_lo()
-        lo_cand = [v for v in (a1, a2) if v is not None]
-        hi_cand = [v for v in (b1, b2) if v is not None]
-        if not lo_cand and not hi_cand:
-            return True
-        if not lo_cand:
-            return True
-        if not hi_cand:
-            return True
-        return max(lo_cand) < min(hi_cand)
+        los = [iv.lo for iv in (self, other) if iv.lo is not None]
+        his = [iv.hi for iv in (self, other) if iv.hi is not None]
+        return all(a.cmp(b) == -1 for a in los for b in his)
 
     def certainly_subset_of(self, other: "Interval") -> bool:
         if self._empty:
@@ -703,29 +633,13 @@ class Interval:
         if other.lo is not None:
             if self.lo is None:
                 return False
-            slo = self.lo.bounds()[0]
-            olo = other.lo.bounds()[1]
-            if slo < olo:
+            if not _precedes(other.lo, self.lo, self.open_lo or not other.open_lo):
                 return False
-            if slo == olo:
-                exact = self.lo.is_rational and other.lo.is_rational
-                if not exact:
-                    return False
-                if other.open_lo and not self.open_lo:
-                    return False
         if other.hi is not None:
             if self.hi is None:
                 return False
-            shi = self.hi.bounds()[1]
-            ohi = other.hi.bounds()[0]
-            if shi > ohi:
+            if not _precedes(self.hi, other.hi, self.open_hi or not other.open_hi):
                 return False
-            if shi == ohi:
-                exact = self.hi.is_rational and other.hi.is_rational
-                if not exact:
-                    return False
-                if other.open_hi and not self.open_hi:
-                    return False
         return True
 
     def intersection_hull(self, other: "Interval") -> "Interval":
@@ -742,16 +656,8 @@ class Interval:
         for cand in hi_parts:
             if hi is None or cand.bounds()[1] < hi.bounds()[1]:
                 hi = cand
-        if lo is not None and hi is not None:
-            if lo.bounds()[0] > hi.bounds()[1]:
-                return Interval.EMPTY
-            if lo.bounds()[0] == hi.bounds()[1] and lo.is_rational and hi.is_rational:
-                if lo.as_fraction() == hi.as_fraction():
-                    return Interval(lo, hi, False, False)
-            try:
-                return Interval(lo, hi, False, False)
-            except ValueError:
-                return Interval.EMPTY
+        if lo is not None and hi is not None and hi.cmp(lo) == -1:
+            return Interval.EMPTY
         return Interval(lo, hi, False, False)
 
     def __eq__(self, other) -> bool:
@@ -786,3 +692,8 @@ class Interval:
 
 
 Interval.EMPTY = Interval(None, None, _empty=True)
+
+
+def _precedes(a: Real, b: Real, tie_ok: bool) -> bool:
+    """Whether a < b certainly, or a == b as exact rationals when tie_ok."""
+    return a.cmp(b) in ((-1, 0) if tie_ok else (-1,))

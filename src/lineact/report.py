@@ -21,7 +21,6 @@ from .dynamics import (
     WanderingCertificate,
 )
 from .actions import RelationReport
-from .homeo import FixReport
 from .reals import Interval, Real
 
 SCHEMA = "line-act/1"
@@ -39,7 +38,6 @@ __all__ = [
     "ladder_csv",
     "checks_json",
     "classification_json",
-    "fix_report_json",
 ]
 
 
@@ -176,14 +174,3 @@ def checks_json(checks: list[LadderCheck]) -> dict:
 def classification_json(cls: OrbitClosureClass) -> dict:
     return {"class": cls.kind, "evidence": cls.evidence}
 
-
-def fix_report_json(rep: FixReport) -> dict:
-    return {
-        "window": interval_json(rep.window),
-        "tolerance": str(rep.tolerance),
-        "fixed_points": [real_json(p) for p in rep.fixed_points],
-        "fixed_intervals": [interval_json(iv) for iv in rep.fixed_intervals],
-        "complement_intervals": [
-            interval_json(iv) for iv in rep.complement_intervals
-        ],
-    }

@@ -209,9 +209,6 @@ class GroupElement:
             for _ in range(abs(e)):
                 yield (g, step)
 
-    def normal_key(self):
-        return normal_form_key(self.presentation, self)
-
     def exponent_sum(self, i: int) -> int:
         return sum(e for g, e in self.word if g == i)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 from lineact.cli import main
 
@@ -153,6 +154,13 @@ class TestErrorPaths:
                      "--point", "0", "--radius", "1"])
         assert code == 2
         assert "error: cannot parse alpha '1/0'" in capsys.readouterr().err
+
+    def test_horizon_exceeded_exit_2(self, capsys):
+        code = main(["extend", "--horizon", "2", "--window", "-5", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: cell -?\d+ beyond the configured horizon 2$",
+                         err, re.M)
 
     def test_missing_action_source(self, capsys):
         code = main(["orbit", "--point", "0", "--radius", "1"])

@@ -1,0 +1,210 @@
+"""The Interval predicates against a verbatim copy of their Fraction-bound
+implementations (the reference), over exact, tracked and hull endpoints."""
+
+from fractions import Fraction
+from typing import Optional
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lineact.reals import Interval, Real
+
+
+class ReferenceInterval(Interval):
+    """The predicates as they read Fraction bounds before they were built on
+    Real.cmp/leq, kept unchanged as the reference."""
+
+    # Outer bounds as Fractions, for rigorous geometry. None = infinite.
+    def _lo_fr(self) -> Optional[Fraction]:
+        return None if self.lo is None else self.lo.bounds()[0]
+
+    def _lo_fr_hi(self) -> Optional[Fraction]:
+        return None if self.lo is None else self.lo.bounds()[1]
+
+    def _hi_fr(self) -> Optional[Fraction]:
+        return None if self.hi is None else self.hi.bounds()[1]
+
+    def _hi_fr_lo(self) -> Optional[Fraction]:
+        return None if self.hi is None else self.hi.bounds()[0]
+
+    def certainly_contains_point(self, x: Real) -> bool:
+        if self._empty:
+            return False
+        xlo, xhi = x.bounds()
+        if self.lo is not None:
+            llo, lhi = self.lo.bounds()
+            if self.open_lo:
+                if not (xlo > lhi):
+                    return False
+            else:
+                if not (xlo >= lhi):
+                    return False
+        if self.hi is not None:
+            hlo, hhi = self.hi.bounds()
+            if self.open_hi:
+                if not (xhi < hlo):
+                    return False
+            else:
+                if not (xhi <= hlo):
+                    return False
+        return True
+
+    def certainly_disjoint(self, other: "Interval") -> bool:
+        if self._empty or other._empty:
+            return True
+        # self entirely left of other?
+        if self.hi is not None and other.lo is not None:
+            shi_hi = self.hi.bounds()[1]
+            olo_lo = other.lo.bounds()[0]
+            if shi_hi < olo_lo:
+                return True
+            if shi_hi == olo_lo and self.hi.is_rational and other.lo.is_rational \
+                    and (self.open_hi or other.open_lo):
+                return True
+        if other.hi is not None and self.lo is not None:
+            ohi_hi = other.hi.bounds()[1]
+            slo_lo = self.lo.bounds()[0]
+            if ohi_hi < slo_lo:
+                return True
+            if ohi_hi == slo_lo and other.hi.is_rational and self.lo.is_rational \
+                    and (other.open_hi or self.open_lo):
+                return True
+        return False
+
+    def certainly_intersects(self, other: "Interval") -> bool:
+        """Certainly nonempty open-overlap (interiors meet)."""
+        if self._empty or other._empty:
+            return False
+
+        def lt(a: Optional[Fraction], b: Optional[Fraction]) -> bool:
+            # a < b with None meaning the favorable infinity
+            if a is None or b is None:
+                return True
+            return a < b
+
+        # need sup(lo bounds) < inf(hi bounds), certified
+        a1 = self._lo_fr_hi()
+        a2 = other._lo_fr_hi()
+        b1 = self._hi_fr_lo()
+        b2 = other._hi_fr_lo()
+        lo_cand = [v for v in (a1, a2) if v is not None]
+        hi_cand = [v for v in (b1, b2) if v is not None]
+        if not lo_cand and not hi_cand:
+            return True
+        if not lo_cand:
+            return True
+        if not hi_cand:
+            return True
+        return max(lo_cand) < min(hi_cand)
+
+    def certainly_subset_of(self, other: "Interval") -> bool:
+        if self._empty:
+            return True
+        if other._empty:
+            return False
+        if other.lo is not None:
+            if self.lo is None:
+                return False
+            slo = self.lo.bounds()[0]
+            olo = other.lo.bounds()[1]
+            if slo < olo:
+                return False
+            if slo == olo:
+                exact = self.lo.is_rational and other.lo.is_rational
+                if not exact:
+                    return False
+                if other.open_lo and not self.open_lo:
+                    return False
+        if other.hi is not None:
+            if self.hi is None:
+                return False
+            shi = self.hi.bounds()[1]
+            ohi = other.hi.bounds()[0]
+            if shi > ohi:
+                return False
+            if shi == ohi:
+                exact = self.hi.is_rational and other.hi.is_rational
+                if not exact:
+                    return False
+                if other.open_hi and not self.open_hi:
+                    return False
+        return True
+
+    def intersection_hull(self, other: "Interval") -> "Interval":
+        """Outer enclosure of the set intersection (closed hull semantics)."""
+        if self._empty or other._empty:
+            return Interval.EMPTY
+        lo_parts = [iv.lo for iv in (self, other) if iv.lo is not None]
+        hi_parts = [iv.hi for iv in (self, other) if iv.hi is not None]
+        lo = None
+        for cand in lo_parts:
+            if lo is None or cand.bounds()[0] > lo.bounds()[0]:
+                lo = cand
+        hi = None
+        for cand in hi_parts:
+            if hi is None or cand.bounds()[1] < hi.bounds()[1]:
+                hi = cand
+        if lo is not None and hi is not None:
+            if lo.bounds()[0] > hi.bounds()[1]:
+                return Interval.EMPTY
+            if lo.bounds()[0] == hi.bounds()[1] and lo.is_rational and hi.is_rational:
+                if lo.as_fraction() == hi.as_fraction():
+                    return Interval(lo, hi, False, False)
+            try:
+                return Interval(lo, hi, False, False)
+            except ValueError:
+                return Interval.EMPTY
+        return Interval(lo, hi, False, False)
+
+
+def reference(iv: Interval) -> Interval:
+    if iv.is_empty:
+        return ReferenceInterval(None, None, _empty=True)
+    return ReferenceInterval(iv.lo, iv.hi, iv.open_lo, iv.open_hi)
+
+
+# A small grid of rationals, so that endpoints tie often: exactly, with the
+# dyadic bounds of a hull, or with a zero-width tracked enclosure.
+GRID = sorted({Fraction(n, d) for d in (1, 2, 4, 3) for n in range(-2 * d, 2 * d + 1)})
+fractions = st.sampled_from(GRID)
+exact = fractions.map(Real.from_fraction)
+tracked_point = fractions.map(Real.tracked_from_fraction)
+sqrt2_tracked = st.builds(lambda q, r: Real.from_fraction(q) + Real.sqrt2() * r,
+                          fractions, st.sampled_from([Fraction(0), Fraction(1, 2),
+                                                      Fraction(-1), Fraction(1)]))
+hulls = st.builds(lambda a, b: Real.hull(Real.from_fraction(a), Real.from_fraction(b)),
+                  fractions, fractions)
+reals = st.one_of(exact, tracked_point, sqrt2_tracked, hulls)
+
+
+@st.composite
+def intervals(draw):
+    if draw(st.integers(0, 19)) == 0:
+        return Interval.EMPTY
+    lo = draw(st.one_of(st.none(), reals))
+    # an enclosure can be both ends of an interval it cannot order
+    hi = lo if lo is not None and draw(st.integers(0, 4)) == 0 else \
+        draw(st.one_of(st.none(), reals))
+    try:
+        return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    except ValueError:
+        assume(False)
+
+
+@given(intervals(), intervals(), reals)
+@settings(max_examples=600, deadline=None)
+def test_predicates_match_reference(a, b, x):
+    ra, rb = reference(a), reference(b)
+    assert a.certainly_contains_point(x) == ra.certainly_contains_point(x)
+    assert a.certainly_disjoint(b) == ra.certainly_disjoint(rb)
+    assert a.certainly_intersects(b) == ra.certainly_intersects(rb)
+    assert a.certainly_subset_of(b) == ra.certainly_subset_of(rb)
+    assert a.intersection_hull(b) == ra.intersection_hull(rb)
+
+
+def test_hull_endpoint_ties_with_rationals():
+    h = Real.hull(Real.rational(1, 2), Real.rational(3, 4))
+    assert h.bounds() == (Fraction(1, 2), Fraction(3, 4))
+    a, b = Interval.open(0, h), Interval.open(Fraction(3, 4), 1)
+    assert a.certainly_disjoint(b) == reference(a).certainly_disjoint(reference(b))
+    assert a.certainly_subset_of(Interval.closed(0, 1))

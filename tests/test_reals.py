@@ -107,6 +107,14 @@ class TestRealArithmetic:
         assert str(fr(5)) == "5"
         assert "±" in str(Real.sqrt2())
 
+    def test_str_independent_of_ambient_precision(self):
+        s = Real.sqrt2()
+        text = str(s)
+        with precision(64):
+            assert str(s) == text
+        with precision(1024):
+            assert str(s) == text
+
 
 class TestPrecisionContext:
     def test_default(self):
