@@ -24,9 +24,12 @@ from typing import Optional, Union
 import mpmath.libmp as _mp
 from mpmath.libmp import (
     from_int,
-    from_rational,
+    mpf_nthroot,
+    normalize,
     round_ceiling,
     round_floor,
+    round_nearest,
+    to_int,
     to_rational,
 )
 
@@ -117,7 +120,18 @@ def _prec() -> int:
     return current_precision().bits
 
 
-# Exact integer nth roots; returns None when no exact root exists.
+def _trailing_zeros(n: int) -> int:
+    return (n & -n).bit_length() - 1
+
+
+# A 61-bit prime (2**61 - 1) for the residue test of _iroot's candidate.
+_M61 = (1 << 61) - 1
+
+
+# Exact integer nth roots; returns None when no exact root exists.  The
+# candidate is an mpf p-th root with 64 guard bits rounded to the nearest
+# integer: a residue test modulo _M61 rejects it cheaply, one exact power
+# confirms it.
 def _iroot(n: int, p: int) -> Optional[int]:
     if n < 0:
         if p % 2 == 0:
@@ -128,14 +142,20 @@ def _iroot(n: int, p: int) -> Optional[int]:
         return n
     if n.bit_length() <= p:
         return None  # no integer root >= 2 can exist, and n > 1
-    lo, hi = 1, 1 << ((n.bit_length() + p - 1) // p + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**p < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**p == n else None
+    # Split off the power of two (ladder denominators are powers of 8): a
+    # valuation p does not divide rules out a root without any root work.
+    tz = _trailing_zeros(n)
+    if tz % p:
+        return None
+    m = n >> tz
+    prec = m.bit_length() // p + 64
+    shift = max(m.bit_length() - prec, 0)
+    top = (m >> shift) | 1  # odd, within 2**-prec of m relatively
+    approx = mpf_nthroot((0, top, shift, top.bit_length()), p, prec, round_nearest)
+    r = to_int(approx, round_nearest)
+    if pow(r, p, _M61) != m % _M61 or r**p != m:
+        return None
+    return r << (tz // p)
 
 
 def _fraction_root(q: Fraction, p: int) -> Optional[Fraction]:
@@ -153,13 +173,58 @@ def _fraction_root(q: Fraction, p: int) -> Optional[Fraction]:
 _EXACT_POW_BIT_BUDGET = 1 << 21
 
 
+def _mpf_round(num: int, den: int, prec: int, rnd):
+    """num/den (den > 0) rounded to prec bits in direction rnd.
+
+    Equals ``from_rational(num, den, prec, rnd)`` for the directed roundings
+    but costs one shift and one divmod: a dyadic den keeps num as the exact
+    mantissa, any other den gives a quotient of at least prec + 5 bits with
+    a sticky bit for a nonzero remainder.
+    """
+    sign = int(num < 0)
+    num = abs(num)
+    if not den & (den - 1):
+        return normalize(sign, num, 1 - den.bit_length(), num.bit_length(),
+                         prec, rnd)
+    shift = prec + 5 + den.bit_length() - num.bit_length()
+    if shift >= 0:
+        quot, rem = divmod(num << shift, den)
+    else:
+        quot, rem = divmod(num, den << -shift)
+    if rem:
+        quot = (quot << 1) | 1
+        shift += 1
+    return normalize(sign, quot, -shift, quot.bit_length(), prec, rnd)
+
+
 def _mpi_from_fraction(q: Fraction, prec: int):
-    if q.denominator == 1:
-        v = from_int(q.numerator)
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        if num.bit_length() <= 64:
+            v = from_int(num)
+        else:  # strip the trailing zeros in one shift, not 8 bits a step
+            m = abs(num)
+            tz = _trailing_zeros(m)
+            v = (int(num < 0), m >> tz, tz, m.bit_length() - tz)
         return (v, v)
-    lo = from_rational(q.numerator, q.denominator, prec, round_floor)
-    hi = from_rational(q.numerator, q.denominator, prec, round_ceiling)
-    return (lo, hi)
+    bc = num.bit_length()
+    if not den & (den - 1) and bc <= prec:
+        # a dyadic value that fits: num is odd, so this is the exact mpf
+        v = (int(num < 0), abs(num), 1 - den.bit_length(), bc)
+        return (v, v)
+    return (_mpf_round(num, den, prec, round_floor),
+            _mpf_round(num, den, prec, round_ceiling))
+
+
+def _cmp_rational(a: Fraction, b: Fraction) -> int:
+    """-1, 0 or +1 as a <, = or > b: one numerator difference over a shared
+    denominator, one cross-multiplied difference otherwise."""
+    ad, bd = a.denominator, b.denominator
+    if ad == bd:
+        d = a.numerator - b.numerator
+    else:
+        d = a.numerator * bd - b.numerator * ad
+    return (d > 0) - (d < 0)
 
 
 RealLike = Union["Real", Fraction, int]
@@ -210,8 +275,8 @@ class Real:
             return Real(lo)
         p = _prec()
         return Real(None, (
-            from_rational(lo.numerator, lo.denominator, p, round_floor),
-            from_rational(hi.numerator, hi.denominator, p, round_ceiling),
+            _mpf_round(lo.numerator, lo.denominator, p, round_floor),
+            _mpf_round(hi.numerator, hi.denominator, p, round_ceiling),
         ))
 
     @staticmethod
@@ -257,10 +322,14 @@ class Real:
         return (Fraction(*to_rational(lo)), Fraction(*to_rational(hi)))
 
     def err(self) -> Fraction:
+        if self._rat is not None:
+            return Fraction(0)
         lo, hi = self.bounds()
         return (hi - lo) / 2
 
     def mid(self) -> Fraction:
+        if self._rat is not None:
+            return self._rat
         lo, hi = self.bounds()
         return (lo + hi) / 2
 
@@ -414,8 +483,7 @@ class Real:
         """-1, 0, +1, or None when the enclosures overlap undecidably."""
         other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
-            a, b = self._rat, other._rat
-            return -1 if a < b else (1 if a > b else 0)
+            return _cmp_rational(self._rat, other._rat)
         slo, shi = self.bounds()
         olo, ohi = other.bounds()
         if shi < olo:
@@ -441,7 +509,7 @@ class Real:
         """Is self <= bound?  True/False only when certain."""
         bound = Real.coerce(bound)
         if self._rat is not None and bound._rat is not None:
-            return self._rat <= bound._rat
+            return _cmp_rational(self._rat, bound._rat) <= 0
         slo, shi = self.bounds()
         blo, bhi = bound.bounds()
         if shi <= blo:
@@ -551,7 +619,8 @@ class Interval:
         self.open_lo = open_lo if lo is not None else True
         self.open_hi = open_hi if hi is not None else True
         if lo is not None and hi is not None:
-            if lo.cmp(hi) == 1 or (lo.cmp(hi) == 0 and (open_lo or open_hi)):
+            c = lo.cmp(hi)
+            if c == 1 or (c == 0 and (open_lo or open_hi)):
                 raise ValueError(
                     f"degenerate interval endpoints: {lo} .. {hi}"
                 )

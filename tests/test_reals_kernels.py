@@ -1,0 +1,257 @@
+"""The big-rational kernels of lineact.reals against verbatim copies of the
+bisection root, from_rational rounding and Fraction-bound comparisons they
+replaced (the reference): every result must be identical, mpf tuples
+included."""
+
+import random
+import time
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_int, from_rational, round_ceiling, round_floor
+
+from lineact.actions import gallery
+from lineact.dynamics import orbit
+from lineact.reals import (
+    PrecisionExhausted,
+    Real,
+    _iroot,
+    _mpi_from_fraction,
+    _prec,
+    precision,
+)
+
+
+# -- the reference: the kernels as they were, kept unchanged ----------------
+
+def ref_iroot(n: int, p: int) -> Optional[int]:
+    if n < 0:
+        if p % 2 == 0:
+            return None
+        r = ref_iroot(-n, p)
+        return None if r is None else -r
+    if n in (0, 1):
+        return n
+    if n.bit_length() <= p:
+        return None  # no integer root >= 2 can exist, and n > 1
+    lo, hi = 1, 1 << ((n.bit_length() + p - 1) // p + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**p < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**p == n else None
+
+
+def ref_mpi_from_fraction(q: Fraction, prec: int):
+    if q.denominator == 1:
+        v = from_int(q.numerator)
+        return (v, v)
+    lo = from_rational(q.numerator, q.denominator, prec, round_floor)
+    hi = from_rational(q.numerator, q.denominator, prec, round_ceiling)
+    return (lo, hi)
+
+
+def ref_hull(a: "Real", b: "Real") -> "Real":
+    """Smallest tracked enclosure containing both values."""
+    alo, ahi = a.bounds()
+    blo, bhi = b.bounds()
+    lo, hi = min(alo, blo), max(ahi, bhi)
+    if lo == hi:
+        return Real(lo)
+    p = _prec()
+    return Real(None, (
+        from_rational(lo.numerator, lo.denominator, p, round_floor),
+        from_rational(hi.numerator, hi.denominator, p, round_ceiling),
+    ))
+
+
+def ref_err(self) -> Fraction:
+    lo, hi = self.bounds()
+    return (hi - lo) / 2
+
+
+def ref_mid(self) -> Fraction:
+    lo, hi = self.bounds()
+    return (lo + hi) / 2
+
+
+def ref_cmp(self, other) -> Optional[int]:
+    """-1, 0, +1, or None when the enclosures overlap undecidably."""
+    other = Real.coerce(other)
+    if self._rat is not None and other._rat is not None:
+        a, b = self._rat, other._rat
+        return -1 if a < b else (1 if a > b else 0)
+    slo, shi = self.bounds()
+    olo, ohi = other.bounds()
+    if shi < olo:
+        return -1
+    if slo > ohi:
+        return 1
+    return None
+
+
+def ref_leq(self, bound) -> Optional[bool]:
+    """Is self <= bound?  True/False only when certain."""
+    bound = Real.coerce(bound)
+    if self._rat is not None and bound._rat is not None:
+        return self._rat <= bound._rat
+    slo, shi = self.bounds()
+    blo, bhi = bound.bounds()
+    if shi <= blo:
+        return True
+    if slo > bhi:
+        return False
+    return None
+
+
+# -- strategies ---------------------------------------------------------------
+
+# Bit sizes from word size to 100 kbit and beyond; the large ones are drawn
+# from a seeded generator so hypothesis need not build huge integers itself.
+_SIZES = [1, 2, 8, 31, 64, 65, 200, 3000, 100_000, 140_000]
+
+
+@st.composite
+def integers(draw, zeros=True):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.getrandbits(draw(st.sampled_from(_SIZES))) or 1
+    if zeros:
+        n <<= draw(st.sampled_from([0, 0, 1, 7, 8, 9, 300, 701]))
+    return -n if draw(st.booleans()) else n
+
+
+@st.composite
+def fractions(draw):
+    num = draw(integers())
+    kind = draw(st.sampled_from(["int", "dyadic", "odd", "general"]))
+    if kind == "int":
+        return Fraction(num)
+    if kind == "dyadic":
+        return Fraction(num, 1 << draw(st.sampled_from([1, 3, 64, 300, 100_000])))
+    den = abs(draw(integers(zeros=kind == "general")))
+    return Fraction(num, (den | 1) if kind == "odd" else den)
+
+
+precs = st.one_of(st.sampled_from([8, 53, 256, 4096]), st.integers(8, 4096))
+
+
+def reals(q: Fraction, how: str) -> Real:
+    if how == "exact":
+        return Real(q)
+    if how == "tracked":
+        return Real.tracked_from_fraction(q)
+    return Real.hull(Real(q), Real(q + Fraction(1, 3)))
+
+
+# -- equivalence --------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(fractions(), precs)
+def test_outward_rounding_matches_from_rational(q, prec):
+    assert _mpi_from_fraction(q, prec) == ref_mpi_from_fraction(q, prec)
+
+
+@st.composite
+def at_precision(draw):
+    """A precision and a value whose numerator has about that many bits."""
+    prec = draw(precs)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = prec + draw(st.integers(-2, 2))
+    num = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    den = draw(st.sampled_from([1, 2, 1 << 40, 3, 3 << 40, (1 << 61) - 1]))
+    return Fraction(-num if draw(st.booleans()) else num, den), prec
+
+
+@settings(max_examples=200, deadline=None)
+@given(at_precision())
+def test_outward_rounding_at_the_precision_edge(qp):
+    q, prec = qp
+    assert _mpi_from_fraction(q, prec) == ref_mpi_from_fraction(q, prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions(), fractions(), precs,
+       st.sampled_from(["exact", "tracked"]), st.sampled_from(["exact", "tracked"]))
+def test_hull_matches_reference(a, b, prec, how_a, how_b):
+    with precision(prec):
+        x, y = reals(a, how_a), reals(b, how_b)
+        got, want = Real.hull(x, y), ref_hull(x, y)
+    assert (got._rat, got._mpi) == (want._rat, want._mpi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions(), st.sampled_from(["exact", "tracked", "hull"]))
+def test_mid_err_match_reference(q, how):
+    x = reals(q, how)
+    assert (x.mid(), x.err()) == (ref_mid(x), ref_err(x))
+
+
+@st.composite
+def pairs(draw):
+    """Two values, often over one denominator (as a level interval's endpoint
+    images under one word are), or one equal to the other."""
+    a = draw(fractions())
+    shape = draw(st.sampled_from(["same-den", "equal", "free"]))
+    if shape == "same-den":
+        den = 1 << draw(st.sampled_from([3, 3 * 4096, 3 * 40_000]))
+        a = Fraction(draw(integers(zeros=False)) | 1, den)
+        b = Fraction(draw(integers(zeros=False)) | 1, den)
+    elif shape == "equal":
+        b = Fraction(a.numerator, a.denominator)
+    else:
+        b = draw(fractions())
+    how = st.sampled_from(["exact", "exact", "tracked", "hull"])
+    return reals(a, draw(how)), reals(b, draw(how))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_cmp_leq_match_reference(xy):
+    x, y = xy
+    for a, b in ((x, y), (y, x), (x, x)):
+        assert a.cmp(b) == ref_cmp(a, b)
+        assert a.leq(b) == ref_leq(a, b)
+
+
+@st.composite
+def powers(draw):
+    """Perfect powers, their neighbours and their negatives."""
+    p = draw(st.sampled_from([2, 3, 5, 8, 512]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    r = rng.getrandbits(draw(st.sampled_from([1, 2, 7, 40, 200])))
+    r <<= draw(st.sampled_from([0, 0, 1, 100]))
+    n = r**p + draw(st.sampled_from([0, 0, 1, -1]))
+    return (-n if draw(st.booleans()) else n), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(powers())
+def test_iroot_matches_bisection(np):
+    n, p = np
+    assert _iroot(n, p) == ref_iroot(n, p)
+
+
+# -- regressions: megabit exact values stay fast ------------------------------
+
+# The bisection root and the quadratic conversions took tens of seconds on
+# each of these; the bound is a wide margin over their sub-second run.
+_FAST_S = 10.0
+
+
+def test_root_of_huge_exact_power():
+    t = time.perf_counter()
+    r = Real((Fraction(5, 8)) ** (2**16)).root(8)
+    assert time.perf_counter() - t < _FAST_S
+    assert r.as_fraction() == Fraction(5, 8) ** (2**13)
+
+
+def test_far_cell_orbit_fails_fast():
+    t = time.perf_counter()
+    with pytest.raises(PrecisionExhausted, match="touches cell -4 edge"):
+        orbit(gallery("ex_1_4", k=3), Fraction(-2) + Fraction(5, 8), 4)
+    assert time.perf_counter() - t < _FAST_S
