@@ -132,11 +132,17 @@ class RelationReport:
 
     @property
     def worst_residual(self) -> Real:
-        worst = Real.rational(0)
-        for c in self.checks:
-            if c.residual.bounds()[1] > worst.bounds()[1]:
-                worst = c.residual
-        return worst
+        return _largest((c.residual, None) for c in self.checks)[0]
+
+
+def _largest(residuals) -> tuple[Real, Optional[Real]]:
+    """The (residual, point) pair whose residual has the largest upper
+    endpoint, the first of equal maxima; (0, None) when none exceeds 0."""
+    worst, worst_x = Real.rational(0), None
+    for r, x in residuals:
+        if r.cmp_upper(worst) > 0:
+            worst, worst_x = r, x
+    return worst, worst_x
 
 
 def sample_points(window: Interval, count: int) -> list[Real]:
@@ -163,12 +169,8 @@ def check_relations(act: Action, points: Sequence[Real],
         if hl == hr:
             checks.append(RelationCheck(lhs, rhs, Real.rational(0), True, True))
             continue
-        worst = Real.rational(0)
-        worst_x = None
-        for x in points:
-            r = abs(evaluate(hl, x) - evaluate(hr, x))
-            if r.bounds()[1] > worst.bounds()[1]:
-                worst, worst_x = r, x
+        worst, worst_x = _largest(
+            (abs(evaluate(hl, x) - evaluate(hr, x)), x) for x in points)
         ok = worst.leq(tol)
         checks.append(RelationCheck(lhs, rhs, worst, bool(ok), False, worst_x))
     return RelationReport(checks, tol, len(points))
@@ -397,14 +399,14 @@ def homomorphism_residual(act: Action, n_pairs: int, points: Sequence[Real],
                           max_len: int = 6, seed: int = 0) -> Real:
     """Worst |(uv)(x) - u(v(x))| over random word pairs and sample points."""
     rng = random.Random(seed)
-    worst = Real.rational(0)
-    for _ in range(n_pairs):
-        u = random_element(act.presentation, rng, max_len)
-        v = random_element(act.presentation, rng, max_len)
-        hu, hv = realize(act, u), realize(act, v)
-        huv = realize(act, multiply(u, v))
-        for x in points:
-            r = abs(evaluate(huv, x) - evaluate(hu, evaluate(hv, x)))
-            if r.bounds()[1] > worst.bounds()[1]:
-                worst = r
-    return worst
+
+    def residuals():
+        for _ in range(n_pairs):
+            u = random_element(act.presentation, rng, max_len)
+            v = random_element(act.presentation, rng, max_len)
+            hu, hv = realize(act, u), realize(act, v)
+            huv = realize(act, multiply(u, v))
+            for x in points:
+                yield abs(evaluate(huv, x) - evaluate(hu, evaluate(hv, x))), x
+
+    return _largest(residuals())[0]

@@ -143,11 +143,9 @@ def _merge_overlapping(items: list, value=lambda r: r) -> list:
     the last one kept; of equal midpoints the earlier item comes first."""
     merged: list = []
     for item in sorted(items, key=lambda it: value(it).mid()):
-        if merged:
-            plo, phi = value(merged[-1]).bounds()
-            lo, hi = value(item).bounds()
-            if lo <= phi and plo <= hi:
-                continue
+        # cmp is +-1 only for enclosures that certainly do not meet
+        if merged and value(item).cmp(value(merged[-1])) in (None, 0):
+            continue
         merged.append(item)
     return merged
 

@@ -194,47 +194,66 @@ HomeoExpr = Union[
 # evaluation
 
 
-def _floor_fraction(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
-def _piecewise_eval(x: Real, branch_of: Callable[[Fraction], int],
+def _piecewise_eval(x: Real, branch_of: Callable[[int, int], int],
                     eval_branch: Callable[[int, Real], Real]) -> Real:
     """Evaluate an increasing, continuous, piecewise-defined map.
 
-    When the enclosure of x straddles branch boundaries, each endpoint is
-    routed through its own branch and the results hulled; continuity makes
-    the hull a valid enclosure.
+    ``branch_of(floor, ceil)`` names the branch of a point, so a tracked
+    point is placed from its mpf endpoints; the endpoints become fractions
+    only when the enclosure of x straddles branch boundaries.  Then each
+    endpoint is routed through its own branch and the results hulled;
+    continuity makes the hull a valid enclosure.
     """
-    xlo, xhi = x.bounds()
-    blo, bhi = branch_of(xlo), branch_of(xhi)
+    lo, hi = x.floor_ceil()
+    blo, bhi = branch_of(*lo), branch_of(*hi)
     if blo == bhi:
         return eval_branch(blo, x)
     if bhi - blo > 64:
         raise PrecisionExhausted("enclosure spans too many cells")
+    xlo, xhi = x.bounds()
     lo_v = eval_branch(blo, Real.from_fraction(xlo))
     hi_v = eval_branch(bhi, Real.from_fraction(xhi))
     return Real.hull(lo_v, hi_v)
 
 
+_ONE = Real.rational(1)
+
+
 def _psi(x: Real) -> Real:
-    return x / (Real.rational(1) + abs(x))
+    return x / (_ONE + abs(x))
 
 
 def _psi_inv(y: Real) -> Real:
-    return y / (Real.rational(1) - abs(y))
+    return y / (_ONE - abs(y))
+
+
+# The branch functions: cell index for the ladder and extension cells, the
+# side of 0 for odd roots, and (-inf,-1], (-1,1), [1,inf) for the conjugate.
+
+def _cell_branch(floor: int, ceil: int) -> int:
+    return floor
+
+
+def _sign_branch(floor: int, ceil: int) -> int:
+    return 0 if floor >= 0 else -1
+
+
+def _conjugate_branch(floor: int, ceil: int) -> int:
+    if ceil <= -1:
+        return -1
+    if floor >= 1:
+        return 1
+    return 0
 
 
 def _eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
-    def branch(q: Fraction) -> int:
-        return _floor_fraction(q)
-
     def in_cell(n: int, v: Real) -> Real:
-        u = v - Real.rational(n)
+        rn = Real.rational(n)
+        u = v - rn
         if u.is_rational and u.as_fraction() == 0:
-            return Real.rational(n)
+            return rn
         e = Real.two_to(node.cell_exponent(n))
-        if not u.is_rational and u.bounds()[0] <= 0 \
+        if not u.is_rational and u.cmp_fraction(Fraction(0)) != 1 \
                 and e.cmp_fraction(Fraction(1)) == -1:
             # a tracked enclosure touching the cell edge cannot support a
             # contracting-root exponent: the image enclosure would span the
@@ -243,42 +262,35 @@ def _eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
                 f"enclosure touches cell {n} edge under a fractional exponent"
             )
         if e.is_rational:
-            return u.pow_fraction(e.as_fraction()) + Real.rational(n)
-        return u.pow_real(e) + Real.rational(n)
+            return u.pow_fraction(e.as_fraction()) + rn
+        return u.pow_real(e) + rn
 
-    return _piecewise_eval(x, branch, in_cell)
+    return _piecewise_eval(x, _cell_branch, in_cell)
 
 
 def _eval_bounded_conjugate(node: BoundedConjugate, x: Real) -> Real:
-    def branch(q: Fraction) -> int:
-        if q <= -1:
-            return -1
-        if q >= 1:
-            return 1
-        return 0
-
     def in_branch(b: int, v: Real) -> Real:
         if b != 0:
             return v
         return _psi(evaluate(node.inner, _psi_inv(v)))
 
-    return _piecewise_eval(x, branch, in_branch)
+    return _piecewise_eval(x, _conjugate_branch, in_branch)
 
 
 def _eval_extension_cell(node: ExtensionCell, x: Real) -> Real:
     spec = node.spec
 
-    def branch(q: Fraction) -> int:
-        j = _floor_fraction(q)
-        if abs(j) > spec.horizon:
+    def branch(floor: int, ceil: int) -> int:
+        if abs(floor) > spec.horizon:
             raise HorizonExceeded(
-                f"cell {j} beyond the configured horizon {spec.horizon}"
+                f"cell {floor} beyond the configured horizon {spec.horizon}"
             )
-        return j
+        return floor
 
     def in_cell(j: int, v: Real) -> Real:
         inner = spec.cell_expr(j, node.word)
-        return evaluate(inner, v - Real.rational(j)) + Real.rational(j)
+        rj = Real.rational(j)
+        return evaluate(inner, v - rj) + rj
 
     return _piecewise_eval(x, branch, in_cell)
 
@@ -287,37 +299,45 @@ def _eval_odd_power(node: OddPower, x: Real) -> Real:
     if not node.root:
         return x.pow_int(node.p)
 
-    def branch(q: Fraction) -> int:
-        return 0 if q >= 0 else -1
-
     def in_branch(b: int, v: Real) -> Real:
         if b == -1:
             return -((-v).root(node.p))
         return v.root(node.p)
 
-    return _piecewise_eval(x, branch, in_branch)
+    return _piecewise_eval(x, _sign_branch, in_branch)
+
+
+# Recursion goes through the module name ``evaluate``, so a wrapper bound to
+# that name sees every node.
+
+def _eval_compose(h: Compose, x: Real) -> Real:
+    return evaluate(h.left, evaluate(h.right, x))
+
+
+def _eval_inverse(h: Inverse, x: Real) -> Real:
+    return evaluate(inverse(h.child), x)
+
+
+_EVALUATORS = {
+    Identity: lambda h, x: x,
+    Affine: lambda h, x: h.a * x + h.b,
+    OddPower: _eval_odd_power,
+    UnitPowerLadder: _eval_ladder,
+    BoundedConjugate: _eval_bounded_conjugate,
+    ExtensionCell: _eval_extension_cell,
+    Compose: _eval_compose,
+    Inverse: _eval_inverse,
+}
 
 
 def evaluate(h: HomeoExpr, x: RealLike) -> Real:
     """Apply the denoted homeomorphism to a finite point."""
-    x = Real.coerce(x)
-    if isinstance(h, Identity):
-        return x
-    if isinstance(h, Affine):
-        return h.a * x + h.b
-    if isinstance(h, OddPower):
-        return _eval_odd_power(h, x)
-    if isinstance(h, UnitPowerLadder):
-        return _eval_ladder(h, x)
-    if isinstance(h, BoundedConjugate):
-        return _eval_bounded_conjugate(h, x)
-    if isinstance(h, ExtensionCell):
-        return _eval_extension_cell(h, x)
-    if isinstance(h, Compose):
-        return evaluate(h.left, evaluate(h.right, x))
-    if isinstance(h, Inverse):
-        return evaluate(inverse(h.child), x)
-    raise TypeError(f"not a homeomorphism expression: {h!r}")
+    if type(x) is not Real:
+        x = Real.coerce(x)
+    ev = _EVALUATORS.get(type(h))
+    if ev is None:
+        raise TypeError(f"not a homeomorphism expression: {h!r}")
+    return ev(h, x)
 
 
 def eval_interval(h: HomeoExpr, iv: Interval) -> Interval:

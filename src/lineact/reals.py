@@ -8,6 +8,12 @@ exact (when the operation is closed over the rationals and the operands are
 rational) or degrades to a tracked enclosure whose error bound is never
 dropped.
 
+The certified order works on the raw endpoints: two mpf endpoints compare
+with ``mpf_cmp``, an mpf endpoint and a rational with one exact integer sign
+test, and two rationals by numerator over a shared denominator.  No
+``Fraction`` is built to compare a tracked value; :meth:`Real.bounds` turns
+endpoints into fractions for reporting, oracles and the exact path.
+
 Precision of tracked arithmetic is controlled by :class:`PrecisionContext`.
 The default working precision is 256 bits; callers that need a comparison
 decided can retry at doubled precision up to the ceiling (4096 bits) and
@@ -24,7 +30,10 @@ from typing import Optional, Union
 import mpmath.libmp as _mp
 from mpmath.libmp import (
     from_int,
+    mpf_cmp,
     mpf_nthroot,
+    mpf_pos,
+    mpf_sign,
     normalize,
     round_ceiling,
     round_floor,
@@ -227,6 +236,51 @@ def _cmp_rational(a: Fraction, b: Fraction) -> int:
     return (d > 0) - (d < 0)
 
 
+# An endpoint is an exact value's Fraction or a tracked value's raw mpf.
+
+def _ends(x: "Real"):
+    """x's lower and upper endpoint: its rational twice, or its two mpf."""
+    q = x._rat
+    return (q, q) if q is not None else x._mpi
+
+
+def _cmp_end(a, b) -> int:
+    """-1, 0 or +1 as endpoint a <, = or > endpoint b, exactly.
+
+    An mpf against a rational num/den is the sign of man*2**exp*den - num.
+    """
+    if type(a) is not tuple:
+        if type(b) is not tuple:
+            return _cmp_rational(a, b)
+        return -_cmp_end(b, a)
+    if type(b) is tuple:
+        return mpf_cmp(a, b)
+    sign, man, exp, bc = a
+    if bc < 0:
+        if bc == -1:
+            raise ValueError("nan endpoint")
+        return -1 if sign else 1  # an infinity
+    if sign:
+        man = -man
+    num, den = b.numerator, b.denominator
+    if exp >= 0:
+        d = (man << exp) * den - num
+    else:
+        d = man * den - (num << -exp)
+    return (d > 0) - (d < 0)
+
+
+def _end_fraction(e) -> Fraction:
+    return e if type(e) is not tuple else Fraction(*to_rational(e))
+
+
+def _round_end(e, prec: int, rnd):
+    """An endpoint rounded to prec bits in direction rnd, as an mpf."""
+    if type(e) is tuple:
+        return mpf_pos(e, prec, rnd)
+    return _mpf_round(e.numerator, e.denominator, prec, rnd)
+
+
 RealLike = Union["Real", Fraction, int]
 
 
@@ -234,7 +288,9 @@ class Real:
     """A real number: exact rational or outward-rounded tracked enclosure.
 
     Immutable.  Construct with :meth:`rational`, :meth:`from_fraction`, or
-    arithmetic on existing values.  Never mutate ``_rat``/``_mpi``.
+    arithmetic on existing values.  ``_mpi`` is a tracked value's enclosure;
+    an exact value keeps ``(prec, enclosure)`` there, its outward rounding at
+    the precision last asked of :meth:`_as_mpi`.  Never mutate ``_rat``.
     """
 
     __slots__ = ("_rat", "_mpi")
@@ -247,7 +303,8 @@ class Real:
 
     @staticmethod
     def rational(num, den=1) -> "Real":
-        return Real(Fraction(num, den))
+        # Fraction(num) takes no gcd for an int
+        return Real(Fraction(num) if den == 1 else Fraction(num, den))
 
     @staticmethod
     def from_fraction(q: Fraction) -> "Real":
@@ -267,17 +324,17 @@ class Real:
 
     @staticmethod
     def hull(a: "Real", b: "Real") -> "Real":
-        """Smallest tracked enclosure containing both values."""
-        alo, ahi = a.bounds()
-        blo, bhi = b.bounds()
-        lo, hi = min(alo, blo), max(ahi, bhi)
-        if lo == hi:
-            return Real(lo)
+        """Smallest tracked enclosure containing both values (their exact
+        value when both are the same point)."""
+        alo, ahi = _ends(a)
+        blo, bhi = _ends(b)
+        lo = blo if _cmp_end(blo, alo) < 0 else alo
+        hi = bhi if _cmp_end(bhi, ahi) > 0 else ahi
+        if lo == hi:  # equal ends come from one operand, so are of one kind
+            return Real(_end_fraction(lo))
         p = _prec()
-        return Real(None, (
-            _mpf_round(lo.numerator, lo.denominator, p, round_floor),
-            _mpf_round(hi.numerator, hi.denominator, p, round_ceiling),
-        ))
+        return Real(None, (_round_end(lo, p, round_floor),
+                           _round_end(hi, p, round_ceiling)))
 
     @staticmethod
     def sqrt2() -> "Real":
@@ -315,11 +372,27 @@ class Real:
         return self._rat
 
     def bounds(self) -> tuple[Fraction, Fraction]:
-        """Certified enclosure as exact (dyadic) fractions, lo <= x <= hi."""
+        """Certified enclosure as exact (dyadic) fractions, lo <= x <= hi.
+
+        For reporting and the exact path; comparisons use the endpoints.
+        """
         if self._rat is not None:
             return (self._rat, self._rat)
         lo, hi = self._mpi
+        if lo[3] < 0 or hi[3] < 0:
+            raise ValueError("enclosure has a non-finite endpoint")
         return (Fraction(*to_rational(lo)), Fraction(*to_rational(hi)))
+
+    def floor_ceil(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(floor, ceil) of the lower and of the upper endpoint."""
+        q = self._rat
+        if q is not None:
+            f = q.numerator // q.denominator
+            fc = (f, f if q.denominator == 1 else f + 1)
+            return (fc, fc)
+        lo, hi = self._mpi
+        return ((to_int(lo, round_floor), to_int(lo, round_ceiling)),
+                (to_int(hi, round_floor), to_int(hi, round_ceiling)))
 
     def err(self) -> Fraction:
         if self._rat is not None:
@@ -337,14 +410,20 @@ class Real:
         return float(self.mid())
 
     def _as_mpi(self, prec: int):
-        if self._rat is not None:
-            return _mpi_from_fraction(self._rat, prec)
-        return self._mpi
+        if self._rat is None:
+            return self._mpi
+        cached = self._mpi
+        if cached is not None and cached[0] == prec:
+            return cached[1]
+        v = _mpi_from_fraction(self._rat, prec)
+        self._mpi = (prec, v)
+        return v
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: RealLike) -> "Real":
-        other = Real.coerce(other)
+        if type(other) is not Real:
+            other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
             return Real(self._rat + other._rat)
         p = _prec()
@@ -353,7 +432,8 @@ class Real:
     __radd__ = __add__
 
     def __sub__(self, other: RealLike) -> "Real":
-        other = Real.coerce(other)
+        if type(other) is not Real:
+            other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
             return Real(self._rat - other._rat)
         p = _prec()
@@ -363,7 +443,8 @@ class Real:
         return Real.coerce(other) - self
 
     def __mul__(self, other: RealLike) -> "Real":
-        other = Real.coerce(other)
+        if type(other) is not Real:
+            other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
             return Real(self._rat * other._rat)
         p = _prec()
@@ -372,7 +453,8 @@ class Real:
     __rmul__ = __mul__
 
     def __truediv__(self, other: RealLike) -> "Real":
-        other = Real.coerce(other)
+        if type(other) is not Real:
+            other = Real.coerce(other)
         if other.contains_zero():
             raise ZeroDivisionError("division by a value that may be zero")
         if self._rat is not None and other._rat is not None:
@@ -394,6 +476,8 @@ class Real:
         return Real(None, _mp.mpi_abs(self._mpi, _prec()))
 
     def pow_int(self, e: int) -> "Real":
+        if e < 0 and self.contains_zero():
+            raise ZeroDivisionError("negative power of a value that may be zero")
         if self._rat is not None:
             cost = abs(e) * max(
                 self._rat.numerator.bit_length(),
@@ -437,17 +521,18 @@ class Real:
             if sgn == 1:
                 return Real(Fraction(0))
             raise ZeroDivisionError("0 ** e with e <= 0")
-        lo, hi = self.bounds()
-        if lo < 0:
+        lo, hi = _ends(self)
+        lo_sign = _cmp_end(lo, 0)
+        if lo_sign < 0:
             raise ValueError("fractional power needs a nonnegative base")
-        if lo == 0:
+        if lo_sign == 0:
             # enclosure touches zero: x**e is increasing for e > 0, so the
             # image is [0, hi**e]
             if e.cmp_fraction(Fraction(0)) != 1:
                 raise ZeroDivisionError("0 ** e with e <= 0")
-            if hi == 0:
+            if _cmp_end(hi, 0) == 0:
                 return Real(Fraction(0))
-            top = Real.from_fraction(hi).pow_real(e)
+            top = Real.from_fraction(_end_fraction(hi)).pow_real(e)
             return Real.hull(Real.rational(0), top)
         p = _prec()
         logx = _mp.mpi_log(self._as_mpi(p), p)
@@ -467,8 +552,7 @@ class Real:
         return Real(None, _mp.mpi_exp(self._as_mpi(p), p))
 
     def log(self) -> "Real":
-        lo, _ = self.bounds()
-        if lo <= 0:
+        if _cmp_end(_ends(self)[0], 0) <= 0:
             raise ValueError("log needs a certainly positive argument")
         p = _prec()
         return Real(None, _mp.mpi_log(self._as_mpi(p), p))
@@ -476,45 +560,51 @@ class Real:
     # -- comparisons --------------------------------------------------
 
     def contains_zero(self) -> bool:
-        lo, hi = self.bounds()
-        return lo <= 0 <= hi
+        if self._rat is not None:
+            return not self._rat
+        lo, hi = self._mpi
+        return mpf_sign(lo) <= 0 <= mpf_sign(hi)
 
     def cmp(self, other: RealLike) -> Optional[int]:
         """-1, 0, +1, or None when the enclosures overlap undecidably."""
-        other = Real.coerce(other)
+        if type(other) is not Real:
+            other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
             return _cmp_rational(self._rat, other._rat)
-        slo, shi = self.bounds()
-        olo, ohi = other.bounds()
-        if shi < olo:
+        slo, shi = _ends(self)
+        olo, ohi = _ends(other)
+        if _cmp_end(shi, olo) < 0:
             return -1
-        if slo > ohi:
+        if _cmp_end(slo, ohi) > 0:
             return 1
         return None
 
     def cmp_fraction(self, q: Fraction) -> Optional[int]:
-        lo, hi = self.bounds()
-        if hi < q:
+        """Like :meth:`cmp` against q, and 0 for an enclosure that is q alone."""
+        lo, hi = _ends(self)
+        c = _cmp_end(hi, q)
+        if c < 0:
             return -1
-        if lo > q:
+        if _cmp_end(lo, q) > 0:
             return 1
-        if lo == hi == q:
-            return 0
-        return None
+        return 0 if c == 0 and lo == hi else None
+
+    def cmp_upper(self, other: "Real") -> int:
+        """-1, 0 or +1 as self's upper endpoint is below, at or above other's."""
+        return _cmp_end(_ends(self)[1], _ends(other)[1])
 
     def definitely_lt(self, other: RealLike) -> bool:
         return self.cmp(other) == -1
 
     def leq(self, bound: RealLike) -> Optional[bool]:
         """Is self <= bound?  True/False only when certain."""
-        bound = Real.coerce(bound)
-        if self._rat is not None and bound._rat is not None:
-            return _cmp_rational(self._rat, bound._rat) <= 0
-        slo, shi = self.bounds()
-        blo, bhi = bound.bounds()
-        if shi <= blo:
+        if type(bound) is not Real:
+            bound = Real.coerce(bound)
+        slo, shi = _ends(self)
+        blo, bhi = _ends(bound)
+        if _cmp_end(shi, blo) <= 0:
             return True
-        if slo > bhi:
+        if _cmp_end(slo, bhi) > 0:
             return False
         return None
 
@@ -719,11 +809,11 @@ class Interval:
         hi_parts = [iv.hi for iv in (self, other) if iv.hi is not None]
         lo = None
         for cand in lo_parts:
-            if lo is None or cand.bounds()[0] > lo.bounds()[0]:
+            if lo is None or _cmp_end(_ends(cand)[0], _ends(lo)[0]) > 0:
                 lo = cand
         hi = None
         for cand in hi_parts:
-            if hi is None or cand.bounds()[1] < hi.bounds()[1]:
+            if hi is None or _cmp_end(_ends(cand)[1], _ends(hi)[1]) < 0:
                 hi = cand
         if lo is not None and hi is not None and hi.cmp(lo) == -1:
             return Interval.EMPTY
