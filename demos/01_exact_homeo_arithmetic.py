@@ -15,7 +15,7 @@ from lineact import (
     OddPower,
     Real,
     UnitPowerLadder,
-    compose_all,
+    compose,
     evaluate,
     inverse,
     simplify,
@@ -27,9 +27,9 @@ R = Real.rational
 print("-- affine maps compose exactly --")
 S = Affine(R(2), R(0))     # x -> 2x
 T = Affine(R(1), R(1))     # x -> x + 1
-conj = compose_all([inverse(S), T, S])
+conj = compose(inverse(S), T, S)
 print("S^-1 T S  at 0:", evaluate(conj, R(0)))        # 1/2, exactly
-conj3 = compose_all([inverse(S)] * 3 + [T] + [S] * 3)
+conj3 = compose(*[inverse(S)] * 3, T, *[S] * 3)
 print("S^-3 T S^3 at 0:", evaluate(conj3, R(0)))      # 1/8
 
 print()

@@ -28,7 +28,6 @@ from .homeo import (
     UnitPowerLadder,
     WindowDegenerate,
     compose,
-    compose_all,
     eval_interval,
     evaluate,
     fixed_points,

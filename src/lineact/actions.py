@@ -29,18 +29,17 @@ from .homeo import (
     BoundedConjugate,
     ExtensionCell,
     HomeoExpr,
-    HorizonExceeded,
     OddPower,
     UnitPowerLadder,
-    compose_all,
+    compose,
     evaluate,
     inverse,
-    power,
     simplify,
 )
 from .reals import Interval, Real, RealLike, parse_real
 from .words import (
     GroupElement,
+    Letter,
     Presentation,
     UnknownGenerator,
     multiply,
@@ -77,16 +76,20 @@ class BadParameter(Exception):
 
 @dataclass
 class Action:
-    """Generator images for a presentation, with optional verification stamp."""
+    """Generator images for a presentation, with optional verification stamp;
+    ``letter_maps[(i, 1)]`` is generator i's image, ``(i, -1)`` its inverse."""
 
     presentation: Presentation
     images: dict[str, HomeoExpr]
     verification: Optional["RelationReport"] = None
 
     def __post_init__(self):
-        for lab in self.presentation.labels:
+        self.letter_maps: dict[Letter, HomeoExpr] = {}
+        for i, lab in enumerate(self.presentation.labels):
             if lab not in self.images:
                 raise UnknownGenerator(f"no image bound for generator {lab!r}")
+            self.letter_maps[(i, 1)] = self.images[lab]
+            self.letter_maps[(i, -1)] = inverse(self.images[lab])
 
     def image(self, label: str) -> HomeoExpr:
         try:
@@ -94,16 +97,12 @@ class Action:
         except KeyError:
             raise UnknownGenerator(f"no generator named {label!r}") from None
 
-    def image_by_index(self, i: int) -> HomeoExpr:
-        return self.image(self.presentation.labels[i])
-
 
 def realize(act: Action, w: GroupElement) -> HomeoExpr:
     """The homeomorphism of a word: leftmost letter outermost."""
     if w.presentation != act.presentation:
         raise UnknownGenerator("word is over a different presentation")
-    factors = [power(act.image_by_index(g), e) for g, e in w.word]
-    return compose_all(factors)
+    return compose(*[act.letter_maps[letter] for letter in w.letters()])
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +319,6 @@ class ExtensionSpec:
     # protocol for homeo.ExtensionCell ---------------------------------
 
     def cell_expr(self, j: int, word: GroupElement) -> HomeoExpr:
-        if abs(j) > self.horizon:
-            raise HorizonExceeded(
-                f"cell {j} beyond the configured horizon {self.horizon}"
-            )
         key = (j, word.word)
         expr = self._cell_cache.get(key)
         if expr is None:
@@ -362,7 +357,7 @@ def conjugate_into_unit(act: Action) -> Action:
     """
     squeeze = Affine(Real.rational(1, 2), Real.rational(1, 2))
     images = {
-        lab: compose_all([squeeze, BoundedConjugate(img), inverse(squeeze)])
+        lab: compose(squeeze, BoundedConjugate(img), inverse(squeeze))
         for lab, img in act.images.items()
     }
     return Action(act.presentation, images)

@@ -106,7 +106,10 @@ def _resolve_action(args):
 
 
 def _interval(lo: str, hi: str) -> Interval:
-    return Interval.open(parse_real(lo).mid(), parse_real(hi).mid())
+    a, b = parse_real(lo), parse_real(hi)
+    if a.cmp(b) is None:
+        raise ValueError(f"interval endpoints {lo} .. {hi} are not certainly ordered")
+    return Interval.open(a, b)
 
 
 def _emit(args, command: str, config: dict, result: dict,

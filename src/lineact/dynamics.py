@@ -40,7 +40,7 @@ from .reals import (
     UndecidableComparison,
     retry_precision,
 )
-from .words import GroupElement, Letter, multiply, normal_form_key, walk
+from .words import GroupElement, multiply, normal_form_key, walk
 
 __all__ = [
     "NotApplicable",
@@ -88,12 +88,8 @@ class ConstructionFailed(Exception):
 
 def _letter_step(act: Action, apply):
     """A walk step applying each letter's homeomorphism: apply(h, carry)."""
-    imgs: dict[Letter, HomeoExpr] = {}
-    for i in range(act.presentation.rank):
-        img = act.image_by_index(i)
-        imgs[(i, 1)] = img
-        imgs[(i, -1)] = inverse(img)
-    return lambda letter, carry: apply(imgs[letter], carry)
+    maps = act.letter_maps
+    return lambda letter, carry: apply(maps[letter], carry)
 
 
 def _image_or_none(h: HomeoExpr, J: Optional[Interval]) -> Optional[Interval]:

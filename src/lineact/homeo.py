@@ -1,11 +1,15 @@
 """Expression trees for orientation-preserving homeomorphisms of the line.
 
 An expression denotes a strictly increasing bijection of the reals, built
-from a handful of primitive nodes plus composition and inversion.  Points
+from a handful of primitive nodes plus composition and inversion.  A
+composite is one flat :class:`Compose` node over its factors, built by
+:func:`compose`, which splices nested composites in and drops identities;
+it evaluates by one loop over its factors, last factor first.  Points
 evaluate through :func:`evaluate`; open intervals map through
 :func:`eval_interval` using monotonicity (endpoint images).  Inverses are
-structural: every node type knows its own inverse expression, so no numeric
-root-finding is ever needed.
+structural: every node type knows its own inverse expression (a composite
+inverts by reversing its factors), so no numeric root-finding is ever
+needed.
 
 Exactness policy: an evaluation path stays in exact rationals whenever each
 node is rational-closed at the input (affine maps, integer powers, perfect
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Protocol, Sequence, Union
+from typing import Callable, Protocol, Union
 
 from .reals import (
     Interval,
@@ -45,7 +49,6 @@ __all__ = [
     "eval_interval",
     "inverse",
     "compose",
-    "compose_all",
     "power",
     "simplify",
     "FixReport",
@@ -171,12 +174,14 @@ class ExtensionCell:
         return f"ExtensionCell({self.spec!r}, {self.word!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Compose:
-    """left o right: right acts first."""
+    """maps[0] o maps[1] o ... o maps[-1]: the last map acts first."""
 
-    left: "HomeoExpr"
-    right: "HomeoExpr"
+    maps: tuple["HomeoExpr", ...]
+
+    def __init__(self, *maps: "HomeoExpr"):
+        object.__setattr__(self, "maps", maps)
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,9 @@ def _eval_odd_power(node: OddPower, x: Real) -> Real:
 # that name sees every node.
 
 def _eval_compose(h: Compose, x: Real) -> Real:
-    return evaluate(h.left, evaluate(h.right, x))
+    for m in reversed(h.maps):
+        x = evaluate(m, x)
+    return x
 
 
 def _eval_inverse(h: Inverse, x: Real) -> Real:
@@ -368,42 +375,37 @@ def inverse(h: HomeoExpr) -> HomeoExpr:
     if isinstance(h, ExtensionCell):
         return ExtensionCell(h.spec, h.spec.invert_word(h.word))
     if isinstance(h, Compose):
-        return Compose(inverse(h.right), inverse(h.left))
+        return Compose(*[inverse(m) for m in reversed(h.maps)])
     if isinstance(h, Inverse):
         return h.child
     raise TypeError(f"not a homeomorphism expression: {h!r}")
 
 
-def compose(h1: HomeoExpr, h2: HomeoExpr) -> HomeoExpr:
-    """h1 o h2 (h2 acts first)."""
-    if isinstance(h1, Identity):
-        return h2
-    if isinstance(h2, Identity):
-        return h1
-    return Compose(h1, h2)
+def _factors(h: HomeoExpr) -> list[HomeoExpr]:
+    if isinstance(h, Compose):
+        return [f for m in h.maps for f in _factors(m)]
+    return [] if isinstance(h, Identity) else [h]
 
 
-def compose_all(hs: Sequence[HomeoExpr]) -> HomeoExpr:
-    """Compose outermost-first: compose_all([f, g]) = f o g."""
-    out: HomeoExpr = Identity()
-    for h in reversed(hs):
-        out = compose(h, out)
-    return out
+def compose(*hs: HomeoExpr) -> HomeoExpr:
+    """hs[0] o hs[1] o ... (the last acts first), as one flat node.
+
+    Nested composites are spliced in and identities dropped; no factor
+    left gives the identity, one factor gives that factor itself.
+    """
+    maps = [f for h in hs for f in _factors(h)]
+    if not maps:
+        return Identity()
+    return maps[0] if len(maps) == 1 else Compose(*maps)
 
 
 def power(h: HomeoExpr, n: int) -> HomeoExpr:
-    if n == 0:
-        return Identity()
-    base = h if n > 0 else inverse(h)
-    out = base
-    for _ in range(abs(n) - 1):
-        out = compose(out, base)
-    return out
+    return compose(*[h if n >= 0 else inverse(h)] * abs(n))
 
 
 def _flatten(h: HomeoExpr) -> list[HomeoExpr]:
     if isinstance(h, Compose):
-        return _flatten(h.left) + _flatten(h.right)
+        return [x for m in h.maps for x in _flatten(m)]
     if isinstance(h, Inverse):
         return _flatten(inverse(h.child))
     return [h]
@@ -461,12 +463,7 @@ def simplify(h: HomeoExpr) -> HomeoExpr:
             i += 1
         items = [x for x in out if not isinstance(x, Identity)]
 
-    if not items:
-        return Identity()
-    result = items[-1]
-    for item in reversed(items[:-1]):
-        result = Compose(item, result)
-    return result
+    return compose(*items)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +624,7 @@ def to_text(h: HomeoExpr) -> str:
     if isinstance(h, ExtensionCell):
         return f"extensioncell({h.spec.word_str(h.word)})"
     if isinstance(h, Compose):
-        return f"compose({to_text(h.left)},{to_text(h.right)})"
+        return f"compose({','.join(to_text(m) for m in h.maps)})"
     if isinstance(h, Inverse):
         return f"inverse({to_text(h.child)})"
     raise TypeError(f"not a homeomorphism expression: {h!r}")

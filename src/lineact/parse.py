@@ -8,7 +8,8 @@ Expression grammar (prefix notation, case-insensitive names):
     unitpowerladder(k, +1|-1)
     boundedconjugate(expr)
     inverse(expr)
-    compose(expr, expr, ...)      two or more factors, outermost first
+    compose(expr, expr, ...)      two or more factors, outermost first: one
+                                  flat node, identity factors dropped
 
 Scalar literals: integers, rationals ``p/q``, decimal strings (exact), and
 the named constants ``sqrt2``, ``sqrt3``, ``pi``, ``e`` materialized at the
@@ -38,7 +39,7 @@ from .homeo import (
     Inverse,
     OddPower,
     UnitPowerLadder,
-    compose_all,
+    compose,
 )
 from . import reals
 from .reals import Real
@@ -184,7 +185,7 @@ class _Parser:
             if len(parts) < 2:
                 raise ParseError("compose needs at least two factors",
                                  tok.line, tok.column)
-            return compose_all(parts)
+            return compose(*parts)
         raise ParseError(f"unknown expression head {tok.text!r}",
                          tok.line, tok.column)
 

@@ -67,6 +67,9 @@ class UndecidableComparison(Exception):
 # Default working precision, and the fixed precision tracked values are
 # printed at, so output does not depend on the context active when printing.
 _DEFAULT_BITS = 256
+# An exact value whose numerator or denominator has more decimal digits than
+# Python's default int-to-str cap, 4300, prints as its 256-bit rounding.
+_PRINT_BOUND = 10 ** 4300
 
 
 class PrecisionContext:
@@ -547,16 +550,6 @@ class Real:
                 return Real(Fraction(2) ** n)
         return Real.rational(2).pow_fraction(t)
 
-    def exp(self) -> "Real":
-        p = _prec()
-        return Real(None, _mp.mpi_exp(self._as_mpi(p), p))
-
-    def log(self) -> "Real":
-        if _cmp_end(_ends(self)[0], 0) <= 0:
-            raise ValueError("log needs a certainly positive argument")
-        p = _prec()
-        return Real(None, _mp.mpi_log(self._as_mpi(p), p))
-
     # -- comparisons --------------------------------------------------
 
     def contains_zero(self) -> bool:
@@ -630,15 +623,18 @@ class Real:
     # -- formatting ----------------------------------------------------
 
     def __str__(self) -> str:
-        if self._rat is not None:
-            q = self._rat
-            if q.denominator == 1:
-                return str(q.numerator)
-            return f"{q.numerator}/{q.denominator}"
+        q = self._rat
+        if q is not None and max(abs(q.numerator), q.denominator) < _PRINT_BOUND:
+            return str(q)
         # 40 significant digits: 256 bits hold about 77
-        mid = _mp.mpi_mid(self._mpi, _DEFAULT_BITS)
-        delta = _mp.mpi_delta(self._mpi, _DEFAULT_BITS)
-        return "%s±%s" % (_mp.to_str(mid, 40), _mp.to_str(delta, 3))
+        v = self._mpi if q is None else _mpi_from_fraction(q, _DEFAULT_BITS)
+        mid = _mp.mpi_mid(v, _DEFAULT_BITS)
+        delta = _mp.mpi_delta(v, _DEFAULT_BITS)
+        text = "%s±%s" % (_mp.to_str(mid, 40), _mp.to_str(delta, 3))
+        if q is None:
+            return text
+        return "%s [exact p/q: %d/%d bits]" % (
+            text, q.numerator.bit_length(), q.denominator.bit_length())
 
     def __repr__(self) -> str:
         return f"Real({self})"

@@ -382,7 +382,7 @@ def test_criterion_9_numeric_core_properties():
             assert va.definitely_lt(vb)
 
     # all-affine rational pipelines return zero-error results
-    from lineact.homeo import Affine, Inverse, compose_all
+    from lineact.homeo import Affine, Inverse, compose
 
     for _ in range(200):
         factors = []
@@ -391,7 +391,7 @@ def test_criterion_9_numeric_core_properties():
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
             f = Affine(Real.from_fraction(a), Real.from_fraction(b))
             factors.append(f if rng.random() < 0.7 else Inverse(f))
-        h = compose_all(factors)
+        h = compose(*factors)
         v = evaluate(h, R(rng.randint(-100, 100), rng.randint(1, 20)))
         assert v.kind == "exact-rational" and v.err() == 0
     report(9, "numeric core properties", t0, 600.0)

@@ -22,6 +22,7 @@ from lineact.actions import (
 )
 from lineact.homeo import (
     Affine,
+    Compose,
     HorizonExceeded,
     Identity,
     UnitPowerLadder,
@@ -62,6 +63,15 @@ class TestRealize:
         w = parse_word(act.presentation, "f g")
         v = evaluate(realize(act, w), R(2))
         assert v.as_fraction() == 9  # f(g(2)) = 2^3 + 1
+
+    def test_one_flat_compose_of_letter_maps(self):
+        act = gallery("ex_1_4", k=2)
+        w = parse_word(act.presentation, "g^2 f^-1 g^-3")
+        h = realize(act, w)
+        assert isinstance(h, Compose)
+        assert h.maps == tuple(act.letter_maps[l] for l in w.letters())
+        assert len(h.maps) == 6
+        assert not any(isinstance(m, (Compose, Identity)) for m in h.maps)
 
 
 class TestCheckRelations:

@@ -32,6 +32,22 @@ class TestDispatch:
         assert code == 0
         assert doc["result"]["value"]["value"] == "9/8"
 
+    def test_eval_interval_keeps_literal_enclosures(self, capsys):
+        code, doc = run_json(capsys, "eval", "--expr", "affine(1,0)",
+                             "--interval", "0", "sqrt2")
+        assert code == 0
+        img = doc["result"]["image"]
+        assert img["lo"] == "0"
+        assert img["hi"] == "1.41421356237309504880168872420969807857\u00b11.73e-77"
+
+    def test_orbit_prints_oversized_exact_values(self, capsys):
+        code, doc = run_json(capsys, "orbit", "--gallery", "ex_1_4", "--k", "2",
+                             "--point", "7/8", "--radius", "5")
+        assert code == 0
+        values = [p["x"]["value"] for p in doc["result"]["points"]]
+        assert len(values) == 191
+        assert sum("[exact p/q: " in v for v in values) == 2
+
     def test_orbit_csv(self, capsys):
         code, out = run(
             capsys, "orbit", "--gallery", "ex_1_2", "--alpha", "sqrt2",
@@ -161,6 +177,11 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert re.search(r"^error: cell -?\d+ beyond the configured horizon 2$",
                          err, re.M)
+
+    def test_unordered_interval_exit_2(self, capsys):
+        code = main(["eval", "--expr", "identity", "--interval", "sqrt2", "sqrt2"])
+        assert code == 2
+        assert "not certainly ordered" in capsys.readouterr().err
 
     def test_missing_action_source(self, capsys):
         code = main(["orbit", "--point", "0", "--radius", "1"])

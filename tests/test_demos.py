@@ -1,4 +1,9 @@
-"""Smoke test: each demo script runs to completion.
+"""Each demo script runs to completion and prints its pinned stdout.
+
+The expected output of ``demos/<name>.py`` is ``tests/golden/demos/<name>.out``,
+compared byte for byte.  To rewrite the files after an intended change::
+
+    PYTHONPATH=src python tests/test_demos.py
 
 Demo 02 is also the only caller of ``ball`` and ``free_reduced_words``
 outside the tests.
@@ -12,6 +17,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
+GOLDEN = os.path.join(ROOT, "tests", "golden", "demos")
 
 # 07_cantor_ladder.py is left out: it builds the depth-3 ladder at radius 7,
 # about a minute on its own, and tests/test_acceptance.py already runs that
@@ -20,11 +26,31 @@ SCRIPTS = sorted(name for name in os.listdir(DEMOS)
                  if name.endswith(".py") and not name.startswith("07_"))
 
 
-@pytest.mark.parametrize("script", SCRIPTS)
-def test_demo_runs(script):
+def run_demo(script: str) -> subprocess.CompletedProcess:
     path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, os.path.join(DEMOS, script)],
+    return subprocess.run([sys.executable, os.path.join(DEMOS, script)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
+
+
+def golden_path(script: str) -> str:
+    return os.path.join(GOLDEN, script[:-len(".py")] + ".out")
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_demo_runs(script):
+    proc = run_demo(script)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    with open(golden_path(script), encoding="utf-8") as fh:
+        assert proc.stdout == fh.read()
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for script in SCRIPTS:
+        proc = run_demo(script)
+        proc.check_returncode()
+        with open(golden_path(script), "w", encoding="utf-8") as fh:
+            fh.write(proc.stdout)
+        print(script, file=sys.stderr)

@@ -14,7 +14,6 @@ from lineact.homeo import (
     UnitPowerLadder,
     WindowDegenerate,
     compose,
-    compose_all,
     eval_interval,
     evaluate,
     fixed_points,
@@ -155,10 +154,19 @@ class TestCompose:
 
     def test_conjugated_translation(self):
         S, T = affine(2, 0), affine(1, 1)
-        h = compose_all([inverse(S), T, S])
+        h = compose(inverse(S), T, S)
         assert evaluate(h, R(0)).as_fraction() == Fraction(1, 2)
-        h3 = compose_all([power(inverse(S), 3), T, power(S, 3)])
+        h3 = compose(power(inverse(S), 3), T, power(S, 3))
         assert evaluate(h3, R(0)).as_fraction() == Fraction(1, 8)
+
+    def test_flattens_and_drops_identities(self):
+        f, g, h = affine(1, 1), OddPower(3), affine(2, 0)
+        nested = Compose(f, Compose(Identity(), g))
+        assert compose(nested, Identity(), h) == Compose(f, g, h)
+        assert compose(Identity(), f, Identity()) == f
+        assert compose() == compose(Identity(), Compose()) == Identity()
+        assert power(g, 3) == Compose(g, g, g)
+        assert power(g, -2) == Compose(inverse(g), inverse(g))
 
 
 class TestSimplify:
@@ -320,7 +328,7 @@ def test_all_affine_rational_pipeline_is_exact():
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
             f = Affine(Real.from_fraction(a), Real.from_fraction(b))
             factors.append(f if rng.random() < 0.7 else Inverse(f))
-        h = compose_all(factors)
+        h = compose(*factors)
         x = R(rng.randint(-100, 100), rng.randint(1, 20))
         v = evaluate(h, x)
         assert v.kind == "exact-rational"

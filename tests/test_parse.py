@@ -44,6 +44,7 @@ class TestParseExpr:
             "boundedconjugate(affine(1,1))",
             "inverse(oddpower(3,fwd))",
             "compose(affine(1,1),oddpower(3,fwd))",
+            "compose(affine(1,1),affine(1,2),affine(1,3))",
         ]
         for text in cases:
             expr = parse_expr(text)
