@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Protocol, Union
 
 from .reals import (
@@ -29,6 +30,7 @@ from .reals import (
     Real,
     RealLike,
     UndecidableComparison,
+    current_precision,
     retry_precision,
 )
 
@@ -251,15 +253,28 @@ def _conjugate_branch(floor: int, ceil: int) -> int:
     return 0
 
 
+# Ladder cells whose constants stay cached, over all ladders and precisions;
+# bounded, because a far-negative cell's exact power can have 2**21 bits.
+_LADDER_CELL_CACHE = 1024
+
+
+@lru_cache(maxsize=_LADDER_CELL_CACHE)
+def _ladder_cell(node: UnitPowerLadder, n: int, bits: int) -> tuple[Real, Real, bool]:
+    """Cell n's offset n, power e = 2**cell_exponent(n) at ``bits`` of working
+    precision, and whether e < 1 (a contracting root)."""
+    e = Real.two_to(node.cell_exponent(n))
+    return Real.rational(n), e, e.cmp_fraction(Fraction(1)) == -1
+
+
 def _eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
     def in_cell(n: int, v: Real) -> Real:
-        rn = Real.rational(n)
+        if v.is_rational and v.as_fraction() == n:
+            # the cell edge is fixed, even where cell n's exponent is out of
+            # range
+            return v
+        rn, e, contracting = _ladder_cell(node, n, current_precision().bits)
         u = v - rn
-        if u.is_rational and u.as_fraction() == 0:
-            return rn
-        e = Real.two_to(node.cell_exponent(n))
-        if not u.is_rational and u.cmp_fraction(Fraction(0)) != 1 \
-                and e.cmp_fraction(Fraction(1)) == -1:
+        if contracting and not u.is_rational and u.cmp_fraction(Fraction(0)) != 1:
             # a tracked enclosure touching the cell edge cannot support a
             # contracting-root exponent: the image enclosure would span the
             # whole cell no matter the precision
@@ -586,6 +601,8 @@ def is_identity_on(h: HomeoExpr, iv: Interval, grid_n: int = 64,
     """Does h restrict to the identity on iv, up to tol on a sample grid?"""
     if iv.is_empty or not iv.is_finite:
         raise ValueError("need a nonempty finite interval")
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     if isinstance(simplify(h), Identity):
         return True
     tol = Real.coerce(tol)

@@ -282,3 +282,11 @@ def test_realize_is_homomorphism_across_gallery():
         pts = sample_points(pts_window, 5)
         res = homomorphism_residual(act, 25, pts, 5, seed=rng.randint(0, 999))
         assert upper(res) <= 1e-20, name
+
+
+def test_sample_points_needs_a_point():
+    window = Interval.closed(-1, 1)
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="need at least one sample point"):
+            sample_points(window, count)
+    assert [p.as_fraction() for p in sample_points(window, 1)] == [0]

@@ -183,6 +183,25 @@ class TestErrorPaths:
         assert code == 2
         assert "not certainly ordered" in capsys.readouterr().err
 
+    def test_wander_check_grid_0_exit_2(self, capsys):
+        # a grid of no points would call the overlapping word a pointwise-fixed
+        code = main(["wander-check", "--gallery", "ex_1_1", "--interval", "0", "2",
+                     "--radius", "2", "--grid", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: grid_n must be at least 1" in captured.err
+
+    def test_zero_sample_points_exit_2(self, capsys):
+        for argv in (["relations", "--gallery", "ex_1_4", "--k", "2",
+                      "--points", "0"],
+                     ["extend", "--points", "0"]):
+            code = main(argv)
+            assert code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: need at least one sample point" in captured.err
+
     def test_missing_action_source(self, capsys):
         code = main(["orbit", "--point", "0", "--radius", "1"])
         assert code == 2

@@ -5,6 +5,8 @@ import mpmath
 import pytest
 
 from lineact.homeo import (
+    _cell_branch,
+    _piecewise_eval,
     Affine,
     BoundedConjugate,
     Compose,
@@ -23,7 +25,7 @@ from lineact.homeo import (
     simplify,
     to_text,
 )
-from lineact.reals import Interval, Real
+from lineact.reals import Interval, PrecisionExhausted, Real, precision
 
 R = Real.rational
 
@@ -86,6 +88,71 @@ class TestEvaluate:
             Affine(R(0), R(1))
         with pytest.raises(ValueError):
             Affine(R(-2), R(1))
+
+
+def reference_eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
+    """The ladder evaluator as it was before its cell constants were cached."""
+    def in_cell(n: int, v: Real) -> Real:
+        rn = Real.rational(n)
+        u = v - rn
+        if u.is_rational and u.as_fraction() == 0:
+            return rn
+        e = Real.two_to(node.cell_exponent(n))
+        if not u.is_rational and u.cmp_fraction(Fraction(0)) != 1 \
+                and e.cmp_fraction(Fraction(1)) == -1:
+            # a tracked enclosure touching the cell edge cannot support a
+            # contracting-root exponent: the image enclosure would span the
+            # whole cell no matter the precision
+            raise PrecisionExhausted(
+                f"enclosure touches cell {n} edge under a fractional exponent"
+            )
+        if e.is_rational:
+            return u.pow_fraction(e.as_fraction()) + rn
+        return u.pow_real(e) + rn
+
+    return _piecewise_eval(x, _cell_branch, in_cell)
+
+
+def ladder_outcome(fn, node, x):
+    """The exact value or tracked enclosure of fn(node, x), or its error."""
+    try:
+        r = fn(node, x)
+    except PrecisionExhausted as exc:
+        return ("PrecisionExhausted", str(exc))
+    # an exact value's _mpi only caches its rounding
+    return ("exact", r._rat) if r.is_rational else ("tracked", r._mpi)
+
+
+class TestLadderCellCache:
+    def points(self, n):
+        return [R(n), R(4 * n + 1, 4), R(2 * n + 1, 2), R(8 * n + 7, 8),
+                Real.tracked_from_fraction(Fraction(n)),
+                R(n) + Real.sqrt2() / R(3),
+                Real.hull(R(n) - Real.sqrt2() / R(10**30), R(n) + R(1, 10**30))]
+
+    def test_matches_reference_across_precisions(self):
+        raised = 0
+        for bits in (64, 256, 64):
+            with precision(bits):
+                for k in (2, 3):
+                    for s in (1, -1):
+                        node = UnitPowerLadder(k, s)
+                        for n in range(-3, 4):
+                            for x in self.points(n):
+                                want = ladder_outcome(reference_eval_ladder, node, x)
+                                raised += want[0] == "PrecisionExhausted"
+                                got = ladder_outcome(evaluate, node, x)
+                                assert got == want, (bits, k, s, n, x)
+        assert raised > 0
+
+    def test_exact_edge_ahead_of_out_of_range_cell(self):
+        # cell -25's exponent 2**(2**25) is out of range, but its left edge
+        # is a fixed point
+        node = UnitPowerLadder(2, 1)
+        y = evaluate(node, R(-25))
+        assert y.is_rational and y.as_fraction() == -25
+        with pytest.raises(PrecisionExhausted, match="ladder cell -25 exponent"):
+            evaluate(node, R(-49, 2))
 
 
 class TestEvalInterval:
@@ -250,6 +317,14 @@ class TestIsIdentityOn:
     def test_structural_shortcut(self):
         h = Compose(affine(2, 1), Inverse(affine(2, 1)))
         assert is_identity_on(h, Interval.open(0, 1))
+
+    def test_empty_grid_is_refused(self):
+        # translation by 1 moves (0, 2) onto an overlapping interval; a grid
+        # of no points must not report it as the identity
+        for grid_n in (0, -3):
+            with pytest.raises(ValueError, match="grid_n must be at least 1"):
+                is_identity_on(affine(1, 1), Interval.open(0, 2), grid_n)
+        assert not is_identity_on(affine(1, 1), Interval.open(0, 2), 1)
 
 
 class TestText:
