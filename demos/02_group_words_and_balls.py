@@ -38,4 +38,4 @@ words = sum(1 for _ in free_reduced_words(p, 4))
 elements = len(ball(p, 4)) - 1
 print(f"radius 4: {words} reduced words collapse onto {elements} elements")
 print("shortlex-first representatives:",
-      [str(g) for g in ball(p, 2).elements])
+      [str(g) for g in ball(p, 2)])

@@ -42,7 +42,6 @@ from .words import (
     Presentation,
     UnknownGenerator,
     UnsupportedPresentation,
-    WordBall,
     ball,
     free_reduced_words,
     multiply,

@@ -43,7 +43,6 @@ from .words import (
     Presentation,
     UnknownGenerator,
     multiply,
-    normal_form_key,
 )
 
 __all__ = [
@@ -162,6 +161,8 @@ def check_relations(act: Action, points: Sequence[Real],
     Failure is a report outcome, never an exception.  Extensionally equal
     sides detected by simplification short-circuit to an exact zero residual.
     """
+    if not points:
+        raise ValueError("need at least one sample point")
     tol = Real.coerce(tol)
     checks = []
     for lhs, rhs in act.presentation.relations():
@@ -292,7 +293,7 @@ def gallery_entries() -> list[tuple[str, str]]:
 # the extension operator
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtensionSpec:
     """Data for extending an H-action on (0,1) to a cyclic extension G.
 
@@ -300,6 +301,7 @@ class ExtensionSpec:
     generator conjugate a^-j w a^j; it has to be the identity at j = 0 and a
     homomorphism in w for each fixed j.  ``group`` is the presentation of G,
     whose labels are the coset label plus the inner action's labels.
+    Specs compare by identity, so the cells of two specs never compare equal.
     """
 
     inner_action: Action
@@ -307,7 +309,7 @@ class ExtensionSpec:
     coset_label: str = "a"
     conjugation_rule: Callable[[int, GroupElement], GroupElement] = None
     horizon: int = 64
-    _cell_cache: dict = field(default_factory=dict, repr=False)
+    _cell_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.conjugation_rule is None:
@@ -318,8 +320,6 @@ class ExtensionSpec:
             if lab not in self.group.labels:
                 raise BadParameter(f"group presentation lacks inner label {lab!r}")
 
-    # protocol for homeo.ExtensionCell ---------------------------------
-
     def cell_expr(self, j: int, word: GroupElement) -> HomeoExpr:
         key = (j, word.word)
         expr = self._cell_cache.get(key)
@@ -327,19 +327,6 @@ class ExtensionSpec:
             expr = simplify(realize(self.inner_action, self.conjugation_rule(j, word)))
             self._cell_cache[key] = expr
         return expr
-
-    def invert_word(self, word: GroupElement) -> GroupElement:
-        return word.inverse()
-
-    def mul_words(self, u: GroupElement, v: GroupElement) -> GroupElement:
-        return multiply(u, v)
-
-    def word_is_identity(self, word: GroupElement) -> bool:
-        p = word.presentation
-        return normal_form_key(p, word) == normal_form_key(p, p.identity())
-
-    def word_str(self, word: GroupElement) -> str:
-        return str(word)
 
 
 def extend_action(spec: ExtensionSpec) -> Action:
@@ -408,6 +395,9 @@ def homomorphism_residual(act: Action, n_pairs: int, points: Sequence[Real],
     letter map still runs on the same point at the same precision, so each
     residual is the enclosure evaluating the realized words would give.
     """
+    if n_pairs < 1 or max_len < 1 or not points:
+        raise ValueError(f"need n_pairs >= 1, max_len >= 1 and a sample point; got "
+                         f"n_pairs={n_pairs}, max_len={max_len}, {len(points)} points")
     rng = random.Random(seed)
     pts = [Real.coerce(x) for x in points]
     maps = act.letter_maps

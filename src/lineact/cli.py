@@ -65,8 +65,6 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_action_source(p: argparse.ArgumentParser):
     p.add_argument("--gallery", default=None, help="catalog action id")
     p.add_argument("--spec", default=None, help="action specification file")
-    p.add_argument("--action", default=None,
-                   help="gallery:<name>:<k=v,...> shorthand")
     p.add_argument("--alpha", default=None, help="translation length parameter")
     p.add_argument("--n", type=int, default=None, help="dilation parameter")
     p.add_argument("--k", type=int, default=None, help="ladder parameter")
@@ -76,33 +74,11 @@ def _resolve_action(args):
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             return parse_action_file(fh.read()), {"spec": args.spec}
-    name, params = None, {}
-    if args.action:
-        parts = args.action.split(":")
-        if not parts or parts[0] != "gallery" or len(parts) < 2:
-            raise BadParameter(
-                "--action must look like gallery:<name>[:<k=v,...>]"
-            )
-        name = parts[1]
-        if len(parts) > 2 and parts[2]:
-            for item in parts[2].split(","):
-                key, _, val = item.partition("=")
-                params[key] = val
-    elif args.gallery:
-        name = args.gallery
-    else:
-        raise BadParameter("choose an action: --gallery, --action, or --spec")
-    if args.alpha is not None:
-        params.setdefault("alpha", args.alpha)
-    if args.n is not None:
-        params.setdefault("n", args.n)
-    if args.k is not None:
-        params.setdefault("k", args.k)
-    if "n" in params:
-        params["n"] = int(params["n"])
-    if "k" in params:
-        params["k"] = int(params["k"])
-    return gallery(name, **params), {"gallery": name, "params": dict(params)}
+    if not args.gallery:
+        raise BadParameter("choose an action: --gallery or --spec")
+    params = {key: val for key, val in
+              (("alpha", args.alpha), ("n", args.n), ("k", args.k)) if val is not None}
+    return gallery(args.gallery, **params), {"gallery": args.gallery, "params": params}
 
 
 def _interval(lo: str, hi: str) -> Interval:

@@ -236,6 +236,8 @@ def wandering_certificate(act: Action, J: Interval, radius: int,
     """
     if J.is_empty or not J.is_finite:
         raise ValueError("J must be a nonempty finite open interval")
+    if radius < 1:
+        raise ValueError(f"radius must be at least 1, got {radius}")
     tol = Real.coerce(tol)
     verdicts = [_word_verdict(act, w, img, J, grid_n, tol) for w, img in
                 islice(_ball_images(act, J, radius, dedup=False), 1, None)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Protocol, Union
+from typing import Callable, Union
 
 from .reals import (
     Interval,
@@ -33,6 +33,7 @@ from .reals import (
     current_precision,
     retry_precision,
 )
+from .words import GroupElement, multiply, normal_form_key
 
 __all__ = [
     "HomeoExpr",
@@ -44,7 +45,6 @@ __all__ = [
     "ExtensionCell",
     "Compose",
     "Inverse",
-    "CellSpec",
     "HorizonExceeded",
     "WindowDegenerate",
     "evaluate",
@@ -70,22 +70,6 @@ class WindowDegenerate(Exception):
 
 # Cells with |2^t| needing more than this many bits to scale are rejected.
 _LADDER_EXPONENT_LIMIT = Fraction(1 << 24)
-
-
-class CellSpec(Protocol):
-    """What an extension-cell node needs from the actions layer."""
-
-    horizon: int
-
-    def cell_expr(self, j: int, word) -> "HomeoExpr": ...
-
-    def invert_word(self, word): ...
-
-    def mul_words(self, u, v): ...
-
-    def word_is_identity(self, word) -> bool: ...
-
-    def word_str(self, word) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -153,27 +137,16 @@ class BoundedConjugate:
     inner: "HomeoExpr"
 
 
+@dataclass(frozen=True)
 class ExtensionCell:
-    """Cellwise map from an extension spec: on [j, j+1], conjugated inner word."""
+    """Cellwise map from an extension spec: on [j, j+1], conjugated inner word.
 
-    __slots__ = ("spec", "word")
+    ``spec`` is an ``actions.ExtensionSpec``, which compares by identity; its
+    ``horizon`` bounds the cells and ``cell_expr(j, word)`` is cell j's map.
+    """
 
-    def __init__(self, spec: CellSpec, word):
-        self.spec = spec
-        self.word = word
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionCell)
-            and self.spec is other.spec
-            and self.word == other.word
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), self.word))
-
-    def __repr__(self):
-        return f"ExtensionCell({self.spec!r}, {self.word!r})"
+    spec: object
+    word: GroupElement
 
 
 @dataclass(frozen=True, init=False)
@@ -388,7 +361,7 @@ def inverse(h: HomeoExpr) -> HomeoExpr:
     if isinstance(h, BoundedConjugate):
         return BoundedConjugate(inverse(h.inner))
     if isinstance(h, ExtensionCell):
-        return ExtensionCell(h.spec, h.spec.invert_word(h.word))
+        return ExtensionCell(h.spec, h.word.inverse())
     if isinstance(h, Compose):
         return Compose(*[inverse(m) for m in reversed(h.maps)])
     if isinstance(h, Inverse):
@@ -432,8 +405,10 @@ def _simplify_leaf(h: HomeoExpr) -> HomeoExpr:
         if isinstance(inner, Identity):
             return Identity()
         return BoundedConjugate(inner)
-    if isinstance(h, ExtensionCell) and h.spec.word_is_identity(h.word):
-        return Identity()
+    if isinstance(h, ExtensionCell):
+        p = h.word.presentation
+        if normal_form_key(p, h.word) == normal_form_key(p, p.identity()):
+            return Identity()
     if isinstance(h, Affine) and h.a == Real.rational(1) and h.b == Real.rational(0):
         return Identity()
     return h
@@ -464,8 +439,7 @@ def simplify(h: HomeoExpr) -> HomeoExpr:
                 continue
             if nxt is not None and isinstance(cur, ExtensionCell) \
                     and isinstance(nxt, ExtensionCell) and cur.spec is nxt.spec:
-                word = cur.spec.mul_words(cur.word, nxt.word)
-                merged_cell = ExtensionCell(cur.spec, word)
+                merged_cell = ExtensionCell(cur.spec, multiply(cur.word, nxt.word))
                 out.append(_simplify_leaf(merged_cell))
                 i += 2
                 changed = True
@@ -639,7 +613,7 @@ def to_text(h: HomeoExpr) -> str:
     if isinstance(h, BoundedConjugate):
         return f"boundedconjugate({to_text(h.inner)})"
     if isinstance(h, ExtensionCell):
-        return f"extensioncell({h.spec.word_str(h.word)})"
+        return f"extensioncell({h.word})"
     if isinstance(h, Compose):
         return f"compose({','.join(to_text(m) for m in h.maps)})"
     if isinstance(h, Inverse):

@@ -79,13 +79,6 @@ class PrecisionContext:
         self.bits = bits
         self.ceiling = ceiling
 
-    def doubled(self) -> "PrecisionContext":
-        if self.bits >= self.ceiling:
-            raise PrecisionExhausted(
-                f"precision ceiling {self.ceiling} bits reached"
-            )
-        return PrecisionContext(min(self.bits * 2, self.ceiling), self.ceiling)
-
 
 _state = threading.local()
 

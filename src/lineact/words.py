@@ -32,7 +32,6 @@ __all__ = [
     "reduce_letters",
     "normal_form_key",
     "multiply",
-    "WordBall",
     "walk",
     "ball",
     "free_reduced_words",
@@ -124,9 +123,6 @@ class Presentation:
         if not 0 <= i < self.rank:
             raise UnknownGenerator(f"generator index {i} out of range")
         return GroupElement(self, ((i, e),) if e else ())
-
-    def generators(self) -> list["GroupElement"]:
-        return [self.generator(i) for i in range(self.rank)]
 
     def relations(self) -> list[tuple["GroupElement", "GroupElement"]]:
         """Defining relations as (lhs, rhs) word pairs."""
@@ -307,21 +303,6 @@ def bs_pair(w: GroupElement) -> tuple[int, Fraction]:
 # enumeration
 
 
-@dataclass
-class WordBall:
-    """All distinct elements of word length <= radius, in shortlex order."""
-
-    presentation: Presentation
-    radius: int
-    elements: list[GroupElement]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def _letter_order(p: Presentation) -> list[Letter]:
     out = []
     for i in range(p.rank):
@@ -341,6 +322,8 @@ def walk(p: Presentation, radius: int, dedup: bool, carry: Any = None,
     of each group element is kept and extended, judged by
     :func:`normal_form_key`; with it off, every freely reduced word is.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     ident = p.identity()
     yield ident, carry
     seen = {normal_form_key(p, ident)} if dedup else None
@@ -366,11 +349,10 @@ def walk(p: Presentation, radius: int, dedup: bool, carry: Any = None,
         frontier = nxt
 
 
-def ball(p: Presentation, radius: int) -> WordBall:
-    """Shortlex enumeration of the radius-L ball with normal-form dedup."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return WordBall(p, radius, [w for w, _ in walk(p, radius, True)])
+def ball(p: Presentation, radius: int) -> list[GroupElement]:
+    """All distinct elements of word length <= radius, in shortlex order,
+    each as its shortlex-first word (normal-form dedup)."""
+    return [w for w, _ in walk(p, radius, True)]
 
 
 def free_reduced_words(p: Presentation, radius: int,

@@ -23,12 +23,16 @@ from lineact.actions import (
 from lineact.homeo import (
     Affine,
     Compose,
+    ExtensionCell,
     HorizonExceeded,
     Identity,
     UnitPowerLadder,
     eval_interval,
     evaluate,
+    inverse,
     is_identity_on,
+    simplify,
+    to_text,
 )
 from lineact.reals import Interval, Real
 from lineact.words import Presentation, free_reduced_words, multiply, parse_word
@@ -234,6 +238,45 @@ class TestExtension:
         assert rep.passed
 
 
+class TestExtensionCell:
+    def spec(self):
+        inner = conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2"))
+        return direct_product_extension(inner, coset_label="t")
+
+    def test_cells_of_two_specs_differ(self):
+        s1, s2 = self.spec(), self.spec()
+        a1 = ExtensionCell(s1, parse_word(s1.group, "a"))
+        a2 = ExtensionCell(s2, parse_word(s2.group, "a"))
+        assert a1 != a2 and s1 != s2
+
+    def test_one_spec_equal_words_equal_cells(self):
+        spec = self.spec()
+        c1 = ExtensionCell(spec, parse_word(spec.group, "a b^-1"))
+        c2 = ExtensionCell(spec, parse_word(spec.group, "a b^-1"))
+        assert c1 == c2 and hash(c1) == hash(c2)
+        assert {c1: "cell"}[c2] == "cell"
+        assert c1 != ExtensionCell(spec, parse_word(spec.group, "a"))
+
+    def test_inverse_and_text(self):
+        spec = self.spec()
+        cell = ExtensionCell(spec, parse_word(spec.group, "a b^-2"))
+        assert inverse(cell) == ExtensionCell(spec, parse_word(spec.group, "b^2 a^-1"))
+        assert to_text(cell) == "extensioncell(a b^-2)"
+        assert to_text(inverse(cell)) == "extensioncell(b^2 a^-1)"
+
+    def test_commutator_simplifies_to_identity(self):
+        act = extend_action(self.spec())
+        h = realize(act, parse_word(act.presentation, "a b a^-1 b^-1"))
+        assert isinstance(h, Compose) and len(h.maps) == 4
+        assert simplify(h) == Identity()
+
+    def test_cell_cache_is_not_a_parameter(self):
+        inner = conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2"))
+        G = Presentation.free_abelian(3, labels=("t", "a", "b"))
+        with pytest.raises(TypeError):
+            ExtensionSpec(inner, G, "t", None, 64, _cell_cache={})
+
+
 class TestExtensionReproducesAlternatingLadder:
     """The cyclic-extension operator applied to the squaring map on [0,1]
     with the sign-flipping conjugation rule rebuilds the base-1 cellwise
@@ -290,3 +333,17 @@ def test_sample_points_needs_a_point():
         with pytest.raises(ValueError, match="need at least one sample point"):
             sample_points(window, count)
     assert [p.as_fraction() for p in sample_points(window, 1)] == [0]
+
+
+def test_residual_needs_pairs_letters_and_points():
+    act = gallery("ex_1_1")
+    pts = sample_points(Interval.closed(-1, 1), 2)
+    for n_pairs, max_len, points in ((0, 6, pts), (-1, 6, pts), (3, 0, pts), (3, 6, [])):
+        with pytest.raises(ValueError, match="need n_pairs >= 1, max_len >= 1"):
+            homomorphism_residual(act, n_pairs, points, max_len)
+    assert upper(homomorphism_residual(act, 1, pts, 1)) == 0.0
+
+
+def test_check_relations_needs_a_point():
+    with pytest.raises(ValueError, match="need at least one sample point"):
+        check_relations(gallery("klein_bottle"), [])

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from lineact.cli import main
 
 
@@ -135,13 +137,17 @@ class TestDispatch:
         assert code == 0
         assert doc["result"]["homomorphism_ok"] is True
 
-    def test_action_shorthand(self, capsys):
+    def test_gallery_params_orbit(self, capsys):
         code, doc = run_json(
-            capsys, "orbit", "--action", "gallery:ex_1_3:n=2",
+            capsys, "orbit", "--gallery", "ex_1_3", "--n", "2",
             "--point", "0", "--radius", "3",
         )
         assert code == 0
-        assert doc["result"]["count"] > 0
+        assert doc["config"]["gallery"] == "ex_1_3"
+        assert doc["config"]["params"] == {"n": 2}
+        values = [p["x"]["value"] for p in doc["result"]["points"]]
+        assert doc["result"]["count"] == len(values) == 15
+        assert values[:8] == ["-4", "-3", "-2", "-3/2", "-1", "-1/2", "-1/4", "0"]
 
     def test_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "a.spec"
@@ -201,6 +207,25 @@ class TestErrorPaths:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "error: need at least one sample point" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["extend", "--pairs", "0", "--points", "2"], "need n_pairs >= 1, max_len >= 1"),
+        (["extend", "--len", "0", "--pairs", "3", "--points", "2"],
+         "need n_pairs >= 1, max_len >= 1"),
+        (["wander-check", "--gallery", "ex_1_1", "--interval", "0", "2", "--radius", "0"],
+         "radius must be at least 1, got 0"),
+        (["orbit", "--gallery", "ex_1_1", "--point", "0", "--radius", "-1"],
+         "radius must be nonnegative, got -1"),
+        (["transitive", "--gallery", "ex_1_1", "--u", "0", "1", "--v", "2", "3",
+          "--radius", "-3"], "radius must be nonnegative, got -3"),
+    ])
+    def test_sweep_over_nothing_exit_2(self, capsys, argv, message):
+        # no pair, letter or word compared means nothing may pass or certify:
+        # radius 0 would certify (0, 2) although translation by 1 overlaps it
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
     def test_missing_action_source(self, capsys):
         code = main(["orbit", "--point", "0", "--radius", "1"])

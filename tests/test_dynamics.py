@@ -172,6 +172,14 @@ class TestWanderingCertificate:
         assert cert.certified
         assert cert.counts() == {"disjoint": 20}
 
+    def test_radius_below_1_refused(self):
+        # no word swept means nothing certified: translation by 1 moves (0, 2)
+        # onto an overlapping interval
+        for radius in (0, -2):
+            with pytest.raises(ValueError, match="radius must be at least 1"):
+                wandering_certificate(gallery("ex_1_1"), Interval.open(0, 2), radius)
+        assert not wandering_certificate(gallery("ex_1_1"), Interval.open(0, 2), 1).certified
+
     def test_klein_certifies_with_identity_words_fixed(self):
         act = gallery("klein_bottle")
         cert = wandering_certificate(

@@ -10,8 +10,10 @@ from lineact.reals import (
     Interval,
     PrecisionExhausted,
     Real,
+    UndecidableComparison,
     current_precision,
     precision,
+    retry_precision,
 )
 
 
@@ -129,9 +131,18 @@ class TestPrecisionContext:
         assert narrow < wide
 
     def test_doubled_hits_ceiling(self):
-        with precision(128, 128) as ctx:
-            with pytest.raises(PrecisionExhausted):
-                ctx.doubled()
+        # retry_precision doubles the working precision up to the ceiling,
+        # then gives up
+        tried = []
+
+        def undecidable():
+            tried.append(current_precision().bits)
+            raise UndecidableComparison("never decided")
+
+        with precision(128, 640):
+            with pytest.raises(PrecisionExhausted, match="640-bit ceiling"):
+                retry_precision(undecidable)
+        assert tried == [128, 256, 512, 640]
 
 
 class TestInterval:

@@ -16,6 +16,7 @@ from lineact.words import (
     normal_form_key,
     parse_word,
     reduce_letters,
+    walk,
 )
 
 F2 = Presentation.free(2)
@@ -134,7 +135,18 @@ class TestBall:
         small = {normal_form_key(FA2, w) for w in ball(FA2, 2)}
         big = {normal_form_key(FA2, w) for w in ball(FA2, 3)}
         assert small <= big
-        assert FA2.identity() in ball(FA2, 0).elements
+        assert ball(FA2, 0) == [FA2.identity()]
+
+    def test_returns_list(self):
+        b = ball(F2, 1)
+        assert type(b) is list
+        assert [str(w) for w in b] == ["1", "a", "a^-1", "b", "b^-1"]
+
+    def test_negative_radius_refused(self):
+        for sweep in (lambda: ball(F2, -1), lambda: list(walk(F2, -1, False)),
+                      lambda: list(free_reduced_words(F2, -2))):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                sweep()
 
     def test_distinct_normal_forms(self):
         p = Presentation.baumslag_solitar(-2)
