@@ -43,6 +43,7 @@ from .words import (
     Presentation,
     UnknownGenerator,
     multiply,
+    reduce_letters,
 )
 
 __all__ = [
@@ -75,12 +76,11 @@ class BadParameter(Exception):
 
 @dataclass
 class Action:
-    """Generator images for a presentation, with optional verification stamp;
-    ``letter_maps[(i, 1)]`` is generator i's image, ``(i, -1)`` its inverse."""
+    """Generator images for a presentation; ``letter_maps[(i, 1)]`` is
+    generator i's image, ``(i, -1)`` its inverse."""
 
     presentation: Presentation
     images: dict[str, HomeoExpr]
-    verification: Optional["RelationReport"] = None
 
     def __post_init__(self):
         self.letter_maps: dict[Letter, HomeoExpr] = {}
@@ -374,8 +374,6 @@ def random_element(p: Presentation, rng: random.Random, max_len: int) -> GroupEl
     letters = []
     for _ in range(rng.randint(0, max_len)):
         letters.append((rng.randrange(p.rank), rng.choice((1, -1))))
-    from .words import reduce_letters
-
     return reduce_letters(p, letters)
 
 

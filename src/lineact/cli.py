@@ -108,6 +108,16 @@ def _emit(args, command: str, config: dict, result: dict,
         sys.stdout.write(text)
 
 
+def _emit_failed(args, command: str, cfg: dict, exc: Exception, partial_json) -> int:
+    """Emit a construction's negative result: the diagnosis, and the partial
+    result that a ConstructionFailed carries."""
+    result = {"failed": str(exc)}
+    if isinstance(exc, ConstructionFailed):
+        result["partial"] = partial_json(exc.partial)
+    _emit(args, command, _config(args, cfg), result)
+    return EXIT_NEGATIVE
+
+
 def _config(args, extra: dict) -> dict:
     cfg = {
         "precision": args.precision,
@@ -208,11 +218,7 @@ def _cmd_wander_find(args) -> int:
     try:
         rep = find_wandering_interval(act, window, args.grid)
     except ConstructionFailed as exc:
-        result = {"failed": str(exc)}
-        if exc.partial is not None:
-            result["partial"] = report.find_report_json(exc.partial)
-        _emit(args, "wander-find", _config(args, cfg), result)
-        return EXIT_NEGATIVE
+        return _emit_failed(args, "wander-find", cfg, exc, report.find_report_json)
     _emit(args, "wander-find", _config(args, cfg), report.find_report_json(rep))
     return EXIT_OK
 
@@ -226,15 +232,8 @@ def _cmd_cantor(args) -> int:
            **src}
     try:
         lad = cantor_ladder(act, args.depth, args.radius, seed, params)
-    except NoMovingPair as exc:
-        _emit(args, "cantor", _config(args, cfg), {"failed": str(exc)})
-        return EXIT_NEGATIVE
-    except ConstructionFailed as exc:
-        result = {"failed": str(exc)}
-        if exc.partial is not None:
-            result["partial"] = report.ladder_json(exc.partial)
-        _emit(args, "cantor", _config(args, cfg), result)
-        return EXIT_NEGATIVE
+    except (NoMovingPair, ConstructionFailed) as exc:
+        return _emit_failed(args, "cantor", cfg, exc, report.ladder_json)
     checks = check_ladder(act, lad)
     result = report.ladder_json(lad)
     result["verification"] = report.checks_json(checks)

@@ -77,7 +77,7 @@ class NoMovingPair(Exception):
 class ConstructionFailed(Exception):
     """A construction invariant failed; carries a diagnosis and any partial result."""
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial):
         super().__init__(message)
         self.partial = partial
 
@@ -92,11 +92,10 @@ def _letter_step(act: Action, apply):
     return lambda letter, carry: apply(maps[letter], carry)
 
 
-def _image_or_none(h: HomeoExpr, J: Optional[Interval]) -> Optional[Interval]:
-    if J is None:
-        return None
+def _or_none(fn, *args):
+    """fn(*args), or None when it cannot be decided at the precision ceiling."""
     try:
-        return eval_interval(h, J)
+        return fn(*args)
     except PrecisionExhausted:
         return None
 
@@ -107,8 +106,8 @@ def _ball_images(act: Action, iv: Interval, radius: int, dedup: bool = True):
     A word whose image cannot be evaluated (cell exponent out of range)
     carries ``None``, and so do all its extensions.
     """
-    return walk(act.presentation, radius, dedup, iv,
-                _letter_step(act, _image_or_none))
+    return walk(act.presentation, radius, dedup, iv, _letter_step(
+        act, lambda h, J: None if J is None else _or_none(eval_interval, h, J)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +252,16 @@ def _word_verdict(act: Action, w: GroupElement, img: Optional[Interval],
     if img is not None and img.certainly_disjoint(J):
         return WordVerdict(w, "disjoint")
     hw = realize(act, w)
-    try:
-        if is_identity_on(hw, J, grid_n, tol):
-            return WordVerdict(w, "pointwise-fixed")
-    except PrecisionExhausted:
+    fixed = _or_none(is_identity_on, hw, J, grid_n, tol)
+    if fixed is None:
         return WordVerdict(w, "violation", "identity test undecidable")
-    try:
-        if retry_precision(lambda: _certainly_disjoint(hw, J)):
-            return WordVerdict(w, "disjoint")
-    except PrecisionExhausted:
+    if fixed:
+        return WordVerdict(w, "pointwise-fixed")
+    disjoint = _or_none(retry_precision, lambda: _certainly_disjoint(hw, J))
+    if disjoint is None:
         return WordVerdict(w, "violation", "undecidable at ceiling")
+    if disjoint:
+        return WordVerdict(w, "disjoint")
     return WordVerdict(w, "violation", "image overlaps")
 
 
@@ -354,21 +353,21 @@ def find_wandering_interval(act: Action, window: Interval,
     )
     pivot_img = act.image(pivot_label)
 
+    def claim(name: str, ok: bool, detail: str, failure: str):
+        """Record a claim; a failed one ends the construction, reporting the
+        component and the claims so far."""
+        claims.append(ClaimCheck(name, ok, detail))
+        if not ok:
+            raise ConstructionFailed(failure, FindReport(comp, pivot_label, comp, claims))
+
     # deeper generators (inside the pivot) act trivially by choice of pivot
     outer = chain[pivot_idx + 1:]
     if outer:
         nxt = act.image(outer[0])
         moved = eval_interval(nxt, comp)
-        ok = moved.certainly_disjoint(comp)
-        claims.append(ClaimCheck(
-            "outer-moves-component-off-itself", ok,
-            f"{outer[0]}({comp}) = {moved}",
-        ))
-        if not ok:
-            raise ConstructionFailed(
-                f"component {comp} not displaced by {outer[0]}",
-                partial=FindReport(comp, pivot_label, comp, claims),
-            )
+        claim("outer-moves-component-off-itself", moved.certainly_disjoint(comp),
+              f"{outer[0]}({comp}) = {moved}",
+              f"component {comp} not displaced by {outer[0]}")
         # the outer generator must permute the pivot's fixed set
         fixed_objs = [(pt, pt) for pt in pivot_report.fixed_points]
         fixed_objs += [(iv.lo, iv.hi) for iv in pivot_report.fixed_intervals]
@@ -387,52 +386,30 @@ def find_wandering_interval(act: Action, window: Interval,
             )
             if near:
                 passed += 1
-        ok_fix = checked == 0 or passed == checked
-        claims.append(ClaimCheck(
-            "outer-permutes-fixed-set", ok_fix,
-            f"{passed}/{checked} sampled fixed points map onto the fixed set",
-        ))
-        if not ok_fix:
-            raise ConstructionFailed(
-                "fixed set not invariant under the outer generator",
-                partial=FindReport(comp, pivot_label, comp, claims),
-            )
+        claim("outer-permutes-fixed-set", checked == 0 or passed == checked,
+              f"{passed}/{checked} sampled fixed points map onto the fixed set",
+              "fixed set not invariant under the outer generator")
         for lab in outer[1:]:
-            h = act.image(lab)
-            moved = eval_interval(h, comp)
-            ok2 = moved.certainly_disjoint(comp) or _endpoints_fixed(moved, comp, tol)
-            claims.append(ClaimCheck(
-                f"outermost-{lab}-compatible", ok2, f"{lab}({comp}) = {moved}",
-            ))
-            if not ok2:
-                raise ConstructionFailed(
-                    f"{lab} neither displaces nor preserves the component",
-                    partial=FindReport(comp, pivot_label, comp, claims),
-                )
+            moved = eval_interval(act.image(lab), comp)
+            claim(f"outermost-{lab}-compatible",
+                  moved.certainly_disjoint(comp) or _endpoints_fixed(moved, comp, tol),
+                  f"{lab}({comp}) = {moved}",
+                  f"{lab} neither displaces nor preserves the component")
 
     # shrink a subinterval of the component off itself under the pivot map
     c = comp.midpoint()
     lo_room = c - comp.lo
     hi_room = comp.hi - c
     delta = (lo_room if lo_room.mid() < hi_room.mid() else hi_room) / Real.rational(2)
-    J = None
     for _ in range(80):
-        cand = Interval.open(c - delta, c + delta)
-        img = eval_interval(pivot_img, cand)
-        if img.certainly_disjoint(cand) and cand.certainly_subset_of(comp):
-            J = cand
-            break
+        J = Interval.open(c - delta, c + delta)
+        if eval_interval(pivot_img, J).certainly_disjoint(J) and J.certainly_subset_of(comp):
+            claims.append(ClaimCheck("pivot-displaces-subinterval", True,
+                                     f"{pivot_label}({J}) disjoint from {J}"))
+            return FindReport(J, pivot_label, comp, claims)
         delta = delta / Real.rational(2)
-    if J is None:
-        raise ConstructionFailed(
-            "no subinterval separates from its pivot image",
-            partial=FindReport(comp, pivot_label, comp, claims),
-        )
-    claims.append(ClaimCheck(
-        "pivot-displaces-subinterval", True,
-        f"{pivot_label}({J}) disjoint from {J}",
-    ))
-    return FindReport(J, pivot_label, comp, claims)
+    raise ConstructionFailed("no subinterval separates from its pivot image",
+                             FindReport(comp, pivot_label, comp, claims))
 
 
 def _endpoints_fixed(img: Interval, iv: Interval, tol: Real) -> bool:
@@ -509,12 +486,9 @@ def _movers(act: Action, U: Interval, radius: int):
             continue
         hw = realize(act, w)
         for x in xs:
-            try:
-                y = evaluate(hw, x)
-            except PrecisionExhausted:
-                continue
-            if not (x.definitely_lt(y) and y.definitely_lt(hi)
-                    and lo.definitely_lt(x)):
+            y = _or_none(evaluate, hw, x)
+            if y is None or not (x.definitely_lt(y) and y.definitely_lt(hi)
+                                 and lo.definitely_lt(x)):
                 continue
             delta = _max_separation(hw, x, y, U)
             if delta is None:
@@ -538,12 +512,10 @@ def _max_separation(hw: HomeoExpr, x: Real, y: Real,
         if d.cmp_fraction(Fraction(0)) != 1:
             return None
         a, b = x - d, x + d
-        try:
-            fa, fb = evaluate(hw, a), evaluate(hw, b)
-        except PrecisionExhausted:
-            d = d / Real.rational(2)
-            continue
-        if lo.definitely_lt(a) and fb.definitely_lt(hi) and (x + d).definitely_lt(fa):
+        fa = _or_none(evaluate, hw, a)
+        fb = None if fa is None else _or_none(evaluate, hw, b)
+        if (fb is not None and lo.definitely_lt(a) and fb.definitely_lt(hi)
+                and (x + d).definitely_lt(fa)):
             return d
         d = d / Real.rational(2)
     return None
@@ -561,12 +533,20 @@ def cantor_ladder(act: Action, depth: int, radius: int,
     NoMovingPair when the seed admits no move at all, ConstructionFailed
     (with the partial ladder attached) when a deeper level gets stuck.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     if seed is None:
         seed = Interval.open(0, 1)
     params = params or LadderParams()
     orbit_depth = params.orbit_depth if params.orbit_depth is not None else radius
 
     levels: list[LadderLevel] = []
+
+    def failed(message: str) -> ConstructionFailed:
+        """Level i is stuck: the diagnosis, with the ladder built so far."""
+        return ConstructionFailed(f"level {i}: {message}", _assemble_ladder(
+            act, depth, radius, seed, params, levels))
+
     U_prev = seed
     for i in range(1, depth + 1):
         found = _movers(act, U_prev, radius)
@@ -575,20 +555,14 @@ def cantor_ladder(act: Action, depth: int, radius: int,
                 raise NoMovingPair(
                     f"no word of length <= {radius} moves a point within {U_prev}"
                 )
-            raise ConstructionFailed(
-                f"level {i}: no moving pair inside {U_prev} at radius {radius}",
-                partial=_assemble_ladder(act, depth, radius, seed, params, levels),
-            )
+            raise failed(f"no moving pair inside {U_prev} at radius {radius}")
         w, x, delta = found
         V = Interval.open(x - delta, x + delta)
         diam_lo = V.diameter().bounds()[0]
         ii = max(i + 1, int(2 / diam_lo) + 1)
         S = _grid_orbit_in(act, _grid_fractions(ii), V, orbit_depth)
         if len(S) < 2:
-            raise ConstructionFailed(
-                f"level {i}: grid orbit left fewer than two points in {V}",
-                partial=_assemble_ladder(act, depth, radius, seed, params, levels),
-            )
+            raise failed(f"grid orbit left fewer than two points in {V}")
         gap_best = None
         for a, b in zip(S, S[1:]):
             width = (b - a).mid()
@@ -596,10 +570,7 @@ def cantor_ladder(act: Action, depth: int, radius: int,
                 gap_best = (a, b, width)
         a, b, _ = gap_best
         if not (a.definitely_lt(b)):
-            raise ConstructionFailed(
-                f"level {i}: largest orbit gap degenerate",
-                partial=_assemble_ladder(act, depth, radius, seed, params, levels),
-            )
+            raise failed("largest orbit gap degenerate")
         U_i = Interval.open(a, b)
         levels.append(LadderLevel(i, w, x, V, ii, U_i))
         U_prev = U_i
@@ -634,19 +605,15 @@ def _grid_orbit_in(act: Action, grid: list[Fraction], V: Interval,
 
     for w, _ in islice(walk(act.presentation, orbit_depth, True), 1, None):
         hw = realize(act, w)
-        try:
-            pre = eval_interval(inverse(hw), Vc)
-        except PrecisionExhausted:
+        pre = _or_none(eval_interval, inverse(hw), Vc)
+        if pre is None:
             continue
         plo, phi = pre.lo.bounds()[0], pre.hi.bounds()[1]
         for g in grid:
-            if g < plo or g > phi:
-                continue
-            try:
-                v = evaluate(hw, Real.from_fraction(g))
-            except PrecisionExhausted:
-                continue
-            consider(v)
+            if plo <= g <= phi:
+                v = _or_none(evaluate, hw, Real.from_fraction(g))
+                if v is not None:
+                    consider(v)
 
     return _merge_overlapping(hits)
 
@@ -781,9 +748,11 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     module's fixed thresholds.  'cantor-like' is best-effort: no finite sample can
     witness a Cantor structure, so it is the residual class.
     """
+    if radius < 2:
+        raise ValueError(f"radius must be at least 2, got {radius}")
     x = Real.coerce(x)
     diam = window.diameter()
-    pts_half = orbit(act, x, max(radius // 2, 1))
+    pts_half = orbit(act, x, radius // 2)
     pts = orbit(act, x, radius)
     lo_f, hi_f = window.lo.mid(), window.hi.mid()
     inside = [p for p in pts if lo_f <= p.value.mid() <= hi_f]

@@ -28,6 +28,7 @@ Parse errors carry the line and column of the offending token.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +44,7 @@ from .homeo import (
 )
 from . import reals
 from .reals import Real
-from .words import Presentation
+from .words import Presentation, UnsupportedPresentation
 from .actions import Action
 
 __all__ = ["ParseError", "parse_real", "parse_expr", "parse_action_file"]
@@ -63,33 +64,15 @@ class _Token:
     column: int
 
 
+# A token is one bracket or comma, or a maximal run of anything else that is
+# not whitespace; only "\n" starts a new line.
+_TOKEN = re.compile(r"[(),]|[^\s(),]+")
+
+
 def _tokenize(text: str, start_line: int = 1) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = start_line, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "(),":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "(),":
-            j += 1
-        tokens.append(_Token(text[i:j], line, col))
-        col += j - i
-        i = j
-    return tokens
+    return [_Token(m.group(), line, m.start() + 1)
+            for line, row in enumerate(text.split("\n"), start=start_line)
+            for m in _TOKEN.finditer(row)]
 
 
 def parse_real(text: str, line: int = 1, column: int = 1) -> Real:
@@ -129,48 +112,19 @@ class _Parser:
         name = tok.text.lower()
         if name == "identity":
             return Identity()
-        if name == "affine":
+        if name in _NODES:
+            node, readers = _NODES[name]
             self.expect("(")
-            a = self.scalar()
-            self.expect(",")
-            b = self.scalar()
+            args = []
+            for read in readers:
+                if args:
+                    self.expect(",")
+                args.append(read(self))
             self.expect(")")
             try:
-                return Affine(a, b)
+                return node(*args)
             except ValueError as exc:
                 raise ParseError(str(exc), tok.line, tok.column) from None
-        if name == "oddpower":
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            d = self.next("'fwd' or 'root'")
-            if d.text not in ("fwd", "root"):
-                raise ParseError("direction must be fwd or root", d.line, d.column)
-            self.expect(")")
-            try:
-                return OddPower(p, d.text == "root")
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
-        if name == "unitpowerladder":
-            self.expect("(")
-            k = self.integer()
-            self.expect(",")
-            s = self.integer()
-            self.expect(")")
-            try:
-                return UnitPowerLadder(k, s)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
-        if name == "boundedconjugate":
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
-            return BoundedConjugate(inner)
-        if name == "inverse":
-            self.expect("(")
-            child = self.parse_expr()
-            self.expect(")")
-            return Inverse(child)
         if name == "compose":
             self.expect("(")
             parts = [self.parse_expr()]
@@ -189,6 +143,15 @@ class _Parser:
         raise ParseError(f"unknown expression head {tok.text!r}",
                          tok.line, tok.column)
 
+    def parse_all(self) -> HomeoExpr:
+        """One expression that must use up every token."""
+        expr = self.parse_expr()
+        trailing = self.peek()
+        if trailing is not None:
+            raise ParseError(f"unexpected trailing token {trailing.text!r}",
+                             trailing.line, trailing.column)
+        return expr
+
     def scalar(self) -> Real:
         tok = self.next("a number")
         return parse_real(tok.text, tok.line, tok.column)
@@ -204,56 +167,56 @@ class _Parser:
             raise ParseError(f"expected an integer, found {tok.text!r}",
                              tok.line, tok.column) from None
 
+    def root(self) -> bool:
+        tok = self.next("'fwd' or 'root'")
+        if tok.text not in ("fwd", "root"):
+            raise ParseError("direction must be fwd or root", tok.line, tok.column)
+        return tok.text == "root"
 
-def parse_expr(text: str, start_line: int = 1) -> HomeoExpr:
-    parser = _Parser(_tokenize(text, start_line))
-    expr = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(f"unexpected trailing token {trailing.text!r}",
-                         trailing.line, trailing.column)
-    return expr
+
+# Heads with a fixed argument list: the node and one reader per argument.
+_NODES = {
+    "affine": (Affine, (_Parser.scalar, _Parser.scalar)),
+    "oddpower": (OddPower, (_Parser.integer, _Parser.root)),
+    "unitpowerladder": (UnitPowerLadder, (_Parser.integer, _Parser.integer)),
+    "boundedconjugate": (BoundedConjugate, (_Parser.parse_expr,)),
+    "inverse": (Inverse, (_Parser.parse_expr,)),
+}
+
+
+def parse_expr(text: str) -> HomeoExpr:
+    return _Parser(_tokenize(text)).parse_all()
 
 
 def parse_action_file(text: str) -> Action:
     """Parse a full action specification: group header plus gen bindings."""
     header: Optional[tuple[_Token, list[_Token]]] = None
-    gens: list[tuple[str, HomeoExpr, _Token]] = []
+    gens: list[tuple[str, HomeoExpr]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         toks = _tokenize(raw, lineno)
-        # token columns for this line are correct since raw is one line
+        if not toks or toks[0].text.startswith("#"):
+            continue
         head = toks[0]
         if head.text == "group":
             if header is not None:
                 raise ParseError("duplicate group header", head.line, head.column)
             header = (head, toks[1:])
         elif head.text == "gen":
-            if len(toks) < 3 or toks[2].text != "=":
+            if len(toks) < 4 or toks[2].text != "=":
                 raise ParseError("gen line must read 'gen <name> = <expr>'",
                                  head.line, head.column)
-            name = toks[1].text
-            sub = _Parser(toks[3:])
-            expr = sub.parse_expr()
-            if sub.peek() is not None:
-                t = sub.peek()
-                raise ParseError(f"unexpected trailing token {t.text!r}",
-                                 t.line, t.column)
-            gens.append((name, expr, head))
+            gens.append((toks[1].text, _Parser(toks[3:]).parse_all()))
         else:
             raise ParseError(f"unknown directive {head.text!r}",
                              head.line, head.column)
     if header is None:
         raise ParseError("missing group header", 1, 1)
     head, params = header
-    labels = tuple(name for name, _, _ in gens)
+    labels = tuple(name for name, _ in gens)
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate generator names", head.line, head.column)
     presentation = _build_presentation(head, params, labels)
-    images = {name: expr for name, expr, _ in gens}
-    return Action(presentation, images)
+    return Action(presentation, dict(gens))
 
 
 def _build_presentation(head: _Token, params: list[_Token],
@@ -271,8 +234,6 @@ def _build_presentation(head: _Token, params: list[_Token],
         except ValueError:
             raise ParseError(f"bad group parameter {args[i].text!r}",
                              args[i].line, args[i].column) from None
-
-    from .words import UnsupportedPresentation
 
     try:
         if family == "free":

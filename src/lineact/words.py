@@ -251,32 +251,15 @@ def _bs_pair(p: Presentation, w: GroupElement) -> tuple[int, Fraction]:
 
 
 def _ladder_fold(p: Presentation, w: GroupElement) -> tuple[int, ...]:
-    # Normal ordering f_0^a f_1^b (f_2^c).  Product rule: moving f_0^a2 left
-    # past f_1^b1 twists b1 by n_0^a2; moving f_1^b2 past f_2^c1 twists c1
-    # by n_1^b2; f_0 and f_2 commute.  Fold letters left to right.
-    k = p.rank
-    n0 = p.name[0] if k >= 2 else 1
-    n1 = p.name[1] if k >= 3 else 1
-
-    def mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        if k == 1:
-            return (x[0] + y[0],)
-        if k == 2:
-            a1, b1 = x
-            a2, b2 = y
-            tw = n0 if a2 % 2 else 1
-            return (a1 + a2, b1 * tw + b2)
-        a1, b1, c1 = x
-        a2, b2, c2 = y
-        tw0 = n0 if a2 % 2 else 1
-        tw1 = n1 if b2 % 2 else 1
-        return (a1 + a2, b1 * tw0 + b2, c1 * tw1 + c2)
-
-    acc = tuple([0] * k)
+    # Normal ordering f_0^a f_1^b (f_2^c), folded letter by letter.  Moving
+    # f_g^e left past f_{g+1}'s power twists that exponent by n_g^e; f_0 and
+    # f_2 commute.
+    acc = [0] * p.rank
     for g, e in w.word:
-        letter = tuple(e if i == g else 0 for i in range(k))
-        acc = mul(acc, letter)
-    return acc
+        if e % 2 and g < len(p.name):
+            acc[g + 1] *= p.name[g]
+        acc[g] += e
+    return tuple(acc)
 
 
 def normal_form_key(p: Presentation, w: GroupElement):

@@ -3,8 +3,9 @@
 The benchmark imports each commit's own ``src/`` and calls lineact by module
 attribute, so a deleted or renamed name would only show when it runs.  These
 checks run its layer probes, the one ladder operation that reaches
-``LadderParams`` and its tracer against the tree under test, so such a name
-fails here instead.
+``LadderParams``, the sweep's wandering-interval construction, the cli's
+first parse-and-evaluate command and its tracer against the tree under
+test, so such a name fails here instead.
 """
 
 import importlib
@@ -36,9 +37,23 @@ def test_probes_run(monkeypatch):
     assert probes.run(LX).keys() == PROBES
 
 
+def _first_op(ops, kind):
+    return next(op for op in ops if op.kind == kind)
+
+
 def test_ladder_build_passes_its_oracle():
-    build = next(op for op in workloads.ladder(LX, Random(1)) if op.kind == "ladder.build")
+    build = _first_op(workloads.ladder(LX, Random(1)), "ladder.build")
     assert build.check(build.run()) is None
+
+
+def test_find_klein_passes_its_oracle():
+    find = _first_op(workloads.sweep(LX, Random(1)), "find.klein")
+    assert find.check(find.run()) is None
+
+
+def test_eval_exact_passes_its_oracle():
+    ev = _first_op(workloads.cli(LX, Random(1)), "eval.exact")
+    assert ev.check(ev.run()) is None
 
 
 def test_tracer_round_trip():

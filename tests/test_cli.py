@@ -218,6 +218,10 @@ class TestErrorPaths:
          "radius must be nonnegative, got -1"),
         (["transitive", "--gallery", "ex_1_1", "--u", "0", "1", "--v", "2", "3",
           "--radius", "-3"], "radius must be nonnegative, got -3"),
+        (["classify", "--gallery", "ex_1_2", "--alpha", "sqrt2", "--point", "0",
+          "--radius", "0", "--window", "0", "1"], "radius must be at least 2, got 0"),
+        (["cantor", "--gallery", "ex_1_4", "--k", "2", "--depth", "0", "--radius", "3"],
+         "depth must be at least 1, got 0"),
     ])
     def test_sweep_over_nothing_exit_2(self, capsys, argv, message):
         # no pair, letter or word compared means nothing may pass or certify:

@@ -277,6 +277,12 @@ class TestCantorLadder:
         u1, u2 = (lvl.u_interval for lvl in lad.levels)
         assert u2.certainly_subset_of(u1)
 
+    def test_depth_below_1_refused(self):
+        # no level built means every ladder check would pass vacuously
+        for depth in (0, -1):
+            with pytest.raises(ValueError, match="depth must be at least 1"):
+                cantor_ladder(gallery("ex_1_4", k=2), depth, 3)
+
     def test_partial_ladder_on_failure(self):
         act = gallery("ex_1_4", k=2)
         try:
@@ -289,6 +295,13 @@ class TestCantorLadder:
 
 
 class TestClassifier:
+    def test_radius_below_2_refused(self):
+        # below 2 the half-radius sample is no smaller than the full one
+        for radius in (0, 1):
+            with pytest.raises(ValueError, match="radius must be at least 2"):
+                classify_orbit_closure(gallery("ex_1_2", alpha="sqrt2"), 0, radius,
+                                       Interval.closed(0, 1))
+
     def test_fixed_point(self):
         p = Presentation.free_abelian(1, labels=("a",))
         act = Action(p, {"a": Identity()})

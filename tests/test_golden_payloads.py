@@ -9,7 +9,10 @@ The golden files were written from the code as it stood before the ball
 walk was unified, with ``timestamp`` and ``config.workers`` removed.  The
 ``--workers`` flag was dropped at that change (it never did anything), so
 the missing ``config.workers`` key is the one intended difference; every
-other byte must match.
+other byte must match.  The three negative results (``cantor_failed``,
+``cantor_no_move`` and ``wander_find_failed``) were written later, from the
+code as it stood before the failure paths of ``dynamics`` and ``cli`` were
+folded into one step each.
 
 To rewrite the files after an intended payload change::
 
@@ -61,6 +64,13 @@ CASES = {
     "classify.json": (0, ["classify", "--gallery", "ex_1_2", "--alpha", "sqrt2",
                           "--point", "0", "--radius", "20", "--window", "0", "1"]),
     "extend.json": (0, ["extend", "--pairs", "30", "--points", "6"]),
+    # negative results: a construction that fails with its partial result
+    "cantor_failed.json": (1, ["cantor", "--gallery", "ex_1_4", "--k", "2",
+                               "--depth", "3", "--radius", "5"]),
+    "cantor_no_move.json": (1, ["cantor", "--gallery", "ex_1_1", "--depth", "2",
+                                "--radius", "5"]),
+    "wander_find_failed.json": (1, ["wander-find", "--gallery", "klein_bottle",
+                                    "--window", "-3.4", "3.2"]),
 }
 
 

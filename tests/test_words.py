@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,44 @@ def test_ladder_normal_form_matches_rewriting_oracle(name):
         by_class.setdefault(index[w.word], set()).add(normal_form_key(p, w))
     for keys in by_class.values():
         assert len(keys) == 1
+
+
+def _reference_ladder_fold(p, w):
+    """The ladder normal form as first written: one product per rank."""
+    k = p.rank
+    n0 = p.name[0] if k >= 2 else 1
+    n1 = p.name[1] if k >= 3 else 1
+
+    def mul(x, y):
+        if k == 1:
+            return (x[0] + y[0],)
+        if k == 2:
+            a1, b1 = x
+            a2, b2 = y
+            tw = n0 if a2 % 2 else 1
+            return (a1 + a2, b1 * tw + b2)
+        a1, b1, c1 = x
+        a2, b2, c2 = y
+        tw0 = n0 if a2 % 2 else 1
+        tw1 = n1 if b2 % 2 else 1
+        return (a1 + a2, b1 * tw0 + b2, c1 * tw1 + c2)
+
+    acc = tuple([0] * k)
+    for g, e in w.word:
+        letter = tuple(e if i == g else 0 for i in range(k))
+        acc = mul(acc, letter)
+    return acc
+
+
+@pytest.mark.parametrize("name", [(), (1,), (-1,), (1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_ladder_normal_form_matches_reference_fold(name):
+    p = Presentation.ladder(name)
+    rng = random.Random(repr(name))
+    for _ in range(2000):
+        letters = [(rng.randrange(p.rank), rng.choice((-3, -2, -1, 1, 2, 3)))
+                   for _ in range(rng.randint(0, 12))]
+        w = reduce_letters(p, letters)
+        assert normal_form_key(p, w) == ("ladder", _reference_ladder_fold(p, w)), w
 
 
 def test_klein_sign_sum():
