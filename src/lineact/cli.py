@@ -88,19 +88,18 @@ def _interval(lo: str, hi: str) -> Interval:
     return Interval.open(a, b)
 
 
-def _emit(args, command: str, config: dict, result: dict,
-          csv_text: str | None = None) -> None:
-    if args.format == "csv" and csv_text is not None:
-        text = csv_text
-    else:
-        doc = {
-            "schema": report.SCHEMA,
-            "command": command,
-            "config": config,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "result": result,
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _emit(args, command: str, config: dict, result: dict) -> None:
+    doc = {
+        "schema": report.SCHEMA,
+        "command": command,
+        "config": config,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "result": result,
+    }
+    _write(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -173,16 +172,18 @@ def _cmd_orbit(args) -> int:
     act, src = _resolve_action(args)
     x = parse_real(args.point)
     pts = orbit(act, x, args.radius)
+    # a window is parsed, and refused, in both formats
+    window = _interval(*args.window) if args.window else None
+    if args.format == "csv":
+        _write(args, report.orbit_csv(pts))
+        return EXIT_OK
     result = report.orbit_json(pts)
     cfg = {"point": args.point, "radius": args.radius, **src}
-    if args.window:
-        window = _interval(*args.window)
-        gap = coverage_gap(pts, window)
+    if window is not None:
         result["window"] = report.interval_json(window)
-        result["coverage_gap"] = report.real_json(gap)
+        result["coverage_gap"] = report.real_json(coverage_gap(pts, window))
         cfg["window"] = args.window
-    _emit(args, "orbit", _config(args, cfg), result,
-          csv_text=report.orbit_csv(pts))
+    _emit(args, "orbit", _config(args, cfg), result)
     return EXIT_OK
 
 
@@ -235,10 +236,12 @@ def _cmd_cantor(args) -> int:
     except (NoMovingPair, ConstructionFailed) as exc:
         return _emit_failed(args, "cantor", cfg, exc, report.ladder_json)
     checks = check_ladder(act, lad)
-    result = report.ladder_json(lad)
-    result["verification"] = report.checks_json(checks)
-    _emit(args, "cantor", _config(args, cfg), result,
-          csv_text=report.ladder_csv(lad))
+    if args.format == "csv":
+        _write(args, report.ladder_csv(lad))
+    else:
+        result = report.ladder_json(lad)
+        result["verification"] = report.checks_json(checks)
+        _emit(args, "cantor", _config(args, cfg), result)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_NEGATIVE
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .actions import Action, realize
@@ -38,6 +39,7 @@ from .reals import (
     Real,
     RealLike,
     UndecidableComparison,
+    approx_float,
     retry_precision,
 )
 from .words import GroupElement, multiply, normal_form_key, walk
@@ -127,17 +129,30 @@ def orbit(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
     error bounds); the witness kept for a merged point is the shortlex-first
     word that produced it.
     """
-    x = Real.coerce(x)
-    pts = [OrbitPoint(v, w) for w, v in walk(
-        act.presentation, radius, True, x, _letter_step(act, evaluate))]
-    return _merge_overlapping(pts, lambda pt: pt.value)
+    return _merge_overlapping(_orbit_sample(act, x, radius), _point_value)
+
+
+def _orbit_sample(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
+    """{w(x)} over the radius-L ball in the walk's shortlex order, one point
+    per group element; the words of length <= r come first, for every r."""
+    return [OrbitPoint(v, w) for w, v in walk(
+        act.presentation, radius, True, Real.coerce(x), _letter_step(act, evaluate))]
+
+
+_point_value = attrgetter("value")
 
 
 def _merge_overlapping(items: list, value=lambda r: r) -> list:
     """Items sorted by value midpoint, minus each one whose enclosure overlaps
     the last one kept; of equal midpoints the earlier item comes first."""
+
+    def by_mid(item):
+        # a float compare decides the order unless the floats tie
+        m = value(item).mid()
+        return (approx_float(m), m)
+
     merged: list = []
-    for item in sorted(items, key=lambda it: value(it).mid()):
+    for item in sorted(items, key=by_mid):
         # cmp is +-1 only for enclosures that certainly do not meet
         if merged and value(item).cmp(value(merged[-1])) in (None, 0):
             continue
@@ -750,10 +765,12 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     """
     if radius < 2:
         raise ValueError(f"radius must be at least 2, got {radius}")
-    x = Real.coerce(x)
     diam = window.diameter()
-    pts_half = orbit(act, x, radius // 2)
-    pts = orbit(act, x, radius)
+    # one walk serves both samples: the half-radius ball is its first layers
+    sample = _orbit_sample(act, x, radius)
+    pts_half = _merge_overlapping(
+        [p for p in sample if p.word.length() <= radius // 2], _point_value)
+    pts = _merge_overlapping(sample, _point_value)
     lo_f, hi_f = window.lo.mid(), window.hi.mid()
     inside = [p for p in pts if lo_f <= p.value.mid() <= hi_f]
     inside_half = [p for p in pts_half if lo_f <= p.value.mid() <= hi_f]
@@ -767,8 +784,8 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
         return OrbitClosureClass("fixed-point", evidence)
 
     gap = coverage_gap(inside, window)
-    evidence["coverage_gap"] = float(gap.mid())
-    evidence["window_diameter"] = float(diam.mid())
+    evidence["coverage_gap"] = approx_float(gap.mid())
+    evidence["window_diameter"] = approx_float(diam.mid())
     if gap.mid() < _DENSE_FRACTION * diam.mid():
         return OrbitClosureClass("dense", evidence)
 
@@ -778,9 +795,9 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     min_gap = gaps[0]
     median_gap = gaps[len(gaps) // 2]
     growth = Fraction(len(inside), max(len(inside_half), 1))
-    evidence["min_gap"] = float(min_gap)
-    evidence["median_gap"] = float(median_gap)
-    evidence["growth_ratio"] = float(growth)
+    evidence["min_gap"] = approx_float(min_gap)
+    evidence["median_gap"] = approx_float(median_gap)
+    evidence["growth_ratio"] = approx_float(growth)
     if min_gap > _DISCRETE_SPACING * median_gap and growth <= _GROWTH_RATIO:
         return OrbitClosureClass("discrete-sequence", evidence)
     return OrbitClosureClass("cantor-like", evidence)

@@ -22,6 +22,7 @@ raise :class:`PrecisionExhausted` beyond it.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
@@ -30,6 +31,7 @@ from typing import Optional, Union
 import mpmath.libmp as _mp
 from mpmath.libmp import (
     from_int,
+    mpf_add,
     mpf_cmp,
     mpf_nthroot,
     mpf_pos,
@@ -50,6 +52,7 @@ __all__ = [
     "current_precision",
     "retry_precision",
     "parse_real",
+    "approx_float",
     "Real",
     "Interval",
     "RealLike",
@@ -399,8 +402,14 @@ class Real:
     def mid(self) -> Fraction:
         if self._rat is not None:
             return self._rat
-        lo, hi = self.bounds()
-        return (lo + hi) / 2
+        lo, hi = self._mpi
+        if lo[3] < 0 or hi[3] < 0:
+            raise ValueError("enclosure has a non-finite endpoint")
+        # the exact sum of the endpoints (no precision given), halved
+        sign, man, exp, _ = mpf_add(lo, hi)
+        man = -man if sign else man
+        exp -= 1
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
     def __float__(self) -> float:
         return float(self.mid())
@@ -631,6 +640,18 @@ class Real:
 
     def __repr__(self) -> str:
         return f"Real({self})"
+
+
+def approx_float(q: Fraction) -> float:
+    """The float nearest q, or +-inf beyond float range.
+
+    Rounding to float is monotone, so the order of the results never
+    contradicts the order of the rationals.
+    """
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 _CONSTANTS = {

@@ -5,11 +5,15 @@ deterministic for a fixed configuration: dictionaries are emitted with
 sorted keys by the CLI, scalars print through the canonical Real formatter
 (exact rationals as ``p/q``, tracked values as decimal with an error
 suffix), and a float approximation is attached where downstream plotting
-tools want plain numbers.
+tools want plain numbers.  Every such float goes through
+``reals.approx_float``: a value beyond float range prints as ``null`` in
+JSON and as ``inf``/``-inf`` in CSV, next to its exact text.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Optional
 
 from .dynamics import (
@@ -21,7 +25,7 @@ from .dynamics import (
     WanderingCertificate,
 )
 from .actions import RelationReport
-from .reals import Interval, Real
+from .reals import Interval, Real, approx_float
 
 SCHEMA = "line-act/1"
 
@@ -41,8 +45,14 @@ __all__ = [
 ]
 
 
+def _approx(q: Fraction | float) -> Optional[float]:
+    """q as a JSON number: null beyond float range, where JSON has no inf."""
+    f = approx_float(q)
+    return None if math.isinf(f) else f
+
+
 def real_json(r: Real) -> dict:
-    return {"value": str(r), "approx": float(r.mid()), "kind": r.kind}
+    return {"value": str(r), "approx": _approx(r.mid()), "kind": r.kind}
 
 
 def interval_json(iv: Optional[Interval]) -> Optional[dict]:
@@ -53,8 +63,8 @@ def interval_json(iv: Optional[Interval]) -> Optional[dict]:
     return {
         "lo": "-inf" if iv.lo is None else str(iv.lo),
         "hi": "+inf" if iv.hi is None else str(iv.hi),
-        "lo_approx": None if iv.lo is None else float(iv.lo.mid()),
-        "hi_approx": None if iv.hi is None else float(iv.hi.mid()),
+        "lo_approx": None if iv.lo is None else _approx(iv.lo.mid()),
+        "hi_approx": None if iv.hi is None else _approx(iv.hi.mid()),
         "open_lo": iv.open_lo,
         "open_hi": iv.open_hi,
     }
@@ -72,7 +82,7 @@ def orbit_json(points: list[OrbitPoint]) -> dict:
 def orbit_csv(points: list[OrbitPoint]) -> str:
     lines = ["x,word"]
     for p in points:
-        lines.append(f"{float(p.value.mid())!r},{p.word}")
+        lines.append(f"{approx_float(p.value.mid())!r},{p.word}")
     return "\n".join(lines) + "\n"
 
 
@@ -155,7 +165,8 @@ def ladder_csv(lad: CantorLadder) -> str:
     for i, lam in enumerate(lad.lambda_sets, start=1):
         for j, iv in enumerate(lam):
             lines.append(
-                f"{i},{j},{float(iv.lo.mid())!r},{float(iv.hi.mid())!r}"
+                f"{i},{j},{approx_float(iv.lo.mid())!r},"
+                f"{approx_float(iv.hi.mid())!r}"
             )
     return "\n".join(lines) + "\n"
 
@@ -172,5 +183,7 @@ def checks_json(checks: list[LadderCheck]) -> dict:
 
 
 def classification_json(cls: OrbitClosureClass) -> dict:
-    return {"class": cls.kind, "evidence": cls.evidence}
+    return {"class": cls.kind, "evidence": {
+        k: _approx(v) if isinstance(v, float) else v
+        for k, v in cls.evidence.items()}}
 

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from lineact import report
 from lineact.cli import main
 
 
@@ -242,6 +243,71 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+
+# x -> 2**100 x: the radius-11 orbit of 1 is 2**(100 k), |k| <= 11, and
+# 2**1100 lies beyond float range (2**-1100 only underflows to 0.0).
+_SCALE_SPEC = "group free_abelian 1\ngen a = affine(1267650600228229401496703205376, 0)\n"
+_BEYOND_FLOATS = str(2**1100)
+
+
+class TestPayloadFloats:
+    @pytest.fixture
+    def spec(self, tmp_path):
+        path = tmp_path / "scale.spec"
+        path.write_text(_SCALE_SPEC)
+        return str(path)
+
+    def test_orbit_json_approx_beyond_float_range_is_null(self, capsys, spec):
+        code, doc = run_json(capsys, "orbit", "--spec", spec, "--point", "1",
+                             "--radius", "11", "--window", "-" + _BEYOND_FLOATS,
+                             _BEYOND_FLOATS)
+        assert code == 0
+        xs = [p["x"] for p in doc["result"]["points"]]
+        assert len(xs) == 23
+        assert [i for i, x in enumerate(xs) if x["approx"] is None] == [22]
+        assert xs[22]["value"] == _BEYOND_FLOATS
+        assert xs[0]["approx"] == 0.0 and xs[11]["approx"] == 1.0
+        window = doc["result"]["window"]
+        assert window["lo_approx"] is None and window["hi_approx"] is None
+        assert window["hi"] == _BEYOND_FLOATS
+
+    def test_orbit_csv_beyond_float_range_is_inf(self, capsys, spec):
+        code, out = run(capsys, "orbit", "--spec", spec, "--point", "1/2",
+                        "--radius", "11", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 24
+        assert lines[-1] == "inf,a^11" and lines[1] == "0.0,a^-11"
+
+    def test_classify_evidence_beyond_float_range_is_null(self, capsys, spec):
+        code, doc = run_json(capsys, "classify", "--spec", spec, "--point", "1",
+                             "--radius", "11", "--window", "-" + _BEYOND_FLOATS,
+                             _BEYOND_FLOATS)
+        assert code == 0
+        ev = doc["result"]["evidence"]
+        assert ev["count"] == 23 and ev["count_half_radius"] == 11
+        assert ev["window_diameter"] is None and ev["coverage_gap"] is None
+
+    def test_orbit_csv_refuses_a_bad_window(self, capsys):
+        code = main(["orbit", "--gallery", "ex_1_1", "--point", "0", "--radius", "2",
+                     "--window", "1", "0", "--format", "csv"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: degenerate interval endpoints: 1 .. 0" in captured.err
+
+    @pytest.mark.parametrize("fmt, unused", [("csv", "orbit_json"), ("json", "orbit_csv")])
+    def test_orbit_builds_only_the_emitted_payload(self, capsys, monkeypatch, fmt, unused):
+        def refuse(points):
+            raise AssertionError(f"{unused} built under --format {fmt}")
+
+        monkeypatch.setattr(report, unused, refuse)
+        code, out = run(capsys, "orbit", "--gallery", "ex_1_2", "--alpha", "sqrt2",
+                        "--point", "0", "--radius", "3", "--window", "0", "1",
+                        "--format", fmt)
+        assert code == 0
+        assert out.startswith("x,word\n" if fmt == "csv" else "{")
 
 
 class TestReproducibility:

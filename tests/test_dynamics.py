@@ -327,3 +327,22 @@ class TestClassifier:
         assert cls.kind == "cantor-like"
         assert cls.evidence["min_gap"] < 0.2 * cls.evidence["median_gap"]
         assert cls.evidence["coverage_gap"] > 0.05
+
+    @pytest.mark.parametrize("radius", [4, 5])
+    @pytest.mark.parametrize("act, x, window", [
+        (gallery("ex_1_2", alpha="sqrt2"), R(0), Interval.closed(0, 1)),
+        (gallery("klein_bottle"), R(1, 3), Interval.closed(0, 1)),
+        (gallery("ex_1_4", k=2), R(7, 8), Interval.closed(-2, 2)),
+    ], ids=["ex_1_2", "klein_bottle", "ex_1_4_k2"])
+    def test_one_walk_counts_as_two_orbits(self, act, x, window, radius):
+        # both samples come from one walk; each count must equal the count
+        # of a separate orbit at its radius
+        lo, hi = window.lo.mid(), window.hi.mid()
+
+        def inside(pts):
+            return sum(lo <= p.value.mid() <= hi for p in pts)
+
+        ev = classify_orbit_closure(act, x, radius, window).evidence
+        assert ev["count"] == inside(orbit(act, x, radius))
+        assert ev["count_half_radius"] == inside(orbit(act, x, radius // 2))
+        assert ev["count_half_radius"] < ev["count"]

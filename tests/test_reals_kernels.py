@@ -11,7 +11,18 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, from_rational, round_ceiling, round_floor
+from mpmath.libmp import (
+    finf,
+    fninf,
+    from_int,
+    from_man_exp,
+    from_rational,
+    mpf_abs,
+    mpf_cmp,
+    mpf_neg,
+    round_ceiling,
+    round_floor,
+)
 
 from lineact.actions import gallery
 from lineact.dynamics import orbit
@@ -189,6 +200,43 @@ def test_hull_matches_reference(a, b, prec, how_a, how_b):
 def test_mid_err_match_reference(q, how):
     x = reals(q, how)
     assert (x.mid(), x.err()) == (ref_mid(x), ref_err(x))
+
+
+@st.composite
+def enclosures(draw) -> Real:
+    """Tracked enclosures from raw endpoints: negative, straddling zero, of
+    zero width, and with exponents far apart."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def end():
+        man = rng.getrandbits(draw(st.sampled_from([1, 8, 53, 256, 3000])))
+        exp = draw(st.sampled_from([-100_000, -1100, -60, -1, 0, 5, 1100, 100_000]))
+        return from_man_exp(-man if draw(st.booleans()) else man, exp)
+
+    a = end()
+    shape = draw(st.sampled_from(["free", "zero-width", "straddle", "negative"]))
+    if shape == "zero-width":
+        b = a
+    else:
+        b = end()
+        if shape == "straddle":
+            a, b = mpf_neg(mpf_abs(a)), mpf_abs(b)
+        elif shape == "negative":
+            a, b = mpf_neg(mpf_abs(a)), mpf_neg(mpf_abs(b))
+    return Real(None, (a, b) if mpf_cmp(a, b) <= 0 else (b, a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(enclosures())
+def test_mid_of_raw_enclosures_matches_reference(x):
+    assert x.mid() == ref_mid(x)
+
+
+@pytest.mark.parametrize("ends", [(fninf, from_int(1)), (from_int(-1), finf),
+                                  (fninf, finf)])
+def test_mid_refuses_an_infinite_endpoint(ends):
+    with pytest.raises(ValueError, match="non-finite endpoint"):
+        Real(None, ends).mid()
 
 
 @st.composite

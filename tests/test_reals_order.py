@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import finf, fninf, from_int, round_ceiling, round_floor
 
@@ -288,8 +288,22 @@ def test_branch_choice_matches_reference(x):
             == run_piecewise(ref_piecewise_eval, x, old)
 
 
+# Midpoints 1 and 1 + 2**-80 round to the same float, so only the exact
+# compare can order them; exact values and disjoint enclosures, both orders.
+_ONE, _NEXT = Fraction(1), 1 + Fraction(1, 1 << 80)
+_HALF_WIDTH = Fraction(1, 1 << 90)
+
+
+def _around(m: Fraction) -> Real:
+    return Real.hull(Real(m - _HALF_WIDTH), Real(m + _HALF_WIDTH))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(pairs(), max_size=5))
+@example([(Real(_ONE), Real(_NEXT))])
+@example([(Real(_NEXT), Real(_ONE))])
+@example([(_around(_ONE), _around(_NEXT))])
+@example([(_around(_NEXT), _around(_ONE)), (Real(_NEXT), Real(_ONE))])
 def test_merge_overlapping_matches_reference(xys):
     items = [r for xy in xys for r in xy]
     got = dynamics._merge_overlapping(items)
