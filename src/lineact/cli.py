@@ -147,14 +147,11 @@ def _cmd_eval(args) -> int:
         cfg["point"] = args.point
         _emit(args, "eval", _config(args, cfg), {"value": report.real_json(val)})
         return EXIT_OK
-    if args.interval:
-        iv = _interval(*args.interval)
-        img = eval_interval(expr, iv)
-        cfg["interval"] = args.interval
-        _emit(args, "eval", _config(args, cfg),
-              {"image": report.interval_json(img)})
-        return EXIT_OK
-    raise BadParameter("eval needs --point or --interval")
+    iv = _interval(*args.interval)
+    img = eval_interval(expr, iv)
+    cfg["interval"] = args.interval
+    _emit(args, "eval", _config(args, cfg), {"image": report.interval_json(img)})
+    return EXIT_OK
 
 
 def _cmd_relations(args) -> int:
@@ -300,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("eval", _cmd_eval, "evaluate an expression at a point or interval")
     p.add_argument("--expr", required=True)
-    p.add_argument("--point", default=None)
-    p.add_argument("--interval", nargs=2, metavar=("LO", "HI"), default=None)
+    at = p.add_mutually_exclusive_group(required=True)
+    at.add_argument("--point", default=None)
+    at.add_argument("--interval", nargs=2, metavar=("LO", "HI"), default=None)
 
     p = cmd("relations", _cmd_relations, "verify defining relations numerically")
     _add_action_source(p)

@@ -161,14 +161,14 @@ def _merge_overlapping(items: list, value=lambda r: r) -> list:
 
 
 def coverage_gap(points: Sequence, window: Interval) -> Real:
-    """Largest gap left by the points inside a finite window.
+    """Largest gap left by the points inside a window.
 
     Points may be Reals or OrbitPoints, assumed sorted.  The window's
     endpoints count as gap borders; with no points inside, the gap is the
     window diameter.
     """
-    if not window.is_finite:
-        raise ValueError("need a finite window")
+    if window.is_empty:
+        raise ValueError("need a nonempty window")
     lo, hi = window.lo, window.hi
     lo_f, hi_f = lo.mid(), hi.mid()
     values: list[Real] = []
@@ -200,8 +200,8 @@ def transitivity_search(act: Action, U: Interval, V: Interval,
     the radius-L ball with w(U) intersecting V.
     """
     for iv in (U, V):
-        if iv.is_empty or not iv.is_finite:
-            raise ValueError("U and V must be nonempty finite intervals")
+        if iv.is_empty:
+            raise ValueError("U and V must be nonempty intervals")
     for w, img in _ball_images(act, U, radius):
         if img is not None and img.certainly_intersects(V):
             return w
@@ -248,8 +248,8 @@ def wandering_certificate(act: Action, J: Interval, radius: int,
     the case where the test cannot be decided at the precision ceiling, which
     is reported rather than assumed away).
     """
-    if J.is_empty or not J.is_finite:
-        raise ValueError("J must be a nonempty finite open interval")
+    if J.is_empty:
+        raise ValueError("J must be a nonempty interval")
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     tol = Real.coerce(tol)
@@ -339,10 +339,10 @@ def find_wandering_interval(act: Action, window: Interval,
     verifies the invariance and disjointness claims along the generator
     chain, then shrinks a subinterval off itself under the pivot generator.
     """
+    if window.is_empty:
+        raise ValueError("window is empty")
     chain = _wandering_chain(act)
     tol = _FIND_TOL
-    if not window.is_finite:
-        raise ValueError("window must be finite")
 
     claims: list[ClaimCheck] = []
     pivot_idx = None
@@ -552,6 +552,8 @@ def cantor_ladder(act: Action, depth: int, radius: int,
         raise ValueError(f"depth must be at least 1, got {depth}")
     if seed is None:
         seed = Interval.open(0, 1)
+    if seed.is_empty:
+        raise ValueError("seed interval is empty")
     params = params or LadderParams()
     orbit_depth = params.orbit_depth if params.orbit_depth is not None else radius
 
@@ -697,7 +699,7 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
                 bad = bad or (w, f"image {img} partially overlaps")
             clipped = img.intersection_hull(unit)
             d = clipped.diameter()
-            if d is not None and not d.definitely_lt(bound):
+            if not d.definitely_lt(bound):
                 small_bad = small_bad or (w, f"diam {d} in [0,1] not < 1/{i}")
         checks.append(LadderCheck(
             "displacement-or-equality", i, bad is None,
@@ -765,6 +767,8 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     """
     if radius < 2:
         raise ValueError(f"radius must be at least 2, got {radius}")
+    if window.is_empty:
+        raise ValueError("window is empty")
     diam = window.diameter()
     # one walk serves both samples: the half-radius ball is its first layers
     sample = _orbit_sample(act, x, radius)

@@ -5,7 +5,7 @@ from a handful of primitive nodes plus composition and inversion.  A
 composite is one flat :class:`Compose` node over its factors, built by
 :func:`compose`, which splices nested composites in and drops identities;
 it evaluates by one loop over its factors, last factor first.  Points
-evaluate through :func:`evaluate`; open intervals map through
+evaluate through :func:`evaluate`; bounded intervals map through
 :func:`eval_interval` using monotonicity (endpoint images).  Inverses are
 structural: every node type knows its own inverse expression (a composite
 inverts by reversing its factors), so no numeric root-finding is ever
@@ -336,12 +336,10 @@ def evaluate(h: HomeoExpr, x: RealLike) -> Real:
 
 
 def eval_interval(h: HomeoExpr, iv: Interval) -> Interval:
-    """Exact image of an interval; infinite endpoints stay infinite."""
+    """Image of a bounded interval: the interval between the endpoint images."""
     if iv.is_empty:
         return Interval.EMPTY
-    lo = None if iv.lo is None else evaluate(h, iv.lo)
-    hi = None if iv.hi is None else evaluate(h, iv.hi)
-    return Interval(lo, hi, iv.open_lo, iv.open_hi)
+    return Interval(evaluate(h, iv.lo), evaluate(h, iv.hi), iv.open_lo, iv.open_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +489,7 @@ def _sign_of(d: Real, tol: Real) -> int:
 
 def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256,
                  tol: RealLike = Fraction(1, 10**12)) -> FixReport:
-    """Locate Fix(h) inside a finite window by grid scan plus bisection."""
-    if not window.is_finite:
-        raise WindowDegenerate("window must be finite")
+    """Locate Fix(h) inside a window by grid scan plus bisection."""
     diam = window.diameter()
     if diam.cmp_fraction(Fraction(0)) != 1:
         raise WindowDegenerate("window is empty or a single point")
@@ -573,8 +569,8 @@ def _bisect_fixed(h, a: Real, b: Real, sign_a: int, tol: Real) -> Real:
 def is_identity_on(h: HomeoExpr, iv: Interval, grid_n: int = 64,
                    tol: RealLike = Fraction(1, 10**12)) -> bool:
     """Does h restrict to the identity on iv, up to tol on a sample grid?"""
-    if iv.is_empty or not iv.is_finite:
-        raise ValueError("need a nonempty finite interval")
+    if iv.is_empty:
+        raise ValueError("need a nonempty interval")
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     if isinstance(simplify(h), Identity):

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 from .homeo import (
@@ -69,9 +71,9 @@ class _Token:
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
-def _tokenize(text: str, start_line: int = 1) -> list[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     return [_Token(m.group(), line, m.start() + 1)
-            for line, row in enumerate(text.split("\n"), start=start_line)
+            for line, row in enumerate(text.split("\n"), start=1)
             for m in _TOKEN.finditer(row)]
 
 
@@ -192,9 +194,9 @@ def parse_action_file(text: str) -> Action:
     """Parse a full action specification: group header plus gen bindings."""
     header: Optional[tuple[_Token, list[_Token]]] = None
     gens: list[tuple[str, HomeoExpr]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw, lineno)
-        if not toks or toks[0].text.startswith("#"):
+    for _, line in groupby(_tokenize(text), key=attrgetter("line")):
+        toks = list(line)
+        if toks[0].text.startswith("#"):
             continue
         head = toks[0]
         if head.text == "group":

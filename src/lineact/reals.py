@@ -688,42 +688,36 @@ def parse_real(text: str) -> Real:
     return Real.from_fraction(-q if neg else q)
 
 
-_NEG_INF = object()
-_POS_INF = object()
-
-
 class Interval:
-    """An interval of the extended line with per-endpoint openness.
+    """A bounded interval of the line with per-endpoint openness.
 
-    Endpoints are :class:`Real` values or the infinities (``lo=None`` means
-    -inf, ``hi=None`` means +inf).  The empty interval is the distinct
-    sentinel :data:`Interval.EMPTY`.  Rigor convention: predicates with
-    "certainly" in the name return True only when the answer is provable from
-    the endpoint enclosures; they never guess.
+    Both endpoints are :class:`Real` values; the constructor refuses a
+    missing one, since the dichotomy only ever needs bounded intervals (an
+    open set contains one).  The empty interval is the distinct sentinel
+    :data:`Interval.EMPTY`.  Rigor convention: predicates with "certainly"
+    in the name return True only when the answer is provable from the
+    endpoint enclosures; they never guess.
     """
 
     __slots__ = ("lo", "hi", "open_lo", "open_hi", "_empty")
 
     EMPTY: "Interval"
 
-    def __init__(self, lo: Optional[Real], hi: Optional[Real],
+    def __init__(self, lo: Real, hi: Real,
                  open_lo: bool = True, open_hi: bool = True,
                  _empty: bool = False):
         self._empty = _empty
-        if _empty:
-            self.lo = self.hi = None
-            self.open_lo = self.open_hi = True
-            return
         self.lo = lo
         self.hi = hi
-        self.open_lo = open_lo if lo is not None else True
-        self.open_hi = open_hi if hi is not None else True
-        if lo is not None and hi is not None:
-            c = lo.cmp(hi)
-            if c == 1 or (c == 0 and (open_lo or open_hi)):
-                raise ValueError(
-                    f"degenerate interval endpoints: {lo} .. {hi}"
-                )
+        self.open_lo = open_lo
+        self.open_hi = open_hi
+        if _empty:
+            return
+        if lo is None or hi is None:
+            raise ValueError("interval endpoints must be finite")
+        c = lo.cmp(hi)
+        if c == 1 or (c == 0 and (open_lo or open_hi)):
+            raise ValueError(f"degenerate interval endpoints: {lo} .. {hi}")
 
     @staticmethod
     def open(lo: RealLike, hi: RealLike) -> "Interval":
@@ -733,33 +727,23 @@ class Interval:
     def closed(lo: RealLike, hi: RealLike) -> "Interval":
         return Interval(Real.coerce(lo), Real.coerce(hi), False, False)
 
-    @staticmethod
-    def whole() -> "Interval":
-        return Interval(None, None)
-
     @property
     def is_empty(self) -> bool:
         return self._empty
 
-    @property
-    def is_finite(self) -> bool:
-        return not self._empty and self.lo is not None and self.hi is not None
-
     def closure(self) -> "Interval":
         if self._empty:
             return self
-        return Interval(self.lo, self.hi, self.lo is None, self.hi is None)
+        return Interval(self.lo, self.hi, False, False)
 
-    def diameter(self) -> Optional[Real]:
+    def diameter(self) -> Real:
         if self._empty:
             return Real.rational(0)
-        if not self.is_finite:
-            return None
         return self.hi - self.lo
 
     def midpoint(self) -> Real:
-        if not self.is_finite:
-            raise ValueError("midpoint of an unbounded interval")
+        if self._empty:
+            raise ValueError("midpoint of the empty interval")
         return (self.lo + self.hi) / Real.rational(2)
 
     # Every endpoint comparison below is a Real.cmp or Real.leq call: cmp
@@ -769,63 +753,37 @@ class Interval:
     def certainly_contains_point(self, x: Real) -> bool:
         if self._empty:
             return False
-        if self.lo is not None:
-            if not (self.lo.cmp(x) == -1 if self.open_lo else self.lo.leq(x) is True):
-                return False
-        if self.hi is not None:
-            if not (x.cmp(self.hi) == -1 if self.open_hi else x.leq(self.hi) is True):
-                return False
-        return True
+        if not (self.lo.cmp(x) == -1 if self.open_lo else self.lo.leq(x) is True):
+            return False
+        return x.cmp(self.hi) == -1 if self.open_hi else x.leq(self.hi) is True
 
     def certainly_disjoint(self, other: "Interval") -> bool:
         if self._empty or other._empty:
             return True
-        return any(
-            a.hi is not None and b.lo is not None
-            and _precedes(a.hi, b.lo, a.open_hi or b.open_lo)
-            for a, b in ((self, other), (other, self))
-        )
+        return any(_precedes(a.hi, b.lo, a.open_hi or b.open_lo)
+                   for a, b in ((self, other), (other, self)))
 
     def certainly_intersects(self, other: "Interval") -> bool:
         """Certainly nonempty open-overlap (interiors meet)."""
         if self._empty or other._empty:
             return False
-        los = [iv.lo for iv in (self, other) if iv.lo is not None]
-        his = [iv.hi for iv in (self, other) if iv.hi is not None]
-        return all(a.cmp(b) == -1 for a in los for b in his)
+        return all(a.lo.cmp(b.hi) == -1 for a in (self, other) for b in (self, other))
 
     def certainly_subset_of(self, other: "Interval") -> bool:
         if self._empty:
             return True
         if other._empty:
             return False
-        if other.lo is not None:
-            if self.lo is None:
-                return False
-            if not _precedes(other.lo, self.lo, self.open_lo or not other.open_lo):
-                return False
-        if other.hi is not None:
-            if self.hi is None:
-                return False
-            if not _precedes(self.hi, other.hi, self.open_hi or not other.open_hi):
-                return False
-        return True
+        return (_precedes(other.lo, self.lo, self.open_lo or not other.open_lo)
+                and _precedes(self.hi, other.hi, self.open_hi or not other.open_hi))
 
     def intersection_hull(self, other: "Interval") -> "Interval":
         """Outer enclosure of the set intersection (closed hull semantics)."""
         if self._empty or other._empty:
             return Interval.EMPTY
-        lo_parts = [iv.lo for iv in (self, other) if iv.lo is not None]
-        hi_parts = [iv.hi for iv in (self, other) if iv.hi is not None]
-        lo = None
-        for cand in lo_parts:
-            if lo is None or _cmp_end(_ends(cand)[0], _ends(lo)[0]) > 0:
-                lo = cand
-        hi = None
-        for cand in hi_parts:
-            if hi is None or _cmp_end(_ends(cand)[1], _ends(hi)[1]) < 0:
-                hi = cand
-        if lo is not None and hi is not None and hi.cmp(lo) == -1:
+        lo = other.lo if _cmp_end(_ends(other.lo)[0], _ends(self.lo)[0]) > 0 else self.lo
+        hi = other.hi if _cmp_end(_ends(other.hi)[1], _ends(self.hi)[1]) < 0 else self.hi
+        if hi.cmp(lo) == -1:
             return Interval.EMPTY
         return Interval(lo, hi, False, False)
 
@@ -837,10 +795,8 @@ class Interval:
         return (
             self.open_lo == other.open_lo
             and self.open_hi == other.open_hi
-            and ((self.lo is None) == (other.lo is None))
-            and ((self.hi is None) == (other.hi is None))
-            and (self.lo is None or self.lo == other.lo)
-            and (self.hi is None or self.hi == other.hi)
+            and self.lo == other.lo
+            and self.hi == other.hi
         )
 
     def __hash__(self):
@@ -853,9 +809,7 @@ class Interval:
             return "(empty)"
         lb = "(" if self.open_lo else "["
         rb = ")" if self.open_hi else "]"
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "+inf" if self.hi is None else str(self.hi)
-        return f"{lb}{lo}, {hi}{rb}"
+        return f"{lb}{self.lo}, {self.hi}{rb}"
 
     __repr__ = __str__
 

@@ -61,10 +61,10 @@ def interval_json(iv: Optional[Interval]) -> Optional[dict]:
     if iv.is_empty:
         return {"empty": True}
     return {
-        "lo": "-inf" if iv.lo is None else str(iv.lo),
-        "hi": "+inf" if iv.hi is None else str(iv.hi),
-        "lo_approx": None if iv.lo is None else _approx(iv.lo.mid()),
-        "hi_approx": None if iv.hi is None else _approx(iv.hi.mid()),
+        "lo": str(iv.lo),
+        "hi": str(iv.hi),
+        "lo_approx": _approx(iv.lo.mid()),
+        "hi_approx": _approx(iv.hi.mid()),
         "open_lo": iv.open_lo,
         "open_hi": iv.open_hi,
     }

@@ -3,9 +3,10 @@
 The benchmark imports each commit's own ``src/`` and calls lineact by module
 attribute, so a deleted or renamed name would only show when it runs.  These
 checks run its layer probes, the one ladder operation that reaches
-``LadderParams``, the sweep's wandering-interval construction, the cli's
-first parse-and-evaluate command and its tracer against the tree under
-test, so such a name fails here instead.
+``LadderParams``, the sweep's wandering-interval construction, the first
+command of every cli kind (each through its oracle, so a drifted payload key
+fails too) and its tracer against the tree under test, so such a name fails
+here instead.
 """
 
 import importlib
@@ -13,6 +14,8 @@ import os
 import sys
 from random import Random
 from types import SimpleNamespace
+
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -51,9 +54,22 @@ def test_find_klein_passes_its_oracle():
     assert find.check(find.run()) is None
 
 
-def test_eval_exact_passes_its_oracle():
-    ev = _first_op(workloads.cli(LX, Random(1)), "eval.exact")
-    assert ev.check(ev.run()) is None
+# The first wander-find draw hits the approximate fixed set of ROADMAP item 2
+# (certified fixed sets): its complement component is not displaced, and the
+# command exits 1.
+WANDER_FIND_FAILS = pytest.mark.xfail(
+    raises=workloads.CommandFailed, strict=True,
+    reason="ROADMAP item 2: approximate fixed points break wander-find")
+
+
+@pytest.mark.parametrize("kind", [
+    "eval.exact", "eval.tracked", "relations", "orbit.csv", "classify",
+    pytest.param("wander-find", marks=WANDER_FIND_FAILS),
+    "wander-check", "transitive", "extend",
+])
+def test_cli_op_passes_its_oracle(kind):
+    op = _first_op(workloads.cli(LX, Random(1)), kind)
+    assert op.check(op.run()) is None
 
 
 def test_tracer_round_trip():

@@ -190,6 +190,16 @@ class TestErrorPaths:
         assert code == 2
         assert "not certainly ordered" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at", [["--point", "1", "--interval", "0", "1"], []],
+                             ids=["both", "neither"])
+    def test_eval_takes_exactly_one_of_point_and_interval(self, capsys, at):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--expr", "affine(2,0)", *at])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--point" in captured.err and "--interval" in captured.err
+
     def test_wander_check_grid_0_exit_2(self, capsys):
         # a grid of no points would call the overlapping word a pointwise-fixed
         code = main(["wander-check", "--gallery", "ex_1_1", "--interval", "0", "2",

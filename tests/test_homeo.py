@@ -173,9 +173,11 @@ class TestEvalInterval:
         assert img.lo.as_fraction() == Fraction(1, 25)
         assert img.hi.as_fraction() == Fraction(9, 100)
 
-    def test_infinite_endpoints_preserved(self):
-        img = eval_interval(affine(3, 1), Interval(None, R(2), True, True))
-        assert img.lo is None and img.hi.as_fraction() == 7
+    def test_missing_endpoint_refused(self):
+        with pytest.raises(ValueError):
+            Interval(None, R(2))
+        with pytest.raises(ValueError):
+            Interval(R(0), None)
 
     def test_empty(self):
         assert eval_interval(affine(1, 0), Interval.EMPTY).is_empty

@@ -181,10 +181,9 @@ reals = st.one_of(exact, tracked_point, sqrt2_tracked, hulls)
 def intervals(draw):
     if draw(st.integers(0, 19)) == 0:
         return Interval.EMPTY
-    lo = draw(st.one_of(st.none(), reals))
+    lo = draw(reals)
     # an enclosure can be both ends of an interval it cannot order
-    hi = lo if lo is not None and draw(st.integers(0, 4)) == 0 else \
-        draw(st.one_of(st.none(), reals))
+    hi = lo if draw(st.integers(0, 4)) == 0 else draw(reals)
     try:
         return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
     except ValueError:

@@ -221,8 +221,9 @@ BAD_SPECS = [
     ('group free 2\ngen a = identity\ngen a = identity\n', 'duplicate generator names', 1, 1),
     ('# c\n\ngroup free 1\nlet a = identity\n', "unknown directive 'let'", 4, 1),
     ('group free 1\r\ngen a = wrong(1)\r\n', "unknown expression head 'wrong'", 2, 9),
-    ('group free 1\rgen a = wrong(1)\r', "unknown expression head 'wrong'", 2, 9),
-    ('group free 1\x0cgen a = wrong(1)\n', "unknown expression head 'wrong'", 2, 9),
+    # only "\n" ends a line: "\r" and "\x0c" are whitespace inside the header
+    ('group free 1\rgen a = wrong(1)\r', 'group of rank 1 declared but 0 gen lines found', 1, 1),
+    ('group free 1\x0cgen a = wrong(1)\n', 'group of rank 1 declared but 0 gen lines found', 1, 1),
 ]
 
 
