@@ -200,10 +200,8 @@ def _cmd_transitive(args) -> int:
 def _cmd_wander_check(args) -> int:
     act, src = _resolve_action(args)
     J = _interval(*args.interval)
-    cert = wandering_certificate(act, J, args.radius, args.grid,
-                                 Fraction(args.tol_num, args.tol_den))
-    cfg = {"interval": args.interval, "radius": args.radius,
-           "grid": args.grid, **src}
+    cert = wandering_certificate(act, J, args.radius)
+    cfg = {"interval": args.interval, "radius": args.radius, **src}
     _emit(args, "wander-check", _config(args, cfg),
           report.certificate_json(cert))
     return EXIT_OK if cert.certified else EXIT_NEGATIVE
@@ -324,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_action_source(p)
     p.add_argument("--interval", nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--tol-num", type=int, default=1)
-    p.add_argument("--tol-den", type=int, default=10**12)
 
     p = cmd("wander-find", _cmd_wander_find,
             "construct a wandering interval from fixed-set geometry")

@@ -6,7 +6,8 @@ a declared radius L; every verdict produced here records the radius it was
 computed at.  Disjointness and containment tests use rigorous interval
 images (monotone endpoint evaluation with outward error bounds); a test that
 cannot be decided at the precision ceiling is reported as a violation rather
-than silently passed.
+than silently passed.  A word is pointwise-fixed only when ``simplify``
+proves it the identity: no sample of points or tolerance stands in for that.
 
 Certificate sweeps quantify over freely reduced *words* rather than
 deduplicated group elements: the same element may be tested several times
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from .actions import Action, realize
@@ -142,13 +143,14 @@ def _orbit_sample(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
 _point_value = attrgetter("value")
 
 
-def _merge_overlapping(items: list, value=lambda r: r) -> list:
-    """Items sorted by value midpoint, minus each one whose enclosure overlaps
-    the last one kept; of equal midpoints the earlier item comes first."""
+def _merge_overlapping(items: list, value=lambda r: r, mid=None) -> list:
+    """Items sorted by value midpoint (``mid(item)`` when given), minus each
+    one whose enclosure overlaps the last one kept; of equal midpoints the
+    earlier item comes first."""
 
     def by_mid(item):
         # a float compare decides the order unless the floats tie
-        m = value(item).mid()
+        m = value(item).mid() if mid is None else mid(item)
         return (approx_float(m), m)
 
     merged: list = []
@@ -169,17 +171,21 @@ def coverage_gap(points: Sequence, window: Interval) -> Real:
     """
     if window.is_empty:
         raise ValueError("need a nonempty window")
-    lo, hi = window.lo, window.hi
-    lo_f, hi_f = lo.mid(), hi.mid()
+    lo_f, hi_f = window.lo.mid(), window.hi.mid()
     values: list[Real] = []
     for p in points:
         v = p.value if isinstance(p, OrbitPoint) else Real.coerce(p)
         m = v.mid()
         if lo_f <= m <= hi_f:
             values.append(v)
+    return _largest_gap(values, window)
+
+
+def _largest_gap(values: list[Real], window: Interval) -> Real:
+    """coverage_gap of sorted values already known to lie in the window."""
     best = Real.rational(0)
-    prev = lo
-    for v in values + [hi]:
+    prev = window.lo
+    for v in values + [window.hi]:
         gap = v - prev
         if gap.mid() > best.mid():
             best = gap
@@ -225,8 +231,6 @@ class WanderingCertificate:
 
     interval: Interval
     radius: int
-    grid_n: int
-    tolerance: Real
     verdicts: list[WordVerdict]
     certified: bool
     witness: Optional[GroupElement] = None
@@ -238,46 +242,40 @@ class WanderingCertificate:
         return out
 
 
-def wandering_certificate(act: Action, J: Interval, radius: int,
-                          grid_n: int = 64,
-                          tol: RealLike = Fraction(1, 10**12)) -> WanderingCertificate:
+def wandering_certificate(act: Action, J: Interval, radius: int) -> WanderingCertificate:
     """Sweep every nonempty freely reduced word of length <= radius over J.
 
-    Verdicts: Disjoint when w(J) provably misses J; PointwiseFixed when w
-    restricts to the identity on J within tol; otherwise Violation (including
-    the case where the test cannot be decided at the precision ceiling, which
-    is reported rather than assumed away).
+    Verdicts: Disjoint when w(J) provably misses J; PointwiseFixed when w is
+    proved by ``simplify`` to be the identity; otherwise Violation, with the
+    reason: the identity was not proved, or disjointness could not be decided
+    at the precision ceiling, which is reported rather than assumed away.
     """
     if J.is_empty:
         raise ValueError("J must be a nonempty interval")
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
-    tol = Real.coerce(tol)
-    verdicts = [_word_verdict(act, w, img, J, grid_n, tol) for w, img in
+    verdicts = [_word_verdict(act, w, img, J) for w, img in
                 islice(_ball_images(act, J, radius, dedup=False), 1, None)]
     witness = next((v.word for v in verdicts if v.verdict == "violation"), None)
     return WanderingCertificate(
-        interval=J, radius=radius, grid_n=grid_n, tolerance=tol,
+        interval=J, radius=radius,
         verdicts=verdicts, certified=witness is None, witness=witness,
     )
 
 
 def _word_verdict(act: Action, w: GroupElement, img: Optional[Interval],
-                  J: Interval, grid_n: int, tol: Real) -> WordVerdict:
+                  J: Interval) -> WordVerdict:
     if img is not None and img.certainly_disjoint(J):
         return WordVerdict(w, "disjoint")
     hw = realize(act, w)
-    fixed = _or_none(is_identity_on, hw, J, grid_n, tol)
-    if fixed is None:
-        return WordVerdict(w, "violation", "identity test undecidable")
-    if fixed:
+    if is_identity_on(hw, J):
         return WordVerdict(w, "pointwise-fixed")
     disjoint = _or_none(retry_precision, lambda: _certainly_disjoint(hw, J))
     if disjoint is None:
         return WordVerdict(w, "violation", "undecidable at ceiling")
     if disjoint:
         return WordVerdict(w, "disjoint")
-    return WordVerdict(w, "violation", "image overlaps")
+    return WordVerdict(w, "violation", "identity not proved")
 
 
 def _certainly_disjoint(h: HomeoExpr, J: Interval) -> bool:
@@ -770,14 +768,17 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     if window.is_empty:
         raise ValueError("window is empty")
     diam = window.diameter()
-    # one walk serves both samples: the half-radius ball is its first layers
-    sample = _orbit_sample(act, x, radius)
-    pts_half = _merge_overlapping(
-        [p for p in sample if p.word.length() <= radius // 2], _point_value)
-    pts = _merge_overlapping(sample, _point_value)
     lo_f, hi_f = window.lo.mid(), window.hi.mid()
-    inside = [p for p in pts if lo_f <= p.value.mid() <= hi_f]
-    inside_half = [p for p in pts_half if lo_f <= p.value.mid() <= hi_f]
+    # one walk serves both samples: the half-radius ball is its first layers;
+    # each point's midpoint is worked out once, as (midpoint, point)
+    sample = [(p.value.mid(), p) for p in _orbit_sample(act, x, radius)]
+
+    def in_window(marked: list) -> list:
+        merged = _merge_overlapping(marked, lambda mp: mp[1].value, itemgetter(0))
+        return [(m, p) for m, p in merged if lo_f <= m <= hi_f]
+
+    inside = in_window(sample)
+    inside_half = in_window([mp for mp in sample if mp[1].word.length() <= radius // 2])
 
     evidence: dict = {
         "radius": radius,
@@ -787,15 +788,13 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     if len(inside) <= 1:
         return OrbitClosureClass("fixed-point", evidence)
 
-    gap = coverage_gap(inside, window)
+    gap = _largest_gap([p.value for _, p in inside], window)
     evidence["coverage_gap"] = approx_float(gap.mid())
     evidence["window_diameter"] = approx_float(diam.mid())
     if gap.mid() < _DENSE_FRACTION * diam.mid():
         return OrbitClosureClass("dense", evidence)
 
-    gaps = sorted(
-        (b.value.mid() - a.value.mid()) for a, b in zip(inside, inside[1:])
-    )
+    gaps = sorted(b - a for (a, _), (b, _) in zip(inside, inside[1:]))
     min_gap = gaps[0]
     median_gap = gaps[len(gaps) // 2]
     growth = Fraction(len(inside), max(len(inside_half), 1))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .reals import (
     Interval,
@@ -108,17 +108,18 @@ class UnitPowerLadder:
     """Cellwise power map: on [n, n+1), x -> (x-n)**(2**(s*(-1)^n*k^-n)) + n.
 
     k = 1 alternates squaring and square root across cells, which keeps
-    rational inputs exact on even cells.
+    rational inputs exact on even cells.  s = +-1 is a generator or its
+    inverse; any nonzero rational s is the s-th power of the s = 1 map.
     """
 
     k: int
-    s: int = 1
+    s: Union[int, Fraction] = 1
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("ladder base k must be a positive integer")
-        if self.s not in (1, -1):
-            raise ValueError("ladder direction s must be +1 or -1")
+        if not isinstance(self.s, (int, Fraction)) or self.s == 0:
+            raise ValueError("ladder factor s must be a nonzero rational")
 
     def cell_exponent(self, n: int) -> Fraction:
         sign = -1 if n % 2 else 1
@@ -412,11 +413,33 @@ def _simplify_leaf(h: HomeoExpr) -> HomeoExpr:
     return h
 
 
+def _rewrite_pair(cur: HomeoExpr, nxt: HomeoExpr) -> Optional[list[HomeoExpr]]:
+    """The factors cur o nxt rewrite to, or None when no rule applies."""
+    if isinstance(cur, Affine) and isinstance(nxt, Affine):
+        return [_simplify_leaf(Affine(cur.a * nxt.a, cur.a * nxt.b + cur.b))]
+    if isinstance(cur, ExtensionCell) and isinstance(nxt, ExtensionCell) \
+            and cur.spec is nxt.spec:
+        return [_simplify_leaf(ExtensionCell(cur.spec, multiply(cur.word, nxt.word)))]
+    if isinstance(nxt, UnitPowerLadder):
+        if isinstance(cur, Affine) and cur.a == _ONE and cur.b.is_rational \
+                and cur.b.as_fraction().denominator == 1:  # cur is T_d
+            d = cur.b.as_fraction().numerator
+            return [UnitPowerLadder(nxt.k, nxt.s * Fraction(-nxt.k) ** d), cur]
+        if isinstance(cur, UnitPowerLadder) and cur.k == nxt.k:
+            s = cur.s + nxt.s
+            return [UnitPowerLadder(cur.k, s)] if s else []
+    return [] if nxt == inverse(cur) else None
+
+
 def simplify(h: HomeoExpr) -> HomeoExpr:
     """Extensionally equal expression with the obvious algebra applied.
 
     Affine chains merge, double inverses vanish, and structurally detectable
-    h o h^-1 pairs cancel.  Evaluation agrees with the input everywhere.
+    h o h^-1 pairs cancel.  The cell exponent t of a ladder L of base k obeys
+    t(n - d) = (-k)^d t(n), so T_d o L^c = L^(c (-k)^d) o T_d for the integer
+    translation T_d: translations move right past ladders and ladders of one
+    base merge, L^a o L^b = L^(a+b), which takes any run of both to L^C o T_D,
+    the identity exactly when C = D = 0.  Evaluation agrees with the input.
     """
     items = [_simplify_leaf(x) for x in _flatten(h)]
     items = [x for x in items if not isinstance(x, Identity)]
@@ -427,27 +450,14 @@ def simplify(h: HomeoExpr) -> HomeoExpr:
         out: list[HomeoExpr] = []
         i = 0
         while i < len(items):
-            cur = items[i]
-            nxt = items[i + 1] if i + 1 < len(items) else None
-            if nxt is not None and isinstance(cur, Affine) and isinstance(nxt, Affine):
-                merged = Affine(cur.a * nxt.a, cur.a * nxt.b + cur.b)
-                out.append(_simplify_leaf(merged))
+            rewritten = _rewrite_pair(*items[i:i + 2]) if i + 1 < len(items) else None
+            if rewritten is None:
+                out.append(items[i])
+                i += 1
+            else:
+                out += rewritten
                 i += 2
                 changed = True
-                continue
-            if nxt is not None and isinstance(cur, ExtensionCell) \
-                    and isinstance(nxt, ExtensionCell) and cur.spec is nxt.spec:
-                merged_cell = ExtensionCell(cur.spec, multiply(cur.word, nxt.word))
-                out.append(_simplify_leaf(merged_cell))
-                i += 2
-                changed = True
-                continue
-            if nxt is not None and nxt == inverse(cur):
-                i += 2
-                changed = True
-                continue
-            out.append(cur)
-            i += 1
         items = [x for x in out if not isinstance(x, Identity)]
 
     return compose(*items)
@@ -566,30 +576,13 @@ def _bisect_fixed(h, a: Real, b: Real, sign_a: int, tol: Real) -> Real:
     return (a + b) / Real.rational(2)
 
 
-def is_identity_on(h: HomeoExpr, iv: Interval, grid_n: int = 64,
-                   tol: RealLike = Fraction(1, 10**12)) -> bool:
-    """Does h restrict to the identity on iv, up to tol on a sample grid?"""
+def is_identity_on(h: HomeoExpr, iv: Interval) -> bool:
+    """Is h proved to restrict to the identity on iv?  Exact, with no sample
+    and no tolerance: True only when :func:`simplify` reduces h to the
+    identity; a map that fixes iv but is not proved so gives False."""
     if iv.is_empty:
         raise ValueError("need a nonempty interval")
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
-    if isinstance(simplify(h), Identity):
-        return True
-    tol = Real.coerce(tol)
-    lo, hi = iv.lo, iv.hi
-    span = hi - lo
-
-    def run() -> bool:
-        for j in range(grid_n):
-            x = lo + span * Real.rational(j + 1, grid_n + 1)
-            ok = abs(evaluate(h, x) - x).leq(tol)
-            if ok is None:
-                raise UndecidableComparison("identity check unclear")
-            if not ok:
-                return False
-        return True
-
-    return retry_precision(run)
+    return simplify(h) == Identity()
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +598,7 @@ def to_text(h: HomeoExpr) -> str:
     if isinstance(h, OddPower):
         return f"oddpower({h.p},{'root' if h.root else 'fwd'})"
     if isinstance(h, UnitPowerLadder):
-        return f"unitpowerladder({h.k},{'+1' if h.s > 0 else '-1'})"
+        return f"unitpowerladder({h.k},{'+' if h.s > 0 else ''}{h.s})"
     if isinstance(h, BoundedConjugate):
         return f"boundedconjugate({to_text(h.inner)})"
     if isinstance(h, ExtensionCell):

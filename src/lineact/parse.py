@@ -176,11 +176,18 @@ class _Parser:
         return tok.text == "root"
 
 
+def _unit_ladder(k: int, s: int) -> UnitPowerLadder:
+    """A ladder generator or its inverse; other factors are simplify's."""
+    if s not in (1, -1):
+        raise ValueError("ladder direction s must be +1 or -1")
+    return UnitPowerLadder(k, s)
+
+
 # Heads with a fixed argument list: the node and one reader per argument.
 _NODES = {
     "affine": (Affine, (_Parser.scalar, _Parser.scalar)),
     "oddpower": (OddPower, (_Parser.integer, _Parser.root)),
-    "unitpowerladder": (UnitPowerLadder, (_Parser.integer, _Parser.integer)),
+    "unitpowerladder": (_unit_ladder, (_Parser.integer, _Parser.integer)),
     "boundedconjugate": (BoundedConjugate, (_Parser.parse_expr,)),
     "inverse": (Inverse, (_Parser.parse_expr,)),
 }

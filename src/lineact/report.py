@@ -90,8 +90,6 @@ def certificate_json(cert: WanderingCertificate) -> dict:
     return {
         "interval": interval_json(cert.interval),
         "radius": cert.radius,
-        "grid_n": cert.grid_n,
-        "tolerance": str(cert.tolerance),
         "certified": cert.certified,
         "witness": None if cert.witness is None else str(cert.witness),
         "counts": cert.counts(),

@@ -127,8 +127,7 @@ class TestGallery:
         assert rep.passed
         # f g f^-1 g acts as the identity
         w = parse_word(act.presentation, "f g f^-1 g")
-        assert is_identity_on(realize(act, w), Interval.open(-3, 3), 40,
-                              Fraction(1, 10**20))
+        assert is_identity_on(realize(act, w), Interval.open(-3, 3))
 
     def test_free_transitive_no_short_relations(self):
         act = gallery("free_transitive")

@@ -3,10 +3,10 @@
 The benchmark imports each commit's own ``src/`` and calls lineact by module
 attribute, so a deleted or renamed name would only show when it runs.  These
 checks run its layer probes, the one ladder operation that reaches
-``LadderParams``, the sweep's wandering-interval construction, the first
-command of every cli kind (each through its oracle, so a drifted payload key
-fails too) and its tracer against the tree under test, so such a name fails
-here instead.
+``LadderParams``, the sweep's wandering-interval construction and its first
+wandering certificate, the first command of every cli kind (each through its
+oracle, so a drifted payload key fails too) and its tracer against the tree
+under test, so such a name fails here instead.
 """
 
 import importlib
@@ -52,6 +52,12 @@ def test_ladder_build_passes_its_oracle():
 def test_find_klein_passes_its_oracle():
     find = _first_op(workloads.sweep(LX, Random(1)), "find.klein")
     assert find.check(find.run()) is None
+
+
+def test_certificate_klein_passes_its_oracle():
+    # the sweep's heaviest operation: every radius-7 word is judged
+    cert = _first_op(workloads.sweep(LX, Random(1)), "certificate.klein")
+    assert cert.check(cert.run()) is None
 
 
 # The first wander-find draw hits the approximate fixed set of ROADMAP item 2

@@ -160,6 +160,19 @@ class TestDispatch:
         )
         assert code == 0 and doc["result"]["passed"] is True
 
+    def test_tiny_translation_not_certified(self, capsys, tmp_path):
+        # translation by 1e-13 moves (0, 1) onto an overlapping interval,
+        # though it is within 1e-12 of the identity at every point
+        spec = tmp_path / "tiny.spec"
+        spec.write_text("group free_abelian 1\ngen a = affine(1, 1/10000000000000)\n")
+        code, doc = run_json(capsys, "wander-check", "--spec", str(spec),
+                             "--interval", "0", "1", "--radius", "3")
+        assert code == 1
+        res = doc["result"]
+        assert res["certified"] is False and res["witness"] == "a"
+        assert res["counts"] == {"violation": 6}
+        assert {v["reason"] for v in res["verdicts"]} == {"identity not proved"}
+
 
 class TestErrorPaths:
     def test_parse_error_exit_2(self, capsys):
@@ -200,14 +213,16 @@ class TestErrorPaths:
         assert captured.out == ""
         assert "--point" in captured.err and "--interval" in captured.err
 
-    def test_wander_check_grid_0_exit_2(self, capsys):
-        # a grid of no points would call the overlapping word a pointwise-fixed
-        code = main(["wander-check", "--gallery", "ex_1_1", "--interval", "0", "2",
-                     "--radius", "2", "--grid", "0"])
-        assert code == 2
+    @pytest.mark.parametrize("flag", ["--grid", "--tol-num", "--tol-den"])
+    def test_wander_check_grid_refused_exit_2(self, capsys, flag):
+        # pointwise-fixed is proved exactly, so there is no grid or tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["wander-check", "--gallery", "ex_1_1", "--interval", "0", "2",
+                  "--radius", "2", flag, "64"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: grid_n must be at least 1" in captured.err
+        assert f"unrecognized arguments: {flag} 64" in captured.err
 
     def test_zero_sample_points_exit_2(self, capsys):
         for argv in (["relations", "--gallery", "ex_1_4", "--k", "2",

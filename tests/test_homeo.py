@@ -320,13 +320,14 @@ class TestIsIdentityOn:
         h = Compose(affine(2, 1), Inverse(affine(2, 1)))
         assert is_identity_on(h, Interval.open(0, 1))
 
-    def test_empty_grid_is_refused(self):
-        # translation by 1 moves (0, 2) onto an overlapping interval; a grid
-        # of no points must not report it as the identity
-        for grid_n in (0, -3):
-            with pytest.raises(ValueError, match="grid_n must be at least 1"):
-                is_identity_on(affine(1, 1), Interval.open(0, 2), grid_n)
-        assert not is_identity_on(affine(1, 1), Interval.open(0, 2), 1)
+    def test_overlapping_translation_is_not(self):
+        # translation by 1 moves (0, 2) onto an overlapping interval
+        assert not is_identity_on(affine(1, 1), Interval.open(0, 2))
+
+    def test_tiny_translation_is_not(self):
+        # within 1e-12 of the identity everywhere, and still not the identity
+        tiny = Affine(R(1), R(1, 10**13))
+        assert not is_identity_on(tiny, Interval.open(0, 1))
 
 
 class TestText:
