@@ -54,6 +54,7 @@ __all__ = [
     "RelationCheck",
     "RelationReport",
     "check_relations",
+    "relations_proved",
     "sample_points",
     "gallery",
     "gallery_entries",
@@ -154,6 +155,19 @@ def sample_points(window: Interval, count: int) -> list[Real]:
     return [lo + span * Real.rational(2 * j + 1, 2 * count) for j in range(count)]
 
 
+def _relation_proofs(act: Action):
+    """(lhs, rhs, simplified lhs, simplified rhs, proved) per defining
+    relation: proved, exactly, when simplify makes both sides one expression."""
+    for lhs, rhs in act.presentation.relations():
+        hl, hr = simplify(realize(act, lhs)), simplify(realize(act, rhs))
+        yield lhs, rhs, hl, hr, hl == hr
+
+
+def relations_proved(act: Action) -> bool:
+    """Whether simplify proves every relation: then a word acts by its element."""
+    return all(proof[-1] for proof in _relation_proofs(act))
+
+
 def check_relations(act: Action, points: Sequence[Real],
                     tol: RealLike = Fraction(1, 10**20)) -> RelationReport:
     """Residuals |lhs(x) - rhs(x)| over the sample for each defining relation.
@@ -165,10 +179,8 @@ def check_relations(act: Action, points: Sequence[Real],
         raise ValueError("need at least one sample point")
     tol = Real.coerce(tol)
     checks = []
-    for lhs, rhs in act.presentation.relations():
-        hl = simplify(realize(act, lhs))
-        hr = simplify(realize(act, rhs))
-        if hl == hr:
+    for lhs, rhs, hl, hr, proved in _relation_proofs(act):
+        if proved:
             checks.append(RelationCheck(lhs, rhs, Real.rational(0), True, True))
             continue
         worst, worst_x = _largest(

@@ -9,10 +9,10 @@ cannot be decided at the precision ceiling is reported as a violation rather
 than silently passed.  A word is pointwise-fixed only when ``simplify``
 proves it the identity: no sample of points or tolerance stands in for that.
 
-Certificate sweeps quantify over freely reduced *words* rather than
-deduplicated group elements: the same element may be tested several times
-under different spellings, which costs a little time and buys independence
-from normal-form code.
+Certificate sweeps report a verdict for every freely reduced *word*.  When
+``simplify`` proves every defining relation, w(J) depends only on w's group
+element, so each element is judged once and every spelling reports its
+verdict: only as sound as the normal form, which property tests guard.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
-from .actions import Action, realize
+from .actions import Action, realize, relations_proved
 from .homeo import (
     HomeoExpr,
     Identity,
@@ -43,7 +43,7 @@ from .reals import (
     approx_float,
     retry_precision,
 )
-from .words import GroupElement, multiply, normal_form_key, walk
+from .words import GroupElement, Presentation, key_rule, multiply, normal_form_key, walk
 
 __all__ = [
     "NotApplicable",
@@ -103,14 +103,17 @@ def _or_none(fn, *args):
         return None
 
 
+def _image_or_none(h: HomeoExpr, J: Optional[Interval]) -> Optional[Interval]:
+    return None if J is None else _or_none(eval_interval, h, J)
+
+
 def _ball_images(act: Action, iv: Interval, radius: int, dedup: bool = True):
     """Yield (word, image of iv) over the ball, identity first.
 
     A word whose image cannot be evaluated (cell exponent out of range)
     carries ``None``, and so do all its extensions.
     """
-    return walk(act.presentation, radius, dedup, iv, _letter_step(
-        act, lambda h, J: None if J is None else _or_none(eval_interval, h, J)))
+    return walk(act.presentation, radius, dedup, iv, _letter_step(act, _image_or_none))
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +246,37 @@ class WanderingCertificate:
 
 
 def wandering_certificate(act: Action, J: Interval, radius: int) -> WanderingCertificate:
-    """Sweep every nonempty freely reduced word of length <= radius over J.
+    """A verdict on J for every nonempty freely reduced word of length <= radius.
 
     Verdicts: Disjoint when w(J) provably misses J; PointwiseFixed when w is
     proved by ``simplify`` to be the identity; otherwise Violation, with the
     reason: the identity was not proved, or disjointness could not be decided
     at the precision ceiling, which is reported rather than assumed away.
+    When ``simplify`` proves every defining relation, each group element is
+    judged once, by its shortlex-first word, for all its spellings; else the
+    free group on the generators is all that acts, and each word is judged.
     """
     if J.is_empty:
         raise ValueError("J must be a nonempty interval")
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
-    verdicts = [_word_verdict(act, w, img, J) for w, img in
-                islice(_ball_images(act, J, radius, dedup=False), 1, None)]
+    p = act.presentation
+    group = p if relations_proved(act) else Presentation.free(p.rank, p.labels)
+    _, key, rule = key_rule(group)
+    images, by_element, verdicts = {key: J}, {}, []
+
+    def step(letter, carry):
+        # an element's image is its suffix element's image under one letter map
+        k = rule(letter, carry[0])
+        if k not in images:
+            images[k] = _image_or_none(act.letter_maps[letter], carry[1])
+        return k, images[k]
+
+    for w, (k, img) in islice(walk(p, radius, False, (key, J), step), 1, None):
+        v = by_element.get(k)
+        if v is None:
+            v = by_element[k] = _word_verdict(act, w, img, J)
+        verdicts.append(v if v.word is w else WordVerdict(w, v.verdict, v.reason))
     witness = next((v.word for v in verdicts if v.verdict == "violation"), None)
     return WanderingCertificate(
         interval=J, radius=radius,

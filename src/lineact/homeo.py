@@ -33,7 +33,7 @@ from .reals import (
     current_precision,
     retry_precision,
 )
-from .words import GroupElement, multiply, normal_form_key
+from .words import GroupElement, key_rule, multiply, normal_form_key
 
 __all__ = [
     "HomeoExpr",
@@ -406,7 +406,7 @@ def _simplify_leaf(h: HomeoExpr) -> HomeoExpr:
         return BoundedConjugate(inner)
     if isinstance(h, ExtensionCell):
         p = h.word.presentation
-        if normal_form_key(p, h.word) == normal_form_key(p, p.identity()):
+        if normal_form_key(p, h.word) == key_rule(p)[:2]:   # the identity's key
             return Identity()
     if isinstance(h, Affine) and h.a == Real.rational(1) and h.b == Real.rational(0):
         return Identity()

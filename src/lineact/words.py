@@ -5,23 +5,27 @@ Baumslag-Solitar groups B(1,n) = <a,b | ba = a^n b>, and two-step "ladder"
 presentations f_i f_{i+1} f_i^-1 = f_{i+1}^(n_i) with n_i = +-1 and trivial
 deeper conjugation (supported up to three generators).
 
-Normal forms are exact and total for every supported family:
+Normal forms are exact and total.  A word's key folds its family's
+left-multiplication rule (key(l . w) from key(w), l = (g, e)) right to left:
 
 * free: the freely reduced word itself;
-* free abelian: the exponent vector;
-* B(1,n): the affine pair (m, t) in Z x Z[1/|n|] under a -> (0,1),
-  b -> (1,0) with (m1,t1)(m2,t2) = (m1+m2, t1 + n^m1 * t2);
-* ladder: the exponent tuple of the normal ordering f_0^a f_1^b (f_2^c).
+* free abelian: the exponent vector; l adds e to coordinate g;
+* B(1,n): (m, t) with w = (x -> n^m x + t) under a = x+1, b = nx; a^e adds
+  e to t, b^e adds e to m and multiplies t by n^e;
+* ladder: the exponents of the normal ordering f_0^a f_1^b (f_2^c); f_g^e
+  adds e n_{g-1} to coordinate g if coordinate g-1 is odd, else e.
 
 Word balls enumerate all distinct group elements of word length <= L in
 shortlex order (letter order: first generator, its inverse, second
-generator, ...), keeping the shortlex-first representative word.
+generator, ...), keeping the shortlex-first representative word, whose key
+the walk carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "GroupElement",
     "reduce_letters",
     "normal_form_key",
+    "key_rule",
     "multiply",
     "walk",
     "ball",
@@ -51,18 +56,20 @@ Letter = tuple[int, int]  # (generator index, nonzero exponent)
 
 
 def _reduce(pairs: Sequence[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for g, e in pairs:
-        if e == 0:
-            continue
-        if out and out[-1][0] == g:
-            s = out[-1][1] + e
-            out.pop()
-            if s:
-                out.append((g, s))
-        else:
-            out.append((g, e))
-    return tuple(out)
+    out: tuple[Letter, ...] = ()
+    for letter in reversed(pairs):
+        if letter[1]:
+            out = _prepend(letter, out)
+    return out
+
+
+def _prepend(letter: Letter, word: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The freely reduced word letter . word, for a freely reduced word."""
+    g, e = letter
+    if word and word[0][0] == g:
+        s = word[0][1] + e
+        return ((g, s),) + word[1:] if s else word[1:]
+    return (letter,) + word
 
 
 @dataclass(frozen=True)
@@ -239,59 +246,54 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
 # normal forms
 
 
-def _bs_pair(p: Presentation, w: GroupElement) -> tuple[int, Fraction]:
-    n = p.n
-    m, t = 0, Fraction(0)
-    for g, e in w.word:
-        if g == 0:
-            t += Fraction(n) ** m * e
-        else:
-            m += e
-    return (m, t)
+@lru_cache(maxsize=64)
+def key_rule(p: Presentation) -> tuple[str, Any, Callable[[Letter, Any], Any]]:
+    """(tag, identity key, rule) of p's family: rule(l, k) is the key of
+    l . w for a letter l = (g, e) and the key k of w, and a word's
+    normal_form_key is (tag, its key)."""
+    if p.kind == "free":
+        return "free", (), _prepend
+    if p.kind == "bs":
+        n, q = p.n, Fraction(p.n)
+        # n^e stays an int for n = +-1, where Fraction arithmetic and hashing
+        # would dominate the walks
+        twist = (lambda e: n ** (e % 2)) if n in (1, -1) else (lambda e: q ** e)
 
+        def bs(letter, k):
+            (g, e), (m, t) = letter, k
+            return (m, t + e) if g == 0 else (m + e, t * twist(e))
+        return "bs", (0, 0), bs
+    if p.kind in ("free_abelian", "ladder"):
+        name = p.name or (1,) * p.rank   # free abelian: every twist is +1
 
-def _ladder_fold(p: Presentation, w: GroupElement) -> tuple[int, ...]:
-    # Normal ordering f_0^a f_1^b (f_2^c), folded letter by letter.  Moving
-    # f_g^e left past f_{g+1}'s power twists that exponent by n_g^e; f_0 and
-    # f_2 commute.
-    acc = [0] * p.rank
-    for g, e in w.word:
-        if e % 2 and g < len(p.name):
-            acc[g + 1] *= p.name[g]
-        acc[g] += e
-    return tuple(acc)
+        def ladder(letter, k):
+            g, e = letter
+            if g and k[g - 1] % 2:
+                e *= name[g - 1]
+            return k[:g] + (k[g] + e,) + k[g + 1:]
+        return "fa" if p.kind == "free_abelian" else "ladder", (0,) * p.rank, ladder
+    raise UnsupportedPresentation(p.kind)
 
 
 def normal_form_key(p: Presentation, w: GroupElement):
-    """A hashable canonical form; equal keys iff equal group elements."""
-    if p.kind == "free":
-        return ("free", w.word)
-    if p.kind == "free_abelian":
-        return ("fa", tuple(w.exponent_sum(i) for i in range(p.rank)))
-    if p.kind == "bs":
-        return ("bs", _bs_pair(p, w))
-    if p.kind == "ladder":
-        return ("ladder", _ladder_fold(p, w))
-    raise UnsupportedPresentation(p.kind)
+    """A hashable canonical form; equal keys iff equal group elements: the
+    fold of :func:`key_rule` over w's letters, right to left."""
+    tag, key, rule = key_rule(p)
+    for letter in reversed(w.word):
+        key = rule(letter, key)
+    return tag, key
 
 
 def bs_pair(w: GroupElement) -> tuple[int, Fraction]:
     """The affine pair (m, t) of a Baumslag-Solitar word."""
     if w.presentation.kind != "bs":
         raise UnsupportedPresentation("affine pairs exist only for B(1,n)")
-    return _bs_pair(w.presentation, w)
+    m, t = normal_form_key(w.presentation, w)[1]
+    return m, Fraction(t)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def _letter_order(p: Presentation) -> list[Letter]:
-    out = []
-    for i in range(p.rank):
-        out.append((i, 1))
-        out.append((i, -1))
-    return out
 
 
 def walk(p: Presentation, radius: int, dedup: bool, carry: Any = None,
@@ -302,32 +304,37 @@ def walk(p: Presentation, radius: int, dedup: bool, carry: Any = None,
     The identity comes first, carrying ``carry``.  Words grow on the left and
     ``letter * w`` carries ``step(letter, carry of w)`` (or ``carry`` itself
     when there is no step).  With ``dedup`` on, only the shortlex-first word
-    of each group element is kept and extended, judged by
-    :func:`normal_form_key`; with it off, every freely reduced word is.
+    of each group element is kept and extended: each frontier word carries
+    its normal-form key, and ``letter * w`` takes its key from w's by
+    :func:`key_rule`.  With it off, every freely reduced word is, which is
+    what dedup keeps in a free group.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     ident = p.identity()
     yield ident, carry
-    seen = {normal_form_key(p, ident)} if dedup else None
-    frontier = [(ident, carry)]
-    letters = _letter_order(p)
+    _, key, rule = key_rule(p)
+    dedup = dedup and p.kind != "free"
+    seen = {key}
+    frontier = [(ident.word, key, carry)]   # keys are tracked with dedup on
+    letters = [(i, s) for i in range(p.rank) for s in (1, -1)]
     for _ in range(radius):
         nxt = []
-        for lg, le in letters:
-            for w, c in frontier:
+        for letter in letters:
+            lg, le = letter
+            for word, k, c in frontier:
                 # left extension keeps words freely reduced and shortlex sorted
-                if w.word and w.word[0][0] == lg and (w.word[0][1] > 0) != (le > 0):
+                if word and word[0][0] == lg and (word[0][1] > 0) != (le > 0):
                     continue
-                w2 = GroupElement(p, _reduce(((lg, le),) + w.word))
                 if dedup:
-                    key = normal_form_key(p, w2)
-                    if key in seen:
+                    k = rule(letter, k)
+                    if k in seen:
                         continue
-                    seen.add(key)
-                c2 = c if step is None else step((lg, le), c)
-                nxt.append((w2, c2))
-                yield w2, c2
+                    seen.add(k)
+                word2 = _prepend(letter, word)
+                c2 = c if step is None else step(letter, c)
+                nxt.append((word2, k, c2))
+                yield GroupElement(p, word2), c2
         # words generated above are lex within this length by construction
         frontier = nxt
 
@@ -343,9 +350,9 @@ def free_reduced_words(p: Presentation, radius: int,
     """All freely reduced words of length <= radius, shortlex order.
 
     Unlike :func:`ball`, no relations are applied: the same group element may
-    appear under several words.  Certificate sweeps walk these same words
-    (``walk`` with dedup off), which makes their verdict lists robust to
-    normal-form errors.
+    appear under several words.  Certificate sweeps give each of these
+    words its element's verdict when the relations are proved, which is only
+    as sound as the normal form that property tests check.
     """
     words = walk(p, radius, False)
     if not include_identity:
