@@ -41,6 +41,7 @@ from .reals import (
     RealLike,
     UndecidableComparison,
     approx_float,
+    current_precision,
     retry_precision,
 )
 from .words import GroupElement, Presentation, key_rule, multiply, normal_form_key, walk
@@ -107,13 +108,14 @@ def _image_or_none(h: HomeoExpr, J: Optional[Interval]) -> Optional[Interval]:
     return None if J is None else _or_none(eval_interval, h, J)
 
 
-def _ball_images(act: Action, iv: Interval, radius: int, dedup: bool = True):
-    """Yield (word, image of iv) over the ball, identity first.
+def _ball_images(act: Action, iv: Interval, radius: int):
+    """Yield (word, image of iv) over the ball, one word per group element,
+    identity first.
 
     A word whose image cannot be evaluated (cell exponent out of range)
     carries ``None``, and so do all its extensions.
     """
-    return walk(act.presentation, radius, dedup, iv, _letter_step(act, _image_or_none))
+    return walk(act.presentation, radius, True, iv, _letter_step(act, _image_or_none))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +471,9 @@ class LadderParams:
     orbit_depth: Optional[int] = None
 
 
-# Points sampled per mover scan; each costs one evaluation per moving ball
-# word, and the acceptance ladder and demo 07 are built with 40.
+# Points sampled per mover scan; the acceptance ladder and demo 07 are built
+# with 40.  A point is evaluated only while its separation cap can still beat
+# the best separation found (see ``_movers``).
 _MOVER_CANDIDATES = 40
 # Halvings of the separation radius before a sample point is given up: the
 # radius is then under 1e-18 of the room, and each point costs at most 60
@@ -508,33 +511,76 @@ def _grid_fractions(n: int) -> list[Fraction]:
 
 
 def _movers(act: Action, U: Interval, radius: int):
-    """Deterministic mover scan: (word, x, delta) with the largest safe V radius."""
-    p = act.presentation
+    """Deterministic mover scan: (word, x, delta) with the largest safe V radius.
+
+    The first (word, x) pair in walk order whose ``_max_separation`` has the
+    largest midpoint wins.  The scan is a branch and bound that skips only
+    pairs which cannot displace the best so far, so it returns what the
+    exhaustive scan over every moving word and point returns.
+
+    The bound: for a pair the scan can accept, lo < x < y < hi hold for
+    certain, and ``_max_separation`` returns d/2^k (k >= 0) with d = room *
+    9/10, room the smallest-by-midpoint of x - lo, hi - y and (y - x)/2 (and
+    certainly positive, or no d is).  So mid(delta) <= mid(d) <= 9/10 *
+    mid(room) (1 + e)^2 with e = 2^(1-p) at working precision p (the outward
+    roundings of 9/10 and of the product; halving a p-bit enclosure is
+    exact), and mid(room) is at most the upper end of x - lo and of
+    (y - x)/2 as computed.  With y.hi < hi.lo, and an
+    exact operand rounded to p bits when it meets a tracked one (an absolute
+    error of at most e |value|), those ends are below
+    (1 + e)(x.hi - lo.lo + e (|x.hi| + |lo.lo|)) and
+    (1 + e)(hi.lo - x.lo + e |x.lo|)/2.  As (1 + e)^3 <= 1 + 2^(4-p), every
+    delta the scan could take at x has a midpoint of at most
+
+        cap(x) = 9/10 (1 + 2^(4-p)) (min(x.hi - lo.lo, (hi.lo - x.lo)/2)
+                                     + e (|lo.lo| + |x.lo| + |x.hi|)),
+
+    whatever the word.  A point with cap(x) <= mid(best delta) cannot win (a
+    tie keeps the earlier pair), so it is not evaluated; a word is realized
+    only when some point survives, and the scan stops once none does.
+    """
     lo, hi = U.lo, U.hi
     span = hi - lo
     xs = [lo + span * Real.rational(j, _MOVER_CANDIDATES + 1)
           for j in range(1, _MOVER_CANDIDATES + 1)]
-    best = None
+    p = current_precision().bits
+    e = Fraction(1, 1 << (p - 1))
+    scale = Fraction(9, 10) * (1 + 8 * e)
+    lo_lo, hi_lo = lo.bounds()[0], hi.bounds()[0]
+    live = []
+    for x in xs:
+        x_lo, x_hi = x.bounds()
+        room = min(x_hi - lo_lo, (hi_lo - x_lo) / 2)
+        live.append((scale * (room + e * (abs(lo_lo) + abs(x_lo) + abs(x_hi))), x))
+    best, floor = None, Fraction(0)   # an accepted delta is certainly positive
     for w, img in islice(_ball_images(act, U, radius), 1, None):
         if img is None or img.certainly_disjoint(U):
             continue
+        live = [(cap, x) for cap, x in live if cap > floor]
+        if not live:
+            break
         hw = realize(act, w)
-        for x in xs:
+        for cap, x in live:
+            if cap <= floor:
+                continue
             y = _or_none(evaluate, hw, x)
             if y is None or not (x.definitely_lt(y) and y.definitely_lt(hi)
                                  and lo.definitely_lt(x)):
                 continue
-            delta = _max_separation(hw, x, y, U)
-            if delta is None:
-                continue
-            if best is None or delta.mid() > best[2].mid():
-                best = (w, x, delta)
+            delta = _max_separation(hw, x, y, U, floor)
+            if delta is not None:
+                best, floor = (w, x, delta), delta.mid()
     return best
 
 
-def _max_separation(hw: HomeoExpr, x: Real, y: Real,
-                    U: Interval) -> Optional[Real]:
-    """Largest halving-found radius d with [x-d,x+d] and its image separated in U."""
+def _max_separation(hw: HomeoExpr, x: Real, y: Real, U: Interval,
+                    floor: Fraction) -> Optional[Real]:
+    """Largest halving-found radius d with [x-d,x+d] and its image separated
+    in U, or None when there is none with a midpoint above floor.
+
+    Halving a positive enclosure halves its midpoint, so the search gives up
+    at the first d with mid(d) <= floor.
+    """
     lo, hi = U.lo, U.hi
     room = x - lo
     if (hi - y).mid() < room.mid():
@@ -543,7 +589,7 @@ def _max_separation(hw: HomeoExpr, x: Real, y: Real,
         room = (y - x) / Real.rational(2)
     d = room * Real.rational(9, 10)
     for _ in range(_MAX_HALVINGS):
-        if d.cmp_fraction(Fraction(0)) != 1:
+        if d.cmp_fraction(Fraction(0)) != 1 or d.mid() <= floor:
             return None
         a, b = x - d, x + d
         fa = _or_none(evaluate, hw, a)

@@ -19,11 +19,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
 GOLDEN = os.path.join(ROOT, "tests", "golden", "demos")
 
-# 07_cantor_ladder.py is left out: it builds the depth-3 ladder at radius 7,
-# about a minute on its own, and tests/test_acceptance.py already runs that
-# construction (criterion 7).
-SCRIPTS = sorted(name for name in os.listdir(DEMOS)
-                 if name.endswith(".py") and not name.startswith("07_"))
+SCRIPTS = sorted(name for name in os.listdir(DEMOS) if name.endswith(".py"))
 
 
 def run_demo(script: str) -> subprocess.CompletedProcess:

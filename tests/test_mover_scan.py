@@ -1,0 +1,164 @@
+"""The pruned mover scan against the exhaustive one it replaced.
+
+``cantor_ladder`` takes each level's mover from ``dynamics._movers``, a
+branch and bound that skips every (word, point) pair whose separation cannot
+beat the best found so far.  ``_reference_movers`` and
+``_reference_max_separation`` below are the exhaustive scan, kept verbatim:
+every case must return the same (word, x, delta) bit for bit, at several
+working precisions so that the cap's rounding margin is exercised.
+"""
+
+from fractions import Fraction
+from itertools import islice
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lineact.dynamics as dyn
+from lineact.actions import Action, gallery, realize
+from lineact.dynamics import (
+    _MAX_HALVINGS,
+    _MOVER_CANDIDATES,
+    _ball_images,
+    _movers,
+    _or_none,
+)
+from lineact.homeo import HomeoExpr, evaluate
+from lineact.reals import Interval, Real, precision
+
+PRECISIONS = (16, 24, 64, 256)
+
+
+def _reference_movers(act: Action, U: Interval, radius: int):
+    """Deterministic mover scan: (word, x, delta) with the largest safe V radius."""
+    p = act.presentation
+    lo, hi = U.lo, U.hi
+    span = hi - lo
+    xs = [lo + span * Real.rational(j, _MOVER_CANDIDATES + 1)
+          for j in range(1, _MOVER_CANDIDATES + 1)]
+    best = None
+    for w, img in islice(_ball_images(act, U, radius), 1, None):
+        if img is None or img.certainly_disjoint(U):
+            continue
+        hw = realize(act, w)
+        for x in xs:
+            y = _or_none(evaluate, hw, x)
+            if y is None or not (x.definitely_lt(y) and y.definitely_lt(hi)
+                                 and lo.definitely_lt(x)):
+                continue
+            delta = _reference_max_separation(hw, x, y, U)
+            if delta is None:
+                continue
+            if best is None or delta.mid() > best[2].mid():
+                best = (w, x, delta)
+    return best
+
+
+def _reference_max_separation(hw: HomeoExpr, x: Real, y: Real,
+                              U: Interval) -> Optional[Real]:
+    """Largest halving-found radius d with [x-d,x+d] and its image separated in U."""
+    lo, hi = U.lo, U.hi
+    room = x - lo
+    if (hi - y).mid() < room.mid():
+        room = hi - y
+    if (y - x).mid() / 2 < room.mid():
+        room = (y - x) / Real.rational(2)
+    d = room * Real.rational(9, 10)
+    for _ in range(_MAX_HALVINGS):
+        if d.cmp_fraction(Fraction(0)) != 1:
+            return None
+        a, b = x - d, x + d
+        fa = _or_none(evaluate, hw, a)
+        fb = None if fa is None else _or_none(evaluate, hw, b)
+        if (fb is not None and lo.definitely_lt(a) and fb.definitely_lt(hi)
+                and (x + d).definitely_lt(fa)):
+            return d
+        d = d / Real.rational(2)
+    return None
+
+
+def _bits(r: Real):
+    """An exact value's Fraction, or a tracked value's raw mpf endpoints."""
+    return ("exact", r.as_fraction()) if r.is_rational else ("tracked", r._mpi)
+
+
+def _key(found):
+    if found is None:
+        return None
+    w, x, delta = found
+    return w.word, _bits(x), _bits(delta)
+
+
+def assert_same_scan(act: Action, U: Interval, radius: int, bits: int):
+    with precision(bits):
+        want = _reference_movers(act, U, radius)
+        got = _movers(act, U, radius)
+    assert _key(got) == _key(want)
+    return got
+
+
+ACTIONS = {
+    "ex_1_4 k=2": lambda: gallery("ex_1_4", k=2),
+    "ex_1_4 k=3": lambda: gallery("ex_1_4", k=3),
+    "klein_bottle": lambda: gallery("klein_bottle"),
+    "ex_1_3 n=2": lambda: gallery("ex_1_3", n=2),
+}
+
+UNIT = Interval.open(0, 1)
+# the intervals U_i of the benchmark's ladder (ex_1_4 k=2, depth 2, radius 6,
+# orbit depth 0) and of demo 07's (depth 3, radius 7, orbit depth 0)
+BENCH_LEVELS = [(Fraction(1, 5), Fraction(2, 5)), (Fraction(7, 31), Fraction(8, 31))]
+DEMO_LEVELS = BENCH_LEVELS + [(Fraction(268, 1179), Fraction(269, 1179))]
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_unit_interval(name, bits):
+    assert assert_same_scan(ACTIONS[name](), UNIT, 5, bits) is not None
+
+
+@pytest.mark.parametrize("bits", (24, 256))
+@pytest.mark.parametrize("radius, levels", [(6, BENCH_LEVELS), (7, DEMO_LEVELS)],
+                         ids=["bench", "demo07"])
+def test_ladder_levels(radius, levels, bits):
+    act = gallery("ex_1_4", k=2)
+    for lo, hi in levels:
+        assert_same_scan(act, Interval.open(lo, hi), radius, bits)
+
+
+def _endpoint(q: Fraction, tracked: bool) -> Real:
+    return Real.tracked_from_fraction(q) if tracked else Real.from_fraction(q)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ACTIONS)),
+       bits=st.sampled_from(PRECISIONS),
+       radius=st.integers(3, 5),
+       ends=st.lists(st.fractions(0, 1, max_denominator=64), min_size=2,
+                     max_size=2, unique=True).map(sorted),
+       tracked=st.tuples(st.booleans(), st.booleans()))
+def test_random_subintervals(name, bits, radius, ends, tracked):
+    with precision(bits):
+        U = Interval.open(*(_endpoint(q, t) for q, t in zip(ends, tracked)))
+    assert_same_scan(ACTIONS[name](), U, radius, bits)
+
+
+def test_bench_ladder_evaluates_at_most_half(monkeypatch):
+    calls = {"n": 0}
+
+    def counted(h, x, evaluate=evaluate):
+        calls["n"] += 1
+        return evaluate(h, x)
+
+    monkeypatch.setattr(dyn, "evaluate", counted)
+    monkeypatch.setitem(globals(), "evaluate", counted)
+    act = gallery("ex_1_4", k=2)
+    spent = {}
+    for scan in (_reference_movers, _movers):
+        calls["n"] = 0
+        for lo, hi in [(0, 1), BENCH_LEVELS[0]]:
+            scan(act, Interval.open(lo, hi), 6)
+        spent[scan.__name__] = calls["n"]
+    assert 2 * spent["_movers"] <= spent["_reference_movers"], spent

@@ -19,7 +19,7 @@ from lineact.actions import (
     gallery,
     realize,
 )
-from lineact.dynamics import _ball_images, _letter_step
+from lineact.dynamics import _ball_images, _image_or_none, _letter_step
 from lineact.homeo import Affine, UnitPowerLadder, eval_interval, evaluate
 from lineact.reals import Interval, PrecisionExhausted, Real
 from lineact.words import Presentation, normal_form_key, reduce_letters, walk
@@ -47,6 +47,13 @@ ACTIONS = {
 }
 
 
+def _images(act, iv, radius, dedup):
+    """``_ball_images``, or the same walk over every reduced word."""
+    if dedup:
+        return _ball_images(act, iv, radius)
+    return walk(act.presentation, radius, False, iv, _letter_step(act, _image_or_none))
+
+
 def _shortlex_reduced_words(p, radius):
     """Every freely reduced word of length <= radius, in shortlex order,
     built from letter sequences without the walker."""
@@ -67,7 +74,7 @@ def test_carried_images_match_rebuilt_images(name, dedup):
     iv = Interval.open(lo, hi)
     x = Real.from_fraction(x0)
     evaluable = 0
-    for w, img in _ball_images(act, iv, RADIUS, dedup):
+    for w, img in _images(act, iv, RADIUS, dedup):
         h = realize(act, w)
         if img is None:
             with pytest.raises(PrecisionExhausted):
@@ -104,7 +111,7 @@ def test_unevaluable_image_stays_none_on_extensions(dedup):
     act = Action(p, {"g": UnitPowerLadder(2**25, 1),
                      "f": Affine(Real.rational(1), Real.rational(1))})
     iv = Interval.open(Fraction(1, 4), Fraction(3, 8))
-    walked = list(_ball_images(act, iv, 3, dedup))
+    walked = list(_images(act, iv, 3, dedup))
     images = {w.word: img for w, img in walked}
     assert any(img is None for _, img in walked)
     for w, img in walked:
