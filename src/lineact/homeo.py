@@ -19,7 +19,7 @@ error bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -83,12 +83,17 @@ class Affine:
 
     a: Real
     b: Real
+    # d when the map is the integer translation T_d: x -> x + d, else None
+    translation: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", Real.coerce(self.a))
         object.__setattr__(self, "b", Real.coerce(self.b))
         if self.a.cmp_fraction(Fraction(0)) != 1:
             raise ValueError("affine coefficient a must be certainly positive")
+        d = self.b.as_fraction() if self.a == 1 and self.b.is_rational else None
+        object.__setattr__(self, "translation",
+                           d.numerator if d is not None and d.denominator == 1 else None)
 
 
 @dataclass(frozen=True)
@@ -256,8 +261,8 @@ def _eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
                 f"enclosure touches cell {n} edge under a fractional exponent"
             )
         if e.is_rational:
-            return u.pow_fraction(e.as_fraction()) + rn
-        return u.pow_real(e) + rn
+            return u.pow_fraction(e.as_fraction()).shift(n)
+        return u.pow_real(e).shift(n)
 
     return _piecewise_eval(x, _cell_branch, in_cell)
 
@@ -283,10 +288,14 @@ def _eval_extension_cell(node: ExtensionCell, x: Real) -> Real:
 
     def in_cell(j: int, v: Real) -> Real:
         inner = spec.cell_expr(j, node.word)
-        rj = Real.rational(j)
-        return evaluate(inner, v - rj) + rj
+        return evaluate(inner, v - Real.rational(j)).shift(j)
 
     return _piecewise_eval(x, branch, in_cell)
+
+
+def _eval_affine(h: Affine, x: Real) -> Real:
+    d = h.translation
+    return h.a * x + h.b if d is None else x.shift(d)
 
 
 def _eval_odd_power(node: OddPower, x: Real) -> Real:
@@ -316,7 +325,7 @@ def _eval_inverse(h: Inverse, x: Real) -> Real:
 
 _EVALUATORS = {
     Identity: lambda h, x: x,
-    Affine: lambda h, x: h.a * x + h.b,
+    Affine: _eval_affine,
     OddPower: _eval_odd_power,
     UnitPowerLadder: _eval_ladder,
     BoundedConjugate: _eval_bounded_conjugate,
@@ -421,9 +430,8 @@ def _rewrite_pair(cur: HomeoExpr, nxt: HomeoExpr) -> Optional[list[HomeoExpr]]:
             and cur.spec is nxt.spec:
         return [_simplify_leaf(ExtensionCell(cur.spec, multiply(cur.word, nxt.word)))]
     if isinstance(nxt, UnitPowerLadder):
-        if isinstance(cur, Affine) and cur.a == _ONE and cur.b.is_rational \
-                and cur.b.as_fraction().denominator == 1:  # cur is T_d
-            d = cur.b.as_fraction().numerator
+        if isinstance(cur, Affine) and cur.translation is not None:  # cur is T_d
+            d = cur.translation
             return [UnitPowerLadder(nxt.k, nxt.s * Fraction(-nxt.k) ** d), cur]
         if isinstance(cur, UnitPowerLadder) and cur.k == nxt.k:
             s = cur.s + nxt.s

@@ -6,7 +6,9 @@ unknown real, stored as a pair of dyadic endpoints (mpmath raw mpf values)
 that are always rounded outward.  Every arithmetic operation either stays
 exact (when the operation is closed over the rationals and the operands are
 rational) or degrades to a tracked enclosure whose error bound is never
-dropped.
+dropped.  Exact values stay bounded: a rational's integer power stays exact
+up to 8 precision ceilings of bits, and :meth:`Real.shift` adds an integer
+to sub-ulp tracked ends exactly up to 2**21 bits, keeping tiny offsets.
 
 The certified order works on the raw endpoints: two mpf endpoints compare
 with ``mpf_cmp``, an mpf endpoint and a rational with one exact integer sign
@@ -176,9 +178,12 @@ def _fraction_root(q: Fraction, p: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-# Size guard for exact powering: bit length of the result numerator is
-# roughly |e| * bits(base); beyond the budget we fall back to tracked.
+# Size guard for the exact sums of :meth:`Real.shift` and the exact powers of
+# two of :meth:`Real.two_to`; beyond it they round or go tracked.
 _EXACT_POW_BIT_BUDGET = 1 << 21
+# base**e stays exact while |e| * bits(base), about the bit length of the
+# result, is at most this many precision ceilings; beyond, it goes tracked.
+_EXACT_POW_CEILINGS = 8
 
 
 def _mpf_round(num: int, den: int, prec: int, rnd):
@@ -267,6 +272,13 @@ def _cmp_end(a, b) -> int:
     else:
         d = man * den - (num << -exp)
     return (d > 0) - (d < 0)
+
+
+def _finer(e, p: int, nbits: int) -> bool:
+    """Does the mpf e = (sign, man, exp, bc), bits 2**exp up to below
+    2**(exp + bc), hold bits below an nbits-bit integer's ulp at p bits?"""
+    _, man, exp, bc = e
+    return bool(man) and (bc > p or exp + bc <= nbits - p)
 
 
 def _end_fraction(e) -> Fraction:
@@ -436,6 +448,22 @@ class Real:
 
     __radd__ = __add__
 
+    def shift(self, n: int) -> "Real":
+        """self + n for an integer n.  A tracked value's ends are summed at
+        working precision p, as by ``self + n``, unless an end carries bits
+        below n's p-bit ulp (a mantissa wider than p, or a magnitude under
+        it): then both are summed exactly while the sums fit the exact
+        budget, so a cell offset far below 1 survives its move to cell n."""
+        if self._rat is not None:
+            return Real(self._rat + n)
+        p, nbits, nf = _prec(), n.bit_length(), from_int(n)
+        lo, hi = ends = self._mpi
+        if (_finer(lo, p, nbits) or _finer(hi, p, nbits)) and all(
+                max(nbits, exp + bc) - min(exp, 0) <= _EXACT_POW_BIT_BUDGET
+                for _, _, exp, bc in ends):
+            return Real(None, (mpf_add(lo, nf), mpf_add(hi, nf)))
+        return Real(None, _mp.mpi_add(ends, (nf, nf), p))
+
     def __sub__(self, other: RealLike) -> "Real":
         if type(other) is not Real:
             other = Real.coerce(other)
@@ -488,7 +516,7 @@ class Real:
                 self._rat.numerator.bit_length(),
                 self._rat.denominator.bit_length(),
             )
-            if cost <= _EXACT_POW_BIT_BUDGET:
+            if cost <= _EXACT_POW_CEILINGS * current_precision().ceiling:
                 return Real(self._rat**e)
         p = _prec()
         return Real(None, _mp.mpi_pow_int(self._as_mpi(p), e, p))

@@ -44,12 +44,21 @@ class TestDispatch:
         assert img["hi"] == "1.41421356237309504880168872420969807857\u00b11.73e-77"
 
     def test_orbit_prints_oversized_exact_values(self, capsys):
+        # no two of this orbit's points merge
         code, doc = run_json(capsys, "orbit", "--gallery", "ex_1_4", "--k", "2",
                              "--point", "7/8", "--radius", "5")
         assert code == 0
-        values = [p["x"]["value"] for p in doc["result"]["points"]]
-        assert len(values) == 191
-        assert sum("[exact p/q: " in v for v in values) == 2
+        assert len(doc["result"]["points"]) == 191
+        # g^3 in cell -2 is u -> u**4096: (15/16)**4096 has 16385 bits, past
+        # the 4300-digit print bound (about 14284 bits) and within the exact
+        # power cap of 8 x 4096 bits
+        code, doc = run_json(capsys, "orbit", "--gallery", "ex_1_4", "--k", "2",
+                             "--point=-17/16", "--radius", "3")
+        assert code == 0
+        values = {p["word"]: p["x"]["value"] for p in doc["result"]["points"]}
+        assert len(values) == 43
+        assert [w for w, v in values.items() if "[exact p/q: " in v] == ["g^-1 f^-1 g", "g^3"]
+        assert values["g^3"] == "-2.0±1.73e-77 [exact p/q: 16385/16385 bits]"
 
     def test_orbit_csv(self, capsys):
         code, out = run(

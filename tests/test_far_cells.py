@@ -1,0 +1,71 @@
+"""ex_1_4 orbits from every cell -4..4 against the closed-form oracle.
+
+In far-negative cells a ladder offset u can be far below the ulp of its cell
+index n, so n + u keeps u only through an exact integer shift, while exact
+powers stop at 8 precision ceilings of bits.  Each radius-4 orbit from
+x = c + 5/8 is checked point by point against ``perfbench/oracles.py``,
+which keeps (n, u) apart in plain mpmath and shares no code with lineact.
+"""
+
+import os
+import sys
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from lineact import actions, dynamics
+from lineact.reals import PrecisionExhausted, Real, current_precision
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+import oracles  # noqa: E402
+
+# Orbit sizes after merging overlapping enclosures.  Where the sum n + u was
+# rounded at working precision, k=2 from cells -4, -3, -2 gave 68, 78 and 86
+# points and k=3 from cell -1 gave 106: neighbours the oracle tells apart
+# were merged.
+POINTS = {
+    2: {-4: 70, -3: 80, -2: 89, -1: 93, 0: 93, 1: 93, 2: 93, 3: 93, 4: 93},
+    3: {-1: 109, 0: 116, 1: 117, 2: 117, 3: 117, 4: 117},
+}
+# Starts whose orbit raises PrecisionExhausted (an enclosure touches the edge
+# of cell -3 or -4 under a contracting root); none may be added.
+RAISES = {(3, -4), (3, -3), (3, -2)}
+
+
+def _dyadic_mpf(q: Fraction) -> mpmath.mpf:
+    """``oracles._mpf`` for a dyadic q without dividing by 2**j: mpmath's
+    python backend normalizes that divisor in time quadratic in j (about 4 s
+    at j = 1.4 million).  Division by 2**j is exact, so the value is the same."""
+    d = q.denominator
+    if d & (d - 1):
+        return mpmath.mpf(q.numerator) / d
+    return mpmath.ldexp(mpmath.mpf(q.numerator), 1 - d.bit_length())
+
+
+def test_dyadic_mpf_matches_oracle_conversion():
+    with mpmath.workdps(oracles.DPS):
+        for q in (Fraction(-3, 1 << 300), Fraction((1 << 400) + 1, 1 << 401),
+                  Fraction(7, 3), Fraction(-5)):
+            assert _dyadic_mpf(q) == oracles._mpf(q)
+
+
+@pytest.mark.parametrize("k,c", [(k, c) for k in (2, 3) for c in range(-4, 5)])
+def test_far_cell_orbit_matches_oracle(k, c, monkeypatch):
+    monkeypatch.setattr(oracles, "_mpf", _dyadic_mpf)
+    x = c + Fraction(5, 8)
+    try:
+        points = dynamics.orbit(actions.gallery("ex_1_4", k=k), Real.from_fraction(x), 4)
+    except PrecisionExhausted:
+        assert (k, c) in RAISES
+        return
+    assert len(points) == POINTS[k][c]
+    cap = 8 * current_precision().ceiling
+    for p in points:
+        if p.value.is_rational:
+            q = p.value.as_fraction()
+            assert max(q.numerator.bit_length(), q.denominator.bit_length()) <= cap
+        lo, hi = p.value.bounds()
+        assert oracles.check_ladder_orbit_point(k, p.word.word, x, lo, hi) is None, p.word

@@ -60,6 +60,36 @@ class TestRealArithmetic:
         assert fr(3, 2).pow_int(4).as_fraction() == Fraction(81, 16)
         assert fr(3, 2).pow_int(-2).as_fraction() == Fraction(4, 9)
 
+    def test_pow_int_exact_up_to_eight_ceilings(self):
+        # |e| * max(bits(num), bits(den)): 2 * 16384 = 8 * 4096 stays exact
+        assert fr(3, 2).pow_int(16384).is_rational
+        big = fr(3, 2).pow_int(-16385)
+        assert not big.is_rational
+        assert big.bounds()[0] <= Fraction(2, 3) ** 16385 <= big.bounds()[1]
+        with precision(256, 8192):
+            assert fr(3, 2).pow_int(-16385).is_rational
+
+    def test_shift_exact_and_ordinary_ends(self):
+        assert fr(3, 4).shift(-2).as_fraction() == Fraction(-5, 4)
+        x = Real.sqrt2()
+        for n in (0, 1, -3, 1 << 70):
+            # ends no finer than n's ulp: bit for bit the rounded sum
+            assert x.shift(n) == x + fr(n)
+
+    def test_shift_keeps_sub_ulp_ends(self):
+        tiny = Real.tracked_from_fraction(Fraction(1, 3 << 1000))
+        assert (tiny + fr(-2)).cmp_fraction(Fraction(-2)) is None  # rounds onto -2
+        y = tiny.shift(-2)
+        assert y.cmp_fraction(Fraction(-2)) == 1
+        # both ends exact, so moving back gives tiny bit for bit
+        assert y.shift(2) == tiny and (y - fr(-2)) == tiny and y.shift(0) == y
+        lo, hi = y.bounds()
+        assert lo < Fraction(-2) + Fraction(1, 3 << 1000) < hi
+
+    def test_shift_rounds_past_the_exact_budget(self):
+        far = Real.tracked_from_fraction(Fraction(1, 3 << (1 << 21)))
+        assert far.shift(1) == far + fr(1)
+
     def test_root_exact_on_perfect_powers(self):
         assert fr(9, 4).root(2).as_fraction() == Fraction(3, 2)
         assert fr(27, 8).root(3).as_fraction() == Fraction(3, 2)
