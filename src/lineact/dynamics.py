@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .actions import Action, realize, relations_proved
@@ -148,18 +148,16 @@ def _orbit_sample(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
 _point_value = attrgetter("value")
 
 
-def _merge_overlapping(items: list, value=lambda r: r, mid=None) -> list:
-    """Items sorted by value midpoint (``mid(item)`` when given), minus each
-    one whose enclosure overlaps the last one kept; of equal midpoints the
-    earlier item comes first."""
+def _merge_overlapping(items: list, value=lambda r: r, key=None) -> list:
+    """Items sorted by value midpoint, minus each one whose enclosure overlaps
+    the last one kept; of equal midpoints the earlier item comes first.
 
-    def by_mid(item):
-        # a float compare decides the order unless the floats tie
-        m = value(item).mid() if mid is None else mid(item)
-        return (approx_float(m), m)
-
+    ``key(item)``, by default ``value(item).mid_key()``, is the midpoint
+    rounded to a float, then exact.  Rounding is monotone, so it never orders
+    two midpoints against their exact order: the exact compare breaks float
+    ties only, and the sort is the exact-midpoint sort."""
     merged: list = []
-    for item in sorted(items, key=by_mid):
+    for item in sorted(items, key=key or (lambda it: value(it).mid_key())):
         # cmp is +-1 only for enclosures that certainly do not meet
         if merged and value(item).cmp(value(merged[-1])) in (None, 0):
             continue
@@ -670,21 +668,7 @@ def _grid_orbit_in(act: Action, grid: list[Fraction], V: Interval,
     """
     Vc = V.closure()
     vlo, vhi = Vc.lo.bounds()[0], Vc.hi.bounds()[1]
-    hits: list[Real] = []
-    seenkeys = set()
-
-    def consider(v: Real):
-        # midpoint filter against the outer closure bounds; a point admitted
-        # within endpoint error of the boundary only shrinks the gaps found
-        if vlo <= v.mid() <= vhi:
-            key = v.bounds()
-            if key not in seenkeys:
-                seenkeys.add(key)
-                hits.append(v)
-
-    for g in grid:
-        consider(Real.from_fraction(g))
-
+    hits = [Real.from_fraction(g) for g in grid if vlo <= g <= vhi]
     for w, _ in islice(walk(act.presentation, orbit_depth, True), 1, None):
         hw = realize(act, w)
         pre = _or_none(eval_interval, inverse(hw), Vc)
@@ -694,8 +678,11 @@ def _grid_orbit_in(act: Action, grid: list[Fraction], V: Interval,
         for g in grid:
             if plo <= g <= phi:
                 v = _or_none(evaluate, hw, Real.from_fraction(g))
-                if v is not None:
-                    consider(v)
+                # a midpoint filter against the outer closure bounds: a point
+                # admitted within endpoint error of the boundary only shrinks
+                # the gaps found; the merge drops repeated points
+                if v is not None and vlo <= v.mid() <= vhi:
+                    hits.append(v)
 
     return _merge_overlapping(hits)
 
@@ -841,7 +828,8 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     sample = [(p.value.mid(), p) for p in _orbit_sample(act, x, radius)]
 
     def in_window(marked: list) -> list:
-        merged = _merge_overlapping(marked, lambda mp: mp[1].value, itemgetter(0))
+        merged = _merge_overlapping(marked, lambda mp: mp[1].value,
+                                    lambda mp: (approx_float(mp[0]), mp[0]))
         return [(m, p) for m, p in merged if lo_f <= m <= hi_f]
 
     inside = in_window(sample)

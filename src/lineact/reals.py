@@ -11,9 +11,10 @@ up to 8 precision ceilings of bits, and :meth:`Real.shift` adds an integer
 to sub-ulp tracked ends exactly up to 2**21 bits, keeping tiny offsets.
 
 The certified order works on the raw endpoints: two mpf endpoints compare
-with ``mpf_cmp``, an mpf endpoint and a rational with one exact integer sign
-test, and two rationals by numerator over a shared denominator.  No
-``Fraction`` is built to compare a tracked value; :meth:`Real.bounds` turns
+with ``mpf_cmp``, an mpf endpoint and a rational by sign and binary
+magnitude before at most one exact integer product, and two rationals by
+numerator over a shared denominator.  No ``Fraction`` is built to compare or
+sort a tracked value (:meth:`Real.mid_key`); :meth:`Real.bounds` turns
 endpoints into fractions for reporting, oracles and the exact path.
 
 Precision of tracked arithmetic is controlled by :class:`PrecisionContext`.
@@ -28,20 +29,24 @@ import math
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional, Union
 
 import mpmath.libmp as _mp
 from mpmath.libmp import (
     from_int,
+    fzero,
     mpf_add,
     mpf_cmp,
     mpf_nthroot,
     mpf_pos,
     mpf_sign,
+    mpf_sub,
     normalize,
     round_ceiling,
     round_floor,
     round_nearest,
+    to_float,
     to_int,
     to_rational,
 )
@@ -251,7 +256,14 @@ def _ends(x: "Real"):
 def _cmp_end(a, b) -> int:
     """-1, 0 or +1 as endpoint a <, = or > endpoint b, exactly.
 
-    An mpf against a rational num/den is the sign of man*2**exp*den - num.
+    An mpf a against a rational b is decided, as ``mpf_cmp`` decides two
+    mpf, by sign and then by binary magnitude: a lies in [2**(top-1),
+    2**top), top = exp + bc, and b in (2**(lb-1), 2**(lb+1)), lb =
+    bitlen(num) - bitlen(den), so ranges a binade apart need no product.
+    Closer, a mantissa wider than working precision (only Real.shift's exact
+    sums make one) is compared above b's integer part f: a - f (one exact
+    ``mpf_sub``) against (num - f*den)/den in [0, 1).  Else the answer is the
+    sign of man*2**exp*den - num.  Every step is exact, so every path agrees.
     """
     if type(a) is not tuple:
         if type(b) is not tuple:
@@ -259,19 +271,43 @@ def _cmp_end(a, b) -> int:
         return -_cmp_end(b, a)
     if type(b) is tuple:
         return mpf_cmp(a, b)
-    sign, man, exp, bc = a
-    if bc < 0:
-        if bc == -1:
+    if a[3] < 0:
+        if a[3] == -1:
             raise ValueError("nan endpoint")
-        return -1 if sign else 1  # an infinity
+        return -1 if a[0] else 1  # an infinity
+    return _cmp_mpf_ratio(a, b.numerator, b.denominator)
+
+
+def _cmp_mpf_ratio(a, num: int, den: int) -> int:
+    """_cmp_end of a finite mpf a and num/den (den > 0)."""
+    sign, man, exp, bc = a
+    sa = (-1 if sign else 1) if man else 0
+    sb = (num > 0) - (num < 0)
+    if sa != sb or not sa:
+        return (sa > sb) - (sa < sb)
+    top, lb = exp + bc, num.bit_length() - den.bit_length()
+    if top < lb:
+        return -sa
+    if top > lb + 1:
+        return sa
+    if not 0 <= num < den and bc > _prec():  # b's integer part is not 0
+        f = num // den
+        r = mpf_sub(a, from_int(f))
+        if r[0]:
+            return -1  # a - f < 0 <= b - f
+        if r[2] + r[3] > 0:
+            return 1  # a - f >= 1 > b - f
+        return _cmp_mpf_ratio(r, num - f * den, den)
     if sign:
         man = -man
-    num, den = b.numerator, b.denominator
     if exp >= 0:
         d = (man << exp) * den - num
     else:
         d = man * den - (num << -exp)
     return (d > 0) - (d < 0)
+
+
+_END_ORDER = cmp_to_key(_cmp_end)
 
 
 def _finer(e, p: int, nbits: int) -> bool:
@@ -414,14 +450,27 @@ class Real:
     def mid(self) -> Fraction:
         if self._rat is not None:
             return self._rat
+        return _end_fraction(self._half_sum())
+
+    def _half_sum(self):
+        """A tracked value's exact midpoint: its ends' exact sum, halved."""
         lo, hi = self._mpi
         if lo[3] < 0 or hi[3] < 0:
             raise ValueError("enclosure has a non-finite endpoint")
-        # the exact sum of the endpoints (no precision given), halved
-        sign, man, exp, _ = mpf_add(lo, hi)
-        man = -man if sign else man
-        exp -= 1
-        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        sign, man, exp, bc = mpf_add(lo, hi)
+        # fzero with a lowered exponent would be no mpf (to_float reads NaN)
+        return (sign, man, exp - 1, bc) if man else fzero
+
+    def mid_key(self):
+        """Sorts values as their exact midpoints, building no Fraction: the
+        midpoint's nearest float, then the midpoint as an exact endpoint."""
+        q = self._rat
+        if q is not None:
+            return (approx_float(q), _END_ORDER(q))
+        h = self._half_sum()
+        if h[2] + h[3] < -1021:  # to_float rounds twice below 2**-1022
+            return (approx_float(_end_fraction(h)), _END_ORDER(h))
+        return (to_float(h, rnd=round_nearest), _END_ORDER(h))
 
     def __float__(self) -> float:
         return float(self.mid())

@@ -181,7 +181,8 @@ def checks_json(checks: list[LadderCheck]) -> dict:
 
 
 def classification_json(cls: OrbitClosureClass) -> dict:
-    return {"class": cls.kind, "evidence": {
+    # the class is read off a finite sample by fixed thresholds: no proof
+    return {"class": cls.kind, "heuristic": True, "evidence": {
         k: _approx(v) if isinstance(v, float) else v
         for k, v in cls.evidence.items()}}
 

@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "perfbench"))
 
 import oracles  # noqa: E402
+from test_reals_order import ref_merge_overlapping  # noqa: E402
 
 # Orbit sizes after merging overlapping enclosures.  Where the sum n + u was
 # rounded at working precision, k=2 from cells -4, -3, -2 gave 68, 78 and 86
@@ -33,6 +34,9 @@ POINTS = {
 # Starts whose orbit raises PrecisionExhausted (an enclosure touches the edge
 # of cell -3 or -4 under a contracting root); none may be added.
 RAISES = {(3, -4), (3, -3), (3, -2)}
+# The orbits with the widest tracked ends (Real.shift's exact sums, up to
+# 711,266 bits of mantissa next to 12,290-bit rationals).
+HEAVY = [(2, -4), (2, -3), (2, -2), (3, -1)]
 
 
 def _dyadic_mpf(q: Fraction) -> mpmath.mpf:
@@ -69,3 +73,25 @@ def test_far_cell_orbit_matches_oracle(k, c, monkeypatch):
             assert max(q.numerator.bit_length(), q.denominator.bit_length()) <= cap
         lo, hi = p.value.bounds()
         assert oracles.check_ladder_orbit_point(k, p.word.word, x, lo, hi) is None, p.word
+
+
+def _heavy_orbit_start(k: int, c: int):
+    return actions.gallery("ex_1_4", k=k), Real.from_fraction(c + Fraction(5, 8))
+
+
+@pytest.mark.parametrize("k,c", HEAVY)
+def test_far_cell_merge_matches_reference(k, c):
+    sample = dynamics._orbit_sample(*_heavy_orbit_start(k, c), 4)
+    got = dynamics._merge_overlapping(sample, dynamics._point_value)
+    want = ref_merge_overlapping(sample, dynamics._point_value)
+    assert [id(p) for p in got] == [id(p) for p in want]
+    assert len(got) == POINTS[k][c]
+
+
+@pytest.mark.parametrize("k,c", HEAVY)
+def test_far_cell_orbit_builds_no_fraction_midpoint(k, c, monkeypatch):
+    def refuse(self):
+        raise AssertionError("orbit built a Fraction midpoint")
+
+    monkeypatch.setattr(Real, "mid", refuse)
+    assert len(dynamics.orbit(*_heavy_orbit_start(k, c), 4)) == POINTS[k][c]

@@ -2,18 +2,22 @@
 Fraction-bound versions it replaced (the reference): Real.cmp, leq,
 cmp_fraction, contains_zero and hull, the branch choice of piecewise maps,
 the orbit overlap merge and the largest-residual pick must all agree, mpf
-tuples included."""
+tuples included.  The operands include far-cell ends with mantissas of up to
+10**6 bits and values at and around powers of two; a path test checks which
+branch of the mpf-against-rational compare runs, and the sort key's float is
+checked against the nearest float of the exact midpoint."""
 
 import random
 from fractions import Fraction
 from typing import Optional
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import finf, fninf, from_int, round_ceiling, round_floor
+from mpmath.libmp import finf, fninf, from_int, round_ceiling, round_floor, to_rational
 
-from lineact import actions, dynamics, homeo
+from lineact import actions, dynamics, homeo, reals
 from lineact.reals import (
     PrecisionExhausted,
     Real,
@@ -21,6 +25,7 @@ from lineact.reals import (
     _mpf_round,
     _mpi_from_fraction,
     _prec,
+    approx_float,
     precision,
 )
 
@@ -205,6 +210,79 @@ def tracked_values(draw) -> Real:
         return n + off if draw(st.booleans()) else n - off
 
 
+# Far cells: a tracked end n + m/2**k with k up to 10**6, as Real.shift's
+# exact sums leave it (a mantissa of about k bits), next to rationals that
+# share its integer part or lie a few cells off; negative n as well.
+_CELLS = [-7, -5, -3, -2, -1, 0, 1, 4, 7]
+_OFFSET_BITS = [1, 60, 300, 5000, 100_000, 1_000_000]
+
+
+@st.composite
+def offsets(draw) -> Fraction:
+    """m/2**k for a small odd m of either sign."""
+    m = draw(st.sampled_from([1, -1, 3, -5]))
+    return Fraction(m, 1 << draw(st.sampled_from(_OFFSET_BITS)))
+
+
+@st.composite
+def wide_values(draw, n: int) -> Real:
+    """n + an offset enclosure (zero width or not), summed by Real.shift."""
+    u, v = sorted((draw(offsets()), draw(offsets())))
+    with precision(draw(precs)):
+        off = Real.tracked_from_fraction(u) if u == v else Real.hull(Real(u), Real(v))
+        return off.shift(n)
+
+
+@st.composite
+def near_rationals(draw, n: int) -> Fraction:
+    """n + d + r: in cell n itself, mostly, or up to 3 cells off; r is 0, an
+    offset, or a fraction of the cell, so n + d + r may lie in (-1, 0)."""
+    d = draw(st.sampled_from([0, 0, 0, -1, 1, -2, 2, -3, 3]))
+    r = draw(st.one_of(offsets(), st.sampled_from(
+        [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+         Fraction(7, 8), 1 - Fraction(1, 1 << 60)])))
+    return n + d + r
+
+
+@st.composite
+def wide_pairs(draw):
+    n = draw(st.sampled_from(_CELLS))
+    x = draw(wide_values(n))
+    if draw(st.booleans()):
+        return x, Real(draw(near_rationals(n)))
+    return x, draw(wide_values(n + draw(st.sampled_from([0, -1, 1, 2]))))
+
+
+@st.composite
+def near_powers(draw, j: int) -> Fraction:
+    """+-2**j exactly, 2**j * (1 +- 2**-q) (one ulp at q bits), or
+    2**j * 2**d / (2**d -+ 1), just off 2**j with a denominator of all ones."""
+    kind = draw(st.sampled_from(["at", "up", "down", "above", "below"]))
+    if kind == "at":
+        q = Fraction(1)
+    elif kind in ("up", "down"):
+        ulp = Fraction(1, 1 << draw(st.sampled_from([1, 2, 53, 256, 300])))
+        q = 1 + ulp if kind == "up" else 1 - ulp
+    else:
+        d = draw(st.sampled_from([2, 60]))
+        q = Fraction(1 << d, (1 << d) - 1 if kind == "above" else (1 << d) + 1)
+    return draw(st.sampled_from([1, -1])) * q * Fraction(2) ** j
+
+
+@st.composite
+def edge_pairs(draw):
+    """An mpf and a rational near powers of two at most 3 binades apart: both
+    edges of _cmp_end's magnitude window, and pairs 4x apart or more."""
+    # 2**-1075 is half the least subnormal float: a float rounding that
+    # rounds twice misplaces the values just above it
+    j = draw(st.sampled_from([-1075, -70, -1, 0, 1, 3, 64]))
+    a = draw(near_powers(j))
+    b = draw(near_powers(j + draw(st.integers(-3, 3))))
+    with precision(4096):  # every drawn dyadic fits, so the mpf is exact
+        x = Real.tracked_from_fraction(a)
+    return x, Real(b)
+
+
 def operands():
     return st.one_of(exact_values().map(Real), tracked_values())
 
@@ -212,9 +290,14 @@ def operands():
 @st.composite
 def pairs(draw):
     """Two values; often the second sits exactly on an endpoint of the first,
-    as an exact value or a zero-width enclosure, or is the first itself."""
+    as an exact value or a zero-width enclosure, or is the first itself; or a
+    wide far-cell end and a value near it; or two values near powers of two."""
+    shape = draw(st.sampled_from(["free", "at-lower", "at-upper", "same", "wide", "edge"]))
+    if shape == "wide":
+        return draw(wide_pairs())
+    if shape == "edge":
+        return draw(edge_pairs())
     x = draw(operands())
-    shape = draw(st.sampled_from(["free", "at-lower", "at-upper", "same"]))
     if shape == "free":
         return x, draw(operands())
     if shape == "same":
@@ -226,10 +309,37 @@ def pairs(draw):
     return x, Real(None, (end, end))
 
 
+def _far(n: int, k: int, m: int = 1) -> Real:
+    """n + m/2**k, summed exactly by Real.shift: a mantissa of about k bits."""
+    return Real.tracked_from_fraction(Fraction(m, 1 << k)).shift(n)
+
+
+# (mpf, rational) pairs pinned at each edge of _cmp_end's magnitude window
+# (top = exp + bc of the mpf, lb = bitlen(num) - bitlen(den)) and of its
+# integer-part reduction, whatever the drawn examples.
+_PINNED = [
+    (Real.tracked_from_fraction(Fraction(3, 2)), Real(Fraction(4, 3))),  # top = lb
+    (Real.tracked_from_fraction(Fraction(1, 2)), Real(1 - Fraction(1, 1 << 53))),  # lb + 1
+    (Real.tracked_from_fraction(Fraction(1)), Real(Fraction(4))),  # lb - 1, 4x apart
+    (Real.tracked_from_fraction(8 - Fraction(1, 1 << 50)), Real(Fraction(4, 3))),  # lb + 2
+    (_far(-3, 5000, -1), Real(Fraction(-10, 3))),  # b's floor -4, not its trunc -3
+    (_far(4, 5000), Real(Fraction(31, 2))),  # a - floor(b) <= -1
+    (Real.sqrt2(), Real(Fraction(3, 2))),  # close and narrow: not reduced
+    (_far(-3, 5000), Real(Fraction(-14, 5))),  # close and wide: reduced
+]
+
+
+def pinned(test):
+    for xy in _PINNED:
+        test = example(xy)(test)
+    return test
+
+
 # -- equivalence --------------------------------------------------------------
 
 @settings(max_examples=400, deadline=None)
 @given(pairs())
+@pinned
 def test_order_matches_reference(xy):
     x, y = xy
     for a, b in ((x, y), (y, x), (x, x)):
@@ -238,6 +348,59 @@ def test_order_matches_reference(xy):
         for q in b.bounds():
             assert a.cmp_fraction(q) == ref_cmp_fraction(a, q)
         assert a.contains_zero() == ref_contains_zero(a)
+
+
+def _compare_path(e, q: Fraction) -> tuple[int, int]:
+    """The precision lookups and exact subtractions _cmp_end(e, q) makes."""
+    calls = [0, 0]
+
+    def counted(i, fn):
+        def call(*args):
+            calls[i] += 1
+            return fn(*args)
+        return call
+
+    with patch.object(reals, "_prec", counted(0, reals._prec)), \
+            patch.object(reals, "mpf_sub", counted(1, reals.mpf_sub)):
+        reals._cmp_end(e, q)
+    return calls[0], calls[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+@pinned
+def test_compare_path_follows_sign_magnitude_and_width(xy):
+    """An mpf end and a rational of opposite signs, or 4x apart in magnitude,
+    are ordered before the precision lookup; closer, only a mantissa wider
+    than working precision is reduced, by one exact subtraction, and only
+    when the rational's integer part is not 0."""
+    p = _prec()
+    for x, y in (xy, xy[::-1]):
+        if x.is_rational or not y.is_rational:
+            continue
+        q = y.as_fraction()
+        for e in x._mpi:
+            v = Fraction(*to_rational(e))
+            lookups, subs = _compare_path(e, q)
+            if v * q <= 0 or 4 * abs(v) <= abs(q) or 4 * abs(q) <= abs(v):
+                assert (lookups, subs) == (0, 0)
+            else:
+                assert subs == (lookups == 1 and e[3] > p and not 0 <= q < 1)
+
+
+def _just_above_half_least_subnormal() -> Real:
+    """2**-1075 (1 + 2**-300): its nearest float is 2**-1074, but rounding to
+    53 bits first gives 2**-1075, a tie that rounds to 0.0."""
+    with precision(512):
+        return Real.tracked_from_fraction(Fraction(1, 1 << 1075) * (1 + Fraction(1, 1 << 300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+@example((_just_above_half_least_subnormal(), Real.tracked_from_fraction(Fraction(0))))
+def test_mid_key_float_is_the_nearest_float(xy):
+    for x in xy:
+        assert x.mid_key()[0] == approx_float(x.mid())
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,6 +467,9 @@ def _around(m: Fraction) -> Real:
 @example([(Real(_NEXT), Real(_ONE))])
 @example([(_around(_ONE), _around(_NEXT))])
 @example([(_around(_NEXT), _around(_ONE)), (Real(_NEXT), Real(_ONE))])
+# a zero-width enclosure at 0: its endpoint sum is fzero, whose exponent may
+# not be lowered
+@example([(Real.tracked_from_fraction(Fraction(0)), Real(Fraction(-1, 3)))])
 def test_merge_overlapping_matches_reference(xys):
     items = [r for xy in xys for r in xy]
     got = dynamics._merge_overlapping(items)
