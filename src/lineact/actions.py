@@ -146,8 +146,6 @@ def _largest(residuals) -> tuple[Real, Optional[Real]]:
 
 def sample_points(window: Interval, count: int) -> list[Real]:
     """Deterministic rational sample grid strictly inside a window."""
-    if window.is_empty:
-        raise ValueError("need a nonempty window")
     if count < 1:
         raise ValueError(f"need at least one sample point, got {count}")
     lo, hi = window.lo, window.hi

@@ -172,8 +172,6 @@ def coverage_gap(points: Sequence, window: Interval) -> Real:
     endpoints count as gap borders; with no points inside, the gap is the
     window diameter.
     """
-    if window.is_empty:
-        raise ValueError("need a nonempty window")
     lo_f, hi_f = window.lo.mid(), window.hi.mid()
     values: list[Real] = []
     for p in points:
@@ -208,9 +206,6 @@ def transitivity_search(act: Action, U: Interval, V: Interval,
     interval images, so the returned witness is the shortlex-first element of
     the radius-L ball with w(U) intersecting V.
     """
-    for iv in (U, V):
-        if iv.is_empty:
-            raise ValueError("U and V must be nonempty intervals")
     for w, img in _ball_images(act, U, radius):
         if img is not None and img.certainly_intersects(V):
             return w
@@ -256,8 +251,6 @@ def wandering_certificate(act: Action, J: Interval, radius: int) -> WanderingCer
     judged once, by its shortlex-first word, for all its spellings; else the
     free group on the generators is all that acts, and each word is judged.
     """
-    if J.is_empty:
-        raise ValueError("J must be a nonempty interval")
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     p = act.presentation
@@ -358,8 +351,6 @@ def find_wandering_interval(act: Action, window: Interval,
     verifies the invariance and disjointness claims along the generator
     chain, then shrinks a subinterval off itself under the pivot generator.
     """
-    if window.is_empty:
-        raise ValueError("window is empty")
     chain = _wandering_chain(act)
     tol = _FIND_TOL
 
@@ -615,8 +606,6 @@ def cantor_ladder(act: Action, depth: int, radius: int,
         raise ValueError(f"depth must be at least 1, got {depth}")
     if seed is None:
         seed = Interval.open(0, 1)
-    if seed.is_empty:
-        raise ValueError("seed interval is empty")
     params = params or LadderParams()
     orbit_depth = params.orbit_depth if params.orbit_depth is not None else radius
 
@@ -750,7 +739,7 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
             if not (img.certainly_disjoint(U) or _endpoints_fixed(img, U, tol)):
                 bad = bad or (w, f"image {img} partially overlaps")
             clipped = img.intersection_hull(unit)
-            d = clipped.diameter()
+            d = Real.rational(0) if clipped is None else clipped.diameter()
             if not d.definitely_lt(bound):
                 small_bad = small_bad or (w, f"diam {d} in [0,1] not < 1/{i}")
         checks.append(LadderCheck(
@@ -819,8 +808,6 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     """
     if radius < 2:
         raise ValueError(f"radius must be at least 2, got {radius}")
-    if window.is_empty:
-        raise ValueError("window is empty")
     diam = window.diameter()
     lo_f, hi_f = window.lo.mid(), window.hi.mid()
     # one walk serves both samples: the half-radius ball is its first layers;

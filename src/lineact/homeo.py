@@ -65,7 +65,7 @@ class HorizonExceeded(Exception):
 
 
 class WindowDegenerate(Exception):
-    """A search window is empty or a single point."""
+    """A search window may be a single point."""
 
 
 # Cells with |2^t| needing more than this many bits to scale are rejected.
@@ -347,8 +347,6 @@ def evaluate(h: HomeoExpr, x: RealLike) -> Real:
 
 def eval_interval(h: HomeoExpr, iv: Interval) -> Interval:
     """Image of a bounded interval: the interval between the endpoint images."""
-    if iv.is_empty:
-        return Interval.EMPTY
     return Interval(evaluate(h, iv.lo), evaluate(h, iv.hi), iv.open_lo, iv.open_hi)
 
 
@@ -485,11 +483,9 @@ class FixReport:
     gaps of the window minus the detected fixed set, ordered left to right.
     """
 
-    window: Interval
     fixed_points: list[Real]
     fixed_intervals: list[Interval]
     complement_intervals: list[Interval]
-    tolerance: Real
 
 
 def _sign_of(d: Real, tol: Real) -> int:
@@ -510,7 +506,7 @@ def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256,
     """Locate Fix(h) inside a window by grid scan plus bisection."""
     diam = window.diameter()
     if diam.cmp_fraction(Fraction(0)) != 1:
-        raise WindowDegenerate("window is empty or a single point")
+        raise WindowDegenerate("window may be a single point")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     tol = Real.coerce(tol)
@@ -560,11 +556,9 @@ def _fixed_points_pass(h, window, grid_n, tol) -> FixReport:
         complement.append(Interval(cursor, hi, cursor_open, window.open_hi))
 
     return FixReport(
-        window=window,
         fixed_points=fixed_pts,
         fixed_intervals=fixed_ivs,
         complement_intervals=complement,
-        tolerance=tol,
     )
 
 
@@ -587,9 +581,8 @@ def _bisect_fixed(h, a: Real, b: Real, sign_a: int, tol: Real) -> Real:
 def is_identity_on(h: HomeoExpr, iv: Interval) -> bool:
     """Is h proved to restrict to the identity on iv?  Exact, with no sample
     and no tolerance: True only when :func:`simplify` reduces h to the
-    identity; a map that fixes iv but is not proved so gives False."""
-    if iv.is_empty:
-        raise ValueError("need a nonempty interval")
+    identity; a map that fixes iv but is not proved so gives False.  That
+    proof is global, so iv names the domain of the claim but is not read."""
     return simplify(h) == Identity()
 
 

@@ -766,30 +766,25 @@ def parse_real(text: str) -> Real:
 
 
 class Interval:
-    """A bounded interval of the line with per-endpoint openness.
+    """A nonempty bounded interval of the line with per-endpoint openness.
 
     Both endpoints are :class:`Real` values; the constructor refuses a
-    missing one, since the dichotomy only ever needs bounded intervals (an
-    open set contains one).  The empty interval is the distinct sentinel
-    :data:`Interval.EMPTY`.  Rigor convention: predicates with "certainly"
-    in the name return True only when the answer is provable from the
-    endpoint enclosures; they never guess.
+    missing one, since the dichotomy only ever needs nonempty bounded
+    intervals (a nonempty open set contains one).  There is no empty
+    interval: :meth:`intersection_hull` gives None for a certainly empty
+    intersection.  Rigor convention: predicates with "certainly" in the
+    name return True only when the answer is provable from the endpoint
+    enclosures; they never guess.
     """
 
-    __slots__ = ("lo", "hi", "open_lo", "open_hi", "_empty")
-
-    EMPTY: "Interval"
+    __slots__ = ("lo", "hi", "open_lo", "open_hi")
 
     def __init__(self, lo: Real, hi: Real,
-                 open_lo: bool = True, open_hi: bool = True,
-                 _empty: bool = False):
-        self._empty = _empty
+                 open_lo: bool = True, open_hi: bool = True):
         self.lo = lo
         self.hi = hi
         self.open_lo = open_lo
         self.open_hi = open_hi
-        if _empty:
-            return
         if lo is None or hi is None:
             raise ValueError("interval endpoints must be finite")
         c = lo.cmp(hi)
@@ -804,71 +799,48 @@ class Interval:
     def closed(lo: RealLike, hi: RealLike) -> "Interval":
         return Interval(Real.coerce(lo), Real.coerce(hi), False, False)
 
-    @property
-    def is_empty(self) -> bool:
-        return self._empty
-
     def closure(self) -> "Interval":
-        if self._empty:
-            return self
         return Interval(self.lo, self.hi, False, False)
 
     def diameter(self) -> Real:
-        if self._empty:
-            return Real.rational(0)
         return self.hi - self.lo
 
     def midpoint(self) -> Real:
-        if self._empty:
-            raise ValueError("midpoint of the empty interval")
         return (self.lo + self.hi) / Real.rational(2)
 
-    # Every endpoint comparison below is a Real.cmp or Real.leq call: cmp
-    # is 0 only for two equal exact rationals, so a tie settles a question
-    # only between exact endpoints, and an open end on either side of it.
+    # Every endpoint comparison below compares raw endpoints (_cmp_end),
+    # through Real.cmp, Real.leq or directly: a tie of an upper end with a
+    # lower end settles a question only with an open end on either side.
 
     def certainly_contains_point(self, x: Real) -> bool:
-        if self._empty:
-            return False
         if not (self.lo.cmp(x) == -1 if self.open_lo else self.lo.leq(x) is True):
             return False
         return x.cmp(self.hi) == -1 if self.open_hi else x.leq(self.hi) is True
 
     def certainly_disjoint(self, other: "Interval") -> bool:
-        if self._empty or other._empty:
-            return True
         return any(_precedes(a.hi, b.lo, a.open_hi or b.open_lo)
                    for a, b in ((self, other), (other, self)))
 
     def certainly_intersects(self, other: "Interval") -> bool:
         """Certainly nonempty open-overlap (interiors meet)."""
-        if self._empty or other._empty:
-            return False
         return all(a.lo.cmp(b.hi) == -1 for a in (self, other) for b in (self, other))
 
     def certainly_subset_of(self, other: "Interval") -> bool:
-        if self._empty:
-            return True
-        if other._empty:
-            return False
         return (_precedes(other.lo, self.lo, self.open_lo or not other.open_lo)
                 and _precedes(self.hi, other.hi, self.open_hi or not other.open_hi))
 
-    def intersection_hull(self, other: "Interval") -> "Interval":
-        """Outer enclosure of the set intersection (closed hull semantics)."""
-        if self._empty or other._empty:
-            return Interval.EMPTY
+    def intersection_hull(self, other: "Interval") -> Optional["Interval"]:
+        """Outer enclosure of the set intersection (closed hull semantics),
+        or None when the intersection is certainly empty."""
         lo = other.lo if _cmp_end(_ends(other.lo)[0], _ends(self.lo)[0]) > 0 else self.lo
         hi = other.hi if _cmp_end(_ends(other.hi)[1], _ends(self.hi)[1]) < 0 else self.hi
         if hi.cmp(lo) == -1:
-            return Interval.EMPTY
+            return None
         return Interval(lo, hi, False, False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
-        if self._empty or other._empty:
-            return self._empty and other._empty
         return (
             self.open_lo == other.open_lo
             and self.open_hi == other.open_hi
@@ -877,13 +849,9 @@ class Interval:
         )
 
     def __hash__(self):
-        if self._empty:
-            return hash("empty-interval")
         return hash((self.lo, self.hi, self.open_lo, self.open_hi))
 
     def __str__(self) -> str:
-        if self._empty:
-            return "(empty)"
         lb = "(" if self.open_lo else "["
         rb = ")" if self.open_hi else "]"
         return f"{lb}{self.lo}, {self.hi}{rb}"
@@ -891,9 +859,8 @@ class Interval:
     __repr__ = __str__
 
 
-Interval.EMPTY = Interval(None, None, _empty=True)
-
-
 def _precedes(a: Real, b: Real, tie_ok: bool) -> bool:
-    """Whether a < b certainly, or a == b as exact rationals when tie_ok."""
-    return a.cmp(b) in ((-1, 0) if tie_ok else (-1,))
+    """Whether a < b certainly, or, when tie_ok, a <= b certainly: a's upper
+    endpoint against b's lower one."""
+    c = _cmp_end(_ends(a)[1], _ends(b)[0])
+    return c < 0 or (tie_ok and c == 0)

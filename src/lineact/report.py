@@ -58,8 +58,6 @@ def real_json(r: Real) -> dict:
 def interval_json(iv: Optional[Interval]) -> Optional[dict]:
     if iv is None:
         return None
-    if iv.is_empty:
-        return {"empty": True}
     return {
         "lo": str(iv.lo),
         "hi": str(iv.hi),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lineact.actions import Action, gallery, sample_points
+from lineact.actions import Action, gallery
 from lineact.dynamics import (
     ConstructionFailed,
     LadderParams,
@@ -23,9 +23,6 @@ from lineact.homeo import (
     Affine,
     Identity,
     UnitPowerLadder,
-    WindowDegenerate,
-    fixed_points,
-    is_identity_on,
 )
 from lineact.reals import Interval, Real
 from lineact.words import Presentation, bs_pair
@@ -353,28 +350,3 @@ class TestClassifier:
         assert ev["count"] == inside(orbit(act, x, radius))
         assert ev["count_half_radius"] == inside(orbit(act, x, radius // 2))
         assert ev["count_half_radius"] < ev["count"]
-
-
-# -- one refusal of the empty interval at every entry point that needs one --
-
-EMPTY = Interval.EMPTY
-UNIT = Interval.open(0, 1)
-
-
-@pytest.mark.parametrize("call, error", [
-    (lambda: fixed_points(Affine(2, 0), EMPTY), WindowDegenerate),
-    (lambda: is_identity_on(Affine(2, 0), EMPTY), ValueError),
-    (lambda: coverage_gap([R(1, 2)], EMPTY), ValueError),
-    (lambda: transitivity_search(gallery("ex_1_1"), EMPTY, UNIT, 2), ValueError),
-    (lambda: wandering_certificate(gallery("klein_bottle"), EMPTY, 2), ValueError),
-    (lambda: find_wandering_interval(gallery("klein_bottle"), EMPTY), ValueError),
-    (lambda: sample_points(EMPTY, 3), ValueError),
-    (lambda: EMPTY.midpoint(), ValueError),
-    (lambda: cantor_ladder(gallery("ex_1_4", k=2), 1, 3, seed=EMPTY), ValueError),
-    (lambda: classify_orbit_closure(gallery("ex_1_1"), 0, 4, EMPTY), ValueError),
-], ids=["fixed_points", "is_identity_on", "coverage_gap", "transitivity_search",
-        "wandering_certificate", "find_wandering_interval", "sample_points",
-        "midpoint", "cantor_ladder", "classify_orbit_closure"])
-def test_empty_interval_is_refused(call, error):
-    with pytest.raises(error):
-        call()

@@ -220,9 +220,6 @@ class TestEvalInterval:
         with pytest.raises(ValueError):
             Interval(R(0), None)
 
-    def test_empty(self):
-        assert eval_interval(affine(1, 0), Interval.EMPTY).is_empty
-
 
 class TestInverse:
     def test_affine(self):
