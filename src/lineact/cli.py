@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -43,7 +44,7 @@ from .dynamics import (
 )
 from .homeo import HorizonExceeded, eval_interval, evaluate
 from .parse import ParseError, parse_action_file, parse_expr, parse_real
-from .reals import Interval, PrecisionExhausted, precision
+from .reals import _CONSTANTS, Interval, PrecisionExhausted, precision
 from .words import UnknownGenerator, UnsupportedPresentation
 
 EXIT_OK = 0
@@ -51,14 +52,14 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]):
     p.add_argument("--precision", type=int, default=256,
                    help="working precision in bits (default 256)")
     p.add_argument("--ceiling", type=int, default=4096,
                    help="precision ceiling for retry-and-double (default 4096)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized sweeps (default 0)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--output", default=None, help="write payload to a file")
 
 
@@ -285,9 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, help_text):
+    # argparse reads only -3 and -0.5 as values; -1/2, -.5 and -sqrt2 are too
+    negative = re.compile(r"^-(\d|\.\d|(%s)$)" % "|".join(_CONSTANTS), re.IGNORECASE)
+
+    def cmd(name, fn, help_text, formats=("json",)):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p._negative_number_matcher = negative
+        _add_common(p, formats)
         p.set_defaults(fn=fn)
         return p
 
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-num", type=int, default=1)
     p.add_argument("--tol-den", type=int, default=10**20)
 
-    p = cmd("orbit", _cmd_orbit, "enumerate an orbit sample")
+    p = cmd("orbit", _cmd_orbit, "enumerate an orbit sample", ("json", "csv"))
     _add_action_source(p)
     p.add_argument("--point", required=True)
     p.add_argument("--radius", type=int, required=True)
@@ -329,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--grid", type=int, default=512)
 
-    p = cmd("cantor", _cmd_cantor, "run the nested-interval construction")
+    p = cmd("cantor", _cmd_cantor, "run the nested-interval construction",
+            ("json", "csv"))
     _add_action_source(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)

@@ -19,6 +19,7 @@ error bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -475,107 +476,110 @@ def simplify(h: HomeoExpr) -> HomeoExpr:
 
 @dataclass
 class FixReport:
-    """Fixed-point structure of a map on a finite window.
+    """Fixed-point structure of a map on a finite window, found on a grid.
 
-    ``fixed_points`` are isolated solutions of h(x) = x up to the tolerance;
-    ``fixed_intervals`` are runs of grid points where the map is within
-    tolerance of the identity; ``complement_intervals`` are the maximal open
-    gaps of the window minus the detected fixed set, ordered left to right.
+    ``fixed_points`` are, left to right, the grid points h fixes exactly and
+    one point per sign change of h(x) - x between neighbours (an exact
+    rational h fixes, or an enclosure).  ``complement_intervals`` are the
+    open gaps between consecutive ones and the window's ends.  A gap between
+    two adjacent fixed grid points may itself be fixed pointwise.
     """
 
     fixed_points: list[Real]
-    fixed_intervals: list[Interval]
     complement_intervals: list[Interval]
 
 
-def _sign_of(d: Real, tol: Real) -> int:
-    """-1, 0 (within tol), +1; raises UndecidableComparison when unclear."""
-    within = abs(d).leq(tol)
-    if within is True:
-        return 0
-    if within is None:
-        raise UndecidableComparison("residual straddles the tolerance")
-    c = d.cmp_fraction(Fraction(0))
-    if c is None:
-        raise UndecidableComparison("sign of residual unclear")
-    return c
+def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256) -> FixReport:
+    """Locate Fix(h) inside a window by grid scan plus bisection, exactly.
 
-
-def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256,
-                 tol: RealLike = Fraction(1, 10**12)) -> FixReport:
-    """Locate Fix(h) inside a window by grid scan plus bisection."""
-    diam = window.diameter()
-    if diam.cmp_fraction(Fraction(0)) != 1:
+    A grid point is fixed when h(x) - x is exactly 0.  The grid runs between
+    the window's ends, or their inner dyadic bounds when they are tracked,
+    so its points are exact rationals and only h can leave a sign
+    uncertain; then the scan retries at higher precision.
+    """
+    if window.diameter().cmp_fraction(Fraction(0)) != 1:
         raise WindowDegenerate("window may be a single point")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    tol = Real.coerce(tol)
-
-    return retry_precision(lambda: _fixed_points_pass(h, window, grid_n, tol))
+    return retry_precision(lambda: _fixed_points_pass(h, window, grid_n))
 
 
-def _fixed_points_pass(h, window, grid_n, tol) -> FixReport:
-    lo, hi = window.lo, window.hi
-    span = hi - lo
-    xs = [lo + span * Real.rational(j, grid_n - 1) for j in range(grid_n)]
-    signs = [_sign_of(evaluate(h, x) - x, tol) for x in xs]
-
-    fixed_pts: list[Real] = []
-    fixed_ivs: list[Interval] = []
-
-    j = 0
-    while j < grid_n:
-        if signs[j] == 0:
-            j0 = j
-            while j + 1 < grid_n and signs[j + 1] == 0:
-                j += 1
-            if j > j0:
-                fixed_ivs.append(Interval(xs[j0], xs[j], False, False))
-            else:
-                fixed_pts.append(xs[j0])
-        j += 1
-
-    for j in range(grid_n - 1):
-        if signs[j] * signs[j + 1] == -1:
-            fixed_pts.append(_bisect_fixed(h, xs[j], xs[j + 1], signs[j], tol))
-
-    objects: list[tuple[Real, Real]] = [(p, p) for p in fixed_pts]
-    objects += [(iv.lo, iv.hi) for iv in fixed_ivs]
-    objects.sort(key=lambda ab: ab[0].mid())
-
-    complement: list[Interval] = []
-    cursor = lo
-    cursor_open = window.open_lo
-    for a, b in objects:
-        if a.cmp(cursor) == 1:
-            complement.append(Interval(cursor, a, cursor_open, True))
-        if cursor.cmp(b) != 1:
-            cursor = b
-            cursor_open = True
-    if cursor.cmp(hi) == -1:
-        complement.append(Interval(cursor, hi, cursor_open, window.open_hi))
-
-    return FixReport(
-        fixed_points=fixed_pts,
-        fixed_intervals=fixed_ivs,
-        complement_intervals=complement,
-    )
+def _residual_sign(h: HomeoExpr, x: Fraction) -> Optional[int]:
+    """Sign of h(x) - x, or None when its enclosure straddles 0."""
+    q = Real.from_fraction(x)
+    return (evaluate(h, q) - q).cmp_fraction(Fraction(0))
 
 
-def _bisect_fixed(h, a: Real, b: Real, sign_a: int, tol: Real) -> Real:
-    for _ in range(20000):
-        width_small = (b - a).leq(tol)
-        if width_small:
+def _fixed_points_pass(h, window, grid_n) -> FixReport:
+    lo, hi = window.lo.bounds()[1], window.hi.bounds()[0]
+    xs = [lo + (hi - lo) * Fraction(j, grid_n - 1) for j in range(grid_n)]
+    signs = [_residual_sign(h, x) for x in xs]
+    if None in signs:
+        raise UndecidableComparison("sign of residual unclear")
+
+    fixed: list[Real] = []
+    for j, s in enumerate(signs):
+        if s == 0:
+            fixed.append(Real.from_fraction(xs[j]))
+        elif j + 1 < grid_n and signs[j + 1] == -s:
+            fixed.append(_crossing(h, xs[j], xs[j + 1], s))
+
+    ends = [(window.lo, window.open_lo), *((p, True) for p in fixed),
+            (window.hi, window.open_hi)]
+    complement = [Interval(a, b, open_a, open_b)
+                  for (a, open_a), (b, open_b) in zip(ends, ends[1:])
+                  if a.cmp(b) == -1]
+    return FixReport(fixed_points=fixed, complement_intervals=complement)
+
+
+def _crossing(h, a: Fraction, b: Fraction, sign_a: int) -> Real:
+    """The fixed point of h in (a, b), where h(x) - x has the certain sign
+    sign_a at a and the opposite one at b.
+
+    The simplest rational of the bracket, when h fixes it exactly; else the
+    bracket halved on certain signs, at most once per bit of working
+    precision and up to the first midpoint whose sign is uncertain, then its
+    simplest rational once more, and failing that the bracket's hull.
+    """
+    q = _simplest_between(a, b)
+    if _residual_sign(h, q) == 0:
+        return Real.from_fraction(q)
+    for _ in range(current_precision().bits):
+        m = (a + b) / 2
+        s = _residual_sign(h, m)
+        if s is None:
             break
-        m = (a + b) / Real.rational(2)
-        sm = _sign_of(evaluate(h, m) - m, tol)
-        if sm == 0:
-            return m
-        if sm == sign_a:
+        if s == 0:
+            return Real.from_fraction(m)
+        if s == sign_a:
             a = m
         else:
             b = m
-    return (a + b) / Real.rational(2)
+    q = _simplest_between(a, b)
+    if _residual_sign(h, q) == 0:
+        return Real.from_fraction(q)
+    return Real.hull(Real.from_fraction(a), Real.from_fraction(b))
+
+
+def _simplest_between(x: Fraction, y: Fraction) -> Fraction:
+    """The rational of least denominator in the open interval (x, y), x < y,
+    and of the integers there the one nearest 0: x and y share continued
+    fraction terms up to the first that differs (Graham, Knuth and
+    Patashnik, *Concrete Mathematics*, section 4.5)."""
+    if x < 0 < y:
+        return Fraction(0)
+    if y <= 0:
+        return -_simplest_between(-y, -x)
+    # value = (p0 t + p1) / (q0 t + q1) for t in the current (x, y); y None
+    # stands for +infinity
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    while True:
+        n = math.floor(x)
+        if y is None or n + 1 < y:
+            n += 1
+            return Fraction(p0 * n + p1, q0 * n + q1)
+        p0, p1, q0, q1 = p0 * n + p1, p0, q0 * n + q1, q0
+        x, y = 1 / (y - n), (None if x == n else 1 / (x - n))
 
 
 def is_identity_on(h: HomeoExpr, iv: Interval) -> bool:

@@ -745,11 +745,11 @@ def parse_real(text: str) -> Real:
     Raises ValueError on anything else.
     """
     t = text.strip().lower()
+    neg = t.startswith("-")
+    t = t.removeprefix("-")
     if t in _CONSTANTS:
-        return _CONSTANTS[t]()
-    neg = False
-    if t.startswith("-"):
-        neg, t = True, t[1:]
+        x = _CONSTANTS[t]()
+        return -x if neg else x
     try:
         if "/" in t:
             num, _, den = t.partition("/")
@@ -811,11 +811,6 @@ class Interval:
     # Every endpoint comparison below compares raw endpoints (_cmp_end),
     # through Real.cmp, Real.leq or directly: a tie of an upper end with a
     # lower end settles a question only with an open end on either side.
-
-    def certainly_contains_point(self, x: Real) -> bool:
-        if not (self.lo.cmp(x) == -1 if self.open_lo else self.lo.leq(x) is True):
-            return False
-        return x.cmp(self.hi) == -1 if self.open_hi else x.leq(self.hi) is True
 
     def certainly_disjoint(self, other: "Interval") -> bool:
         return any(_precedes(a.hi, b.lo, a.open_hi or b.open_lo)

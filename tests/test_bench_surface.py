@@ -60,18 +60,9 @@ def test_certificate_klein_passes_its_oracle():
     assert cert.check(cert.run()) is None
 
 
-# The first wander-find draw hits the approximate fixed set of ROADMAP item 2
-# (certified fixed sets): its complement component is not displaced, and the
-# command exits 1.
-WANDER_FIND_FAILS = pytest.mark.xfail(
-    raises=workloads.CommandFailed, strict=True,
-    reason="ROADMAP item 2: approximate fixed points break wander-find")
-
-
 @pytest.mark.parametrize("kind", [
     "eval.exact", "eval.tracked", "relations", "orbit.csv", "classify",
-    pytest.param("wander-find", marks=WANDER_FIND_FAILS),
-    "wander-check", "transitive", "extend",
+    "wander-find", "wander-check", "transitive", "extend",
 ])
 def test_cli_op_passes_its_oracle(kind):
     op = _first_op(workloads.cli(LX, Random(1)), kind)

@@ -27,21 +27,23 @@ class TestDispatch:
         assert "klein_bottle" in ids and "ex_1_4" in ids
 
     def test_eval_point(self, capsys):
-        code, doc = run_json(
-            capsys, "eval",
-            "--expr", "compose(affine(1,1),oddpower(3,fwd))",
-            "--point", "1/2",
-        )
-        assert code == 0
-        assert doc["result"]["value"]["value"] == "9/8"
+        # a value may start with "-", as in -1/2, which argparse alone takes
+        # for an option
+        for expr, point, value in (("compose(affine(1,1),oddpower(3,fwd))", "1/2", "9/8"),
+                                   ("affine(1,1)", "-1/2", "1/2")):
+            code, doc = run_json(capsys, "eval", "--expr", expr, "--point", point)
+            assert code == 0
+            assert doc["result"]["value"]["value"] == value
 
     def test_eval_interval_keeps_literal_enclosures(self, capsys):
-        code, doc = run_json(capsys, "eval", "--expr", "affine(1,0)",
-                             "--interval", "0", "sqrt2")
-        assert code == 0
-        img = doc["result"]["image"]
-        assert img["lo"] == "0"
-        assert img["hi"] == "1.41421356237309504880168872420969807857\u00b11.73e-77"
+        sqrt2 = "1.41421356237309504880168872420969807857\u00b11.73e-77"
+        for lo, hi, want in (("0", "sqrt2", ["0", sqrt2]),
+                             ("-sqrt2", "-1/2", ["-" + sqrt2, "-1/2"])):
+            code, doc = run_json(capsys, "eval", "--expr", "affine(1,0)",
+                                 "--interval", lo, hi)
+            assert code == 0
+            img = doc["result"]["image"]
+            assert [img["lo"], img["hi"]] == want
 
     def test_orbit_prints_oversized_exact_values(self, capsys):
         # no two of this orbit's points merge
@@ -221,6 +223,17 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--point" in captured.err and "--interval" in captured.err
+
+    @pytest.mark.parametrize("command", ["gallery-list", "eval", "relations", "transitive",
+                                         "wander-check", "wander-find", "classify", "extend"])
+    def test_csv_only_where_offered(self, capsys, command):
+        # orbit and cantor print CSV; every other command would print JSON
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --format: invalid choice: 'csv'" in captured.err
 
     @pytest.mark.parametrize("flag", ["--grid", "--tol-num", "--tol-den"])
     def test_wander_check_grid_refused_exit_2(self, capsys, flag):

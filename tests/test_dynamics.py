@@ -228,13 +228,31 @@ class TestWanderingCertificate:
 class TestFindWanderingInterval:
     def test_klein_bottle_construction(self):
         act = gallery("klein_bottle")
-        rep = find_wandering_interval(act, Interval.open(-4, 4))
-        J = rep.interval
-        assert rep.pivot_label == "g"
-        assert J.certainly_subset_of(Interval.open(0, 1))
-        assert all(c.passed for c in rep.claims)
-        cert = wandering_certificate(act, J, 6)
-        assert cert.certified
+        # on a 9-point grid (spacing 1) every grid point is fixed, and the
+        # gaps between them are the complement
+        for grid_n in (512, 9):
+            rep = find_wandering_interval(act, Interval.open(-4, 4), grid_n)
+            J = rep.interval
+            assert rep.pivot_label == "g"
+            assert J.certainly_subset_of(Interval.open(0, 1))
+            assert all(c.passed for c in rep.claims)
+            cert = wandering_certificate(act, J, 6)
+            assert cert.certified
+
+    def test_klein_bottle_drawable_windows(self):
+        # every 8th of the 16 x 16 windows (lo in -4.5 .. -3.0, hi in
+        # 3.0 .. 4.5, steps of 0.1) that the cli benchmark draws
+        act = gallery("klein_bottle")
+        windows = [(Fraction(lo, 10), Fraction(hi, 10))
+                   for lo in range(-45, -29) for hi in range(30, 46)][::8]
+        certified = {}
+        for lo, hi in windows:
+            rep = find_wandering_interval(act, Interval.open(lo, hi))
+            assert all(c.passed for c in rep.claims), (lo, hi)
+            J = rep.interval
+            if J not in certified:
+                certified[J] = wandering_certificate(act, J, 4).certified
+            assert certified[J], (lo, hi, J)
 
     def test_trivial_action_returns_window(self):
         p = Presentation.ladder((-1,), labels=("f0", "f1"))

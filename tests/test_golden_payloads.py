@@ -12,7 +12,10 @@ the missing ``config.workers`` key is the one intended difference; every
 other byte must match.  The three negative results (``cantor_failed``,
 ``cantor_no_move`` and ``wander_find_failed``) were written later, from the
 code as it stood before the failure paths of ``dynamics`` and ``cli`` were
-folded into one step each.
+folded into one step each.  ``wander_find_failed`` got a new input when the
+fixed-point scan became exact, because its old window, (-3.4, 3.2), now
+constructs; ``wander_find`` changed in its ``outer-permutes-fixed-set``
+detail alone.
 
 To rewrite the files after an intended payload change::
 
@@ -69,8 +72,10 @@ CASES = {
                                "--depth", "3", "--radius", "5"]),
     "cantor_no_move.json": (1, ["cantor", "--gallery", "ex_1_1", "--depth", "2",
                                 "--radius", "5"]),
+    # on a two-point grid only the window's ends show as fixed, and f does
+    # not move (-4, 4) off itself
     "wander_find_failed.json": (1, ["wander-find", "--gallery", "klein_bottle",
-                                    "--window", "-3.4", "3.2"]),
+                                    "--window", "-4", "4", "--grid", "2"]),
 }
 
 

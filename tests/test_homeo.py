@@ -310,34 +310,42 @@ class TestSimplify:
 
 class TestFixedPoints:
     def test_translation_has_none(self):
-        rep = fixed_points(affine(1, 1), Interval.closed(-10, 10), 64)
-        assert rep.fixed_points == [] and rep.fixed_intervals == []
-        assert len(rep.complement_intervals) == 1
-        c = rep.complement_intervals[0]
-        assert c.lo.as_fraction() == -10 and c.hi.as_fraction() == 10
+        # a translation by 10^-13 moves every point, however little
+        for h, window in ((affine(1, 1), Interval.closed(-10, 10)),
+                          (affine(1, (1, 10**13)), Interval.open(-1, 1))):
+            rep = fixed_points(h, window, 64)
+            assert rep.fixed_points == []
+            assert rep.complement_intervals == [window]
 
     def test_cube_roots_of_identity(self):
-        rep = fixed_points(OddPower(3), Interval.closed(-2, 2), 101,
-                           Fraction(1, 10**12))
-        found = sorted(float(p.mid()) for p in rep.fixed_points)
-        assert len(found) == 3
-        for got, want in zip(found, (-1.0, 0.0, 1.0)):
-            assert abs(got - want) < 1e-9
+        rep = fixed_points(OddPower(3), Interval.closed(-2, 2), 101)
+        # exact rationals, found where the grid brackets each sign change
+        assert rep.fixed_points == [R(-1), R(0), R(1)]
+        assert all(p.is_rational for p in rep.fixed_points)
 
     def test_ladder_cell_endpoints(self):
         rep = fixed_points(
             UnitPowerLadder(2, 1),
             Interval.closed(Fraction(-5, 2), Fraction(5, 2)),
-            301, Fraction(1, 10**12),
+            301,
         )
-        found = sorted(float(p.mid()) for p in rep.fixed_points)
-        assert len(found) == 5
-        for got, want in zip(found, (-2.0, -1.0, 0.0, 1.0, 2.0)):
-            assert abs(got - want) < 1e-9
+        assert rep.fixed_points == [R(n) for n in range(-2, 3)]
+        assert all(p.is_rational for p in rep.fixed_points)
         # complements are ordered and pairwise disjoint
         comps = rep.complement_intervals
         for a, b in zip(comps, comps[1:]):
             assert a.hi.mid() <= b.lo.mid()
+
+    def test_irrational_fixed_point_is_a_certain_bracket(self):
+        # x^3 + 1/2 = x has one real root, about -1.1915, and it is irrational
+        h = compose(affine(1, (1, 2)), OddPower(3))
+        rep = fixed_points(h, Interval.open(-3, 3), 64)
+        assert len(rep.fixed_points) == 1
+        p = rep.fixed_points[0]
+        assert not p.is_rational
+        signs = [(evaluate(h, R(x)) - R(x)).cmp_fraction(Fraction(0)) for x in p.bounds()]
+        assert signs == [-1, 1]
+        assert [str(c) for c in rep.complement_intervals] == [f"(-3, {p})", f"({p}, 3)"]
 
     def test_degenerate_window(self):
         with pytest.raises(WindowDegenerate):

@@ -31,28 +31,6 @@ class ReferenceInterval(Interval):
     def _hi_fr_lo(self) -> Optional[Fraction]:
         return None if self.hi is None else self.hi.bounds()[0]
 
-    def certainly_contains_point(self, x: Real) -> bool:
-        if self._empty:
-            return False
-        xlo, xhi = x.bounds()
-        if self.lo is not None:
-            llo, lhi = self.lo.bounds()
-            if self.open_lo:
-                if not (xlo > lhi):
-                    return False
-            else:
-                if not (xlo >= lhi):
-                    return False
-        if self.hi is not None:
-            hlo, hhi = self.hi.bounds()
-            if self.open_hi:
-                if not (xhi < hlo):
-                    return False
-            else:
-                if not (xhi <= hlo):
-                    return False
-        return True
-
     def certainly_disjoint(self, other: "Interval") -> bool:
         if self._empty or other._empty:
             return True
@@ -182,11 +160,10 @@ def intervals(draw):
         assume(False)
 
 
-@given(intervals(), intervals(), reals)
+@given(intervals(), intervals())
 @settings(max_examples=600, deadline=None)
-def test_predicates_match_reference(a, b, x):
+def test_predicates_match_reference(a, b):
     ra, rb = reference(a), reference(b)
-    assert a.certainly_contains_point(x) == ra.certainly_contains_point(x)
     assert a.certainly_disjoint(b) == ra.certainly_disjoint(rb)
     assert a.certainly_intersects(b) == ra.certainly_intersects(rb)
     assert a.certainly_subset_of(b) == ra.certainly_subset_of(rb)

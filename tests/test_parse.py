@@ -26,6 +26,9 @@ class TestParseReal:
         lo, hi = v.bounds()
         assert float(lo) <= 2**0.5 <= float(hi)
         assert parse_real("pi").kind == "tracked-real"
+        # the sign comes off before the constant is looked up
+        lo, hi = parse_real("-sqrt2").bounds()
+        assert float(lo) <= -2**0.5 <= float(hi)
 
     def test_bad_literal(self):
         with pytest.raises(ParseError):
@@ -54,6 +57,8 @@ class TestParseExpr:
     def test_nary_compose(self):
         expr = parse_expr("compose(affine(1,1), affine(1,2), affine(1,3))")
         assert evaluate(expr, Real.rational(0)).as_fraction() == 6
+        expr = parse_expr("compose(affine(1,sqrt2), affine(1,-sqrt2), affine(1,3))")
+        assert abs(evaluate(expr, Real.rational(0)) - 3).leq(Fraction(1, 10**70))
 
     def test_whitespace_tolerant(self):
         expr = parse_expr(" compose( affine( 1 , 1 ) , identity ) ")
