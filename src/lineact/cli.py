@@ -52,14 +52,11 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--precision", type=int, default=256,
                    help="working precision in bits (default 256)")
     p.add_argument("--ceiling", type=int, default=4096,
                    help="precision ceiling for retry-and-double (default 4096)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps (default 0)")
-    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--output", default=None, help="write payload to a file")
 
 
@@ -119,14 +116,7 @@ def _emit_failed(args, command: str, cfg: dict, exc: Exception, partial_json) ->
 
 
 def _config(args, extra: dict) -> dict:
-    cfg = {
-        "precision": args.precision,
-        "ceiling": args.ceiling,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    cfg.update(extra)
-    return cfg
+    return {"precision": args.precision, "ceiling": args.ceiling, **extra}
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +166,7 @@ def _cmd_orbit(args) -> int:
         _write(args, report.orbit_csv(pts))
         return EXIT_OK
     result = report.orbit_json(pts)
-    cfg = {"point": args.point, "radius": args.radius, **src}
+    cfg = {"point": args.point, "radius": args.radius, "format": args.format, **src}
     if window is not None:
         result["window"] = report.interval_json(window)
         result["coverage_gap"] = report.real_json(coverage_gap(pts, window))
@@ -226,7 +216,7 @@ def _cmd_cantor(args) -> int:
     params = LadderParams(orbit_depth=args.orbit_depth)
     cfg = {"depth": args.depth, "radius": args.radius,
            "orbit_depth": args.orbit_depth, "seed_interval": args.seed_interval,
-           **src}
+           "format": args.format, **src}
     try:
         lad = cantor_ladder(act, args.depth, args.radius, seed, params)
     except (NoMovingPair, ConstructionFailed) as exc:
@@ -267,7 +257,8 @@ def _cmd_extend(args) -> int:
     rel = check_relations(act, pts, tol)
     cfg = {"alpha": args.alpha or "sqrt2", "pairs": args.pairs,
            "points": args.points, "len": args.len, "horizon": args.horizon,
-           "window": args.window, "tol": f"{args.tol_num}/{args.tol_den}"}
+           "window": args.window, "tol": f"{args.tol_num}/{args.tol_den}",
+           "seed": args.seed}
     _emit(args, "extend", _config(args, cfg), {
         "group": act.presentation.describe(),
         "generators": list(act.presentation.labels),
@@ -289,10 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse reads only -3 and -0.5 as values; -1/2, -.5 and -sqrt2 are too
     negative = re.compile(r"^-(\d|\.\d|(%s)$)" % "|".join(_CONSTANTS), re.IGNORECASE)
 
-    def cmd(name, fn, help_text, formats=("json",)):
-        p = sub.add_parser(name, help=help_text)
+    def cmd(name, fn, help_text, csv=False):
+        # no abbreviations: cantor's --seed-interval would take a stray --seed
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p._negative_number_matcher = negative
-        _add_common(p, formats)
+        _add_common(p)
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(fn=fn)
         return p
 
@@ -311,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-num", type=int, default=1)
     p.add_argument("--tol-den", type=int, default=10**20)
 
-    p = cmd("orbit", _cmd_orbit, "enumerate an orbit sample", ("json", "csv"))
+    p = cmd("orbit", _cmd_orbit, "enumerate an orbit sample", csv=True)
     _add_action_source(p)
     p.add_argument("--point", required=True)
     p.add_argument("--radius", type=int, required=True)
@@ -334,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--grid", type=int, default=512)
 
-    p = cmd("cantor", _cmd_cantor, "run the nested-interval construction",
-            ("json", "csv"))
+    p = cmd("cantor", _cmd_cantor, "run the nested-interval construction", csv=True)
     _add_action_source(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
@@ -356,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--len", type=int, default=6)
     p.add_argument("--horizon", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the residual's random word pairs (default 0)")
     p.add_argument("--window", nargs=2, default=("-3", "3"))
     p.add_argument("--tol-num", type=int, default=1)
     p.add_argument("--tol-den", type=int, default=10**20)

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 from .actions import Action, realize, relations_proved
 from .homeo import (
     HomeoExpr,
+    HorizonExceeded,
     Identity,
     eval_interval,
     evaluate,
@@ -35,6 +36,7 @@ from .homeo import (
     simplify,
 )
 from .reals import (
+    _ZERO,
     Interval,
     PrecisionExhausted,
     Real,
@@ -97,10 +99,11 @@ def _letter_step(act: Action, apply):
 
 
 def _or_none(fn, *args):
-    """fn(*args), or None when it cannot be decided at the precision ceiling."""
+    """fn(*args), or None when the precision ceiling or an extension's horizon
+    stops it: that stops one word of a sweep, not the sweep."""
     try:
         return fn(*args)
-    except PrecisionExhausted:
+    except (PrecisionExhausted, HorizonExceeded):
         return None
 
 
@@ -284,9 +287,12 @@ def _word_verdict(act: Action, w: GroupElement, img: Optional[Interval],
     hw = realize(act, w)
     if is_identity_on(hw, J):
         return WordVerdict(w, "pointwise-fixed")
-    disjoint = _or_none(retry_precision, lambda: _certainly_disjoint(hw, J))
-    if disjoint is None:
+    try:
+        disjoint = retry_precision(lambda: _certainly_disjoint(hw, J))
+    except PrecisionExhausted:
         return WordVerdict(w, "violation", "undecidable at ceiling")
+    except HorizonExceeded as exc:
+        return WordVerdict(w, "violation", str(exc))
     if disjoint:
         return WordVerdict(w, "disjoint")
     return WordVerdict(w, "violation", "identity not proved")
@@ -524,8 +530,8 @@ def _movers(act: Action, U: Interval, radius: int):
             if cap <= floor:
                 continue
             y = _or_none(evaluate, hw, x)
-            if y is None or not (x.definitely_lt(y) and y.definitely_lt(hi)
-                                 and lo.definitely_lt(x)):
+            if y is None or not (x.cmp(y) == -1 and y.cmp(hi) == -1
+                                 and lo.cmp(x) == -1):
                 continue
             delta = _max_separation(hw, x, y, U, floor)
             if delta is not None:
@@ -549,13 +555,13 @@ def _max_separation(hw: HomeoExpr, x: Real, y: Real, U: Interval,
         room = (y - x) / Real.rational(2)
     d = room * Real.rational(9, 10)
     for _ in range(_MAX_HALVINGS):
-        if d.cmp_fraction(Fraction(0)) != 1 or d.mid() <= floor:
+        if d.cmp(_ZERO) != 1 or d.mid() <= floor:
             return None
         a, b = x - d, x + d
         fa = _or_none(evaluate, hw, a)
         fb = None if fa is None else _or_none(evaluate, hw, b)
-        if (fb is not None and lo.definitely_lt(a) and fb.definitely_lt(hi)
-                and (x + d).definitely_lt(fa)):
+        if (fb is not None and lo.cmp(a) == -1 and fb.cmp(hi) == -1
+                and (x + d).cmp(fa) == -1):
             return d
         d = d / Real.rational(2)
     return None
@@ -609,7 +615,7 @@ def cantor_ladder(act: Action, depth: int, radius: int,
             if gap_best is None or width > gap_best[2]:
                 gap_best = (a, b, width)
         a, b, _ = gap_best
-        if not (a.definitely_lt(b)):
+        if a.cmp(b) != -1:
             raise failed("largest orbit gap degenerate")
         U_i = Interval.open(a, b)
         levels.append(LadderLevel(i, w, x, V, ii, U_i))
@@ -710,8 +716,8 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
             if not (img.certainly_disjoint(U) or _endpoints_fixed(img, U, tol)):
                 bad = bad or (w, f"image {img} partially overlaps")
             clipped = img.intersection_hull(unit)
-            d = Real.rational(0) if clipped is None else clipped.diameter()
-            if not d.definitely_lt(bound):
+            d = _ZERO if clipped is None else clipped.diameter()
+            if d.cmp(bound) != -1:
                 small_bad = small_bad or (w, f"diam {d} in [0,1] not < 1/{i}")
         checks.append(LadderCheck(
             "displacement-or-equality", i, bad is None,

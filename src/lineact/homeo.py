@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .reals import (
+    _ZERO,
     Interval,
     PrecisionExhausted,
     Real,
@@ -90,7 +91,7 @@ class Affine:
     def __post_init__(self):
         object.__setattr__(self, "a", Real.coerce(self.a))
         object.__setattr__(self, "b", Real.coerce(self.b))
-        if self.a.cmp_fraction(Fraction(0)) != 1:
+        if self.a.cmp(_ZERO) != 1:
             raise ValueError("affine coefficient a must be certainly positive")
         d = self.b.as_fraction() if self.a == 1 and self.b.is_rational else None
         object.__setattr__(self, "translation",
@@ -243,7 +244,7 @@ def _ladder_cell(node: UnitPowerLadder, n: int, bits: int) -> tuple[Real, Real, 
     """Cell n's offset n, power e = 2**cell_exponent(n) at ``bits`` of working
     precision, and whether e < 1 (a contracting root)."""
     e = Real.two_to(node.cell_exponent(n))
-    return Real.rational(n), e, e.cmp_fraction(Fraction(1)) == -1
+    return Real.rational(n), e, e.cmp(_ONE) == -1
 
 
 def _eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
@@ -254,7 +255,7 @@ def _eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
             return v
         rn, e, contracting = _ladder_cell(node, n, current_precision().bits)
         u = v - rn
-        if contracting and not u.is_rational and u.cmp_fraction(Fraction(0)) != 1:
+        if contracting and not u.is_rational and u.cmp(_ZERO) != 1:
             # a tracked enclosure touching the cell edge cannot support a
             # contracting-root exponent: the image enclosure would span the
             # whole cell no matter the precision
@@ -497,7 +498,7 @@ def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256) -> FixReport
     so its points are exact rationals and only h can leave a sign
     uncertain; then the scan retries at higher precision.
     """
-    if window.diameter().cmp_fraction(Fraction(0)) != 1:
+    if window.diameter().cmp(_ZERO) != 1:
         raise WindowDegenerate("window may be a single point")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -507,7 +508,7 @@ def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256) -> FixReport
 def _residual_sign(h: HomeoExpr, x: Fraction) -> Optional[int]:
     """Sign of h(x) - x, or None when its enclosure straddles 0."""
     q = Real.from_fraction(x)
-    return (evaluate(h, q) - q).cmp_fraction(Fraction(0))
+    return (evaluate(h, q) - q).cmp(_ZERO)
 
 
 def _fixed_points_pass(h, window, grid_n) -> FixReport:

@@ -13,9 +13,11 @@ to sub-ulp tracked ends exactly up to 2**21 bits, keeping tiny offsets.
 The certified order works on the raw endpoints: two mpf endpoints compare
 with ``mpf_cmp``, an mpf endpoint and a rational by sign and binary
 magnitude before at most one exact integer product, and two rationals by
-numerator over a shared denominator.  No ``Fraction`` is built to compare or
-sort a tracked value (:meth:`Real.mid_key`); :meth:`Real.bounds` turns
-endpoints into fractions for reporting, oracles and the exact path.
+numerator over a shared denominator.  :meth:`Real.cmp` is the one three-way
+order, and it reads two enclosures of one and the same point as a tie.  No
+``Fraction`` is built to compare or sort a tracked value
+(:meth:`Real.mid_key`); :meth:`Real.bounds` turns endpoints into fractions
+for reporting, oracles and the exact path.
 
 Precision of tracked arithmetic is controlled by :class:`PrecisionContext`.
 The default working precision is 256 bits; callers that need a comparison
@@ -591,31 +593,26 @@ class Real:
             if self._rat < 0:
                 raise ValueError("fractional power of a negative value")
             if self._rat == 0:
-                return Real(Fraction(0))
+                return _ZERO
         return self.pow_real(Real.tracked_from_fraction(e))
 
     def pow_real(self, e: "Real") -> "Real":
         """``self ** e`` via exp/log for a certainly nonnegative base."""
         if e._rat is not None and e._rat.denominator == 1:
             return self.pow_int(e._rat.numerator)
-        if self._rat is not None and self._rat == 0:
-            sgn = e.cmp_fraction(Fraction(0))
-            if sgn == 1:
-                return Real(Fraction(0))
-            raise ZeroDivisionError("0 ** e with e <= 0")
         lo, hi = _ends(self)
         lo_sign = _cmp_end(lo, 0)
         if lo_sign < 0:
             raise ValueError("fractional power needs a nonnegative base")
         if lo_sign == 0:
-            # enclosure touches zero: x**e is increasing for e > 0, so the
-            # image is [0, hi**e]
-            if e.cmp_fraction(Fraction(0)) != 1:
+            # the value is 0 or an enclosure touches zero: x**e is increasing
+            # for e > 0, so the image is [0, hi**e]
+            if e.cmp(_ZERO) != 1:
                 raise ZeroDivisionError("0 ** e with e <= 0")
             if _cmp_end(hi, 0) == 0:
-                return Real(Fraction(0))
+                return _ZERO
             top = Real.from_fraction(_end_fraction(hi)).pow_real(e)
-            return Real.hull(Real.rational(0), top)
+            return Real.hull(_ZERO, top)
         p = _prec()
         logx = _mp.mpi_log(self._as_mpi(p), p)
         return Real(None, _mp.mpi_exp(_mp.mpi_mul(logx, e._as_mpi(p), p), p))
@@ -638,35 +635,27 @@ class Real:
         return mpf_sign(lo) <= 0 <= mpf_sign(hi)
 
     def cmp(self, other: RealLike) -> Optional[int]:
-        """-1, 0, +1, or None when the enclosures overlap undecidably."""
+        """-1 or +1 when the enclosures certainly do not meet, 0 when both
+        are one and the same point (exact or zero-width tracked), and None
+        when they overlap undecidably."""
         if type(other) is not Real:
             other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
             return _cmp_rational(self._rat, other._rat)
         slo, shi = _ends(self)
         olo, ohi = _ends(other)
-        if _cmp_end(shi, olo) < 0:
-            return -1
-        if _cmp_end(slo, ohi) > 0:
-            return 1
-        return None
-
-    def cmp_fraction(self, q: Fraction) -> Optional[int]:
-        """Like :meth:`cmp` against q, and 0 for an enclosure that is q alone."""
-        lo, hi = _ends(self)
-        c = _cmp_end(hi, q)
+        c = _cmp_end(shi, olo)
         if c < 0:
             return -1
-        if _cmp_end(lo, q) > 0:
+        d = _cmp_end(slo, ohi)
+        if d > 0:
             return 1
-        return 0 if c == 0 and lo == hi else None
+        # shi = olo and slo = ohi squeeze all four ends onto one point
+        return 0 if c == 0 and d == 0 else None
 
     def cmp_upper(self, other: "Real") -> int:
         """-1, 0 or +1 as self's upper endpoint is below, at or above other's."""
         return _cmp_end(_ends(self)[1], _ends(other)[1])
-
-    def definitely_lt(self, other: RealLike) -> bool:
-        return self.cmp(other) == -1
 
     def leq(self, bound: RealLike) -> Optional[bool]:
         """Is self <= bound?  True/False only when certain."""
@@ -717,6 +706,10 @@ class Real:
 
     def __repr__(self) -> str:
         return f"Real({self})"
+
+
+# the zero that sign tests compare against, built once
+_ZERO = Real(Fraction(0))
 
 
 def approx_float(q: Fraction) -> float:

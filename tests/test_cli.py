@@ -185,6 +185,21 @@ class TestDispatch:
         assert {v["reason"] for v in res["verdicts"]} == {"identity not proved"}
 
 
+# each command with its required arguments, so that argparse reaches the
+# unread flag
+_REQUIRED_ARGV = {
+    "gallery-list": [],
+    "eval": ["--expr", "identity", "--point", "0"],
+    "relations": [],
+    "transitive": ["--u", "0", "1", "--v", "2", "3", "--radius", "1"],
+    "wander-check": ["--interval", "0", "1", "--radius", "1"],
+    "wander-find": ["--window", "0", "1"],
+    "classify": ["--point", "0", "--radius", "2", "--window", "0", "1"],
+    "extend": [],
+    "cantor": ["--depth", "1", "--radius", "1"],
+}
+
+
 class TestErrorPaths:
     def test_parse_error_exit_2(self, capsys):
         code = main(["eval", "--expr", "affine(0,1)", "--point", "1"])
@@ -224,16 +239,20 @@ class TestErrorPaths:
         assert captured.out == ""
         assert "--point" in captured.err and "--interval" in captured.err
 
-    @pytest.mark.parametrize("command", ["gallery-list", "eval", "relations", "transitive",
-                                         "wander-check", "wander-find", "classify", "extend"])
-    def test_csv_only_where_offered(self, capsys, command):
-        # orbit and cantor print CSV; every other command would print JSON
+    @pytest.mark.parametrize("command, unread", [
+        *(pytest.param(c, "--format csv", id=c) for c in _REQUIRED_ARGV if c != "cantor"),
+        # only extend draws random words, and --seed is not short for
+        # cantor's --seed-interval
+        pytest.param("cantor", "--seed 0", id="cantor-seed"),
+    ])
+    def test_csv_only_where_offered(self, capsys, command, unread):
+        # orbit and cantor print CSV and take --format; extend takes --seed
         with pytest.raises(SystemExit) as exc:
-            main([command, "--format", "csv"])
+            main([command, *_REQUIRED_ARGV[command], *unread.split()])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --format: invalid choice: 'csv'" in captured.err
+        assert f"unrecognized arguments: {unread}" in captured.err
 
     @pytest.mark.parametrize("flag", ["--grid", "--tol-num", "--tol-den"])
     def test_wander_check_grid_refused_exit_2(self, capsys, flag):

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from lineact.actions import Action, gallery
+from lineact.actions import (
+    Action,
+    conjugate_into_unit,
+    direct_product_extension,
+    extend_action,
+    gallery,
+)
 from lineact.dynamics import (
     ConstructionFailed,
     LadderParams,
@@ -223,6 +229,19 @@ class TestWanderingCertificate:
                 act, Interval.open(a, b), Interval.open(c, d), 6
             )
             assert w is None
+
+    def test_horizon_stops_a_word_not_the_sweep(self):
+        # the free word a t^3 reaches cell 3, beyond a horizon of 2: it is a
+        # violation that names the horizon, and both sweeps finish
+        act = extend_action(direct_product_extension(
+            conjugate_into_unit(gallery("ex_1_2")), "t", horizon=2))
+        J = Interval.open(Fraction(1, 10), Fraction(2, 10))
+        cert = wandering_certificate(act, J, 4)
+        stopped = {str(v.word): v for v in cert.verdicts if "horizon" in v.reason}
+        assert stopped["a t^3"].verdict == "violation"
+        assert stopped["a t^3"].reason == "cell 3 beyond the configured horizon 2"
+        assert not cert.certified
+        assert transitivity_search(act, J, Interval.open(5, 6), 4) is None
 
 
 class TestFindWanderingInterval:

@@ -103,8 +103,7 @@ def reference_eval_ladder(node: UnitPowerLadder, x: Real, fine=None) -> Real:
         if u.is_rational and u.as_fraction() == 0:
             return rn
         e = Real.two_to(node.cell_exponent(n))
-        if not u.is_rational and u.cmp_fraction(Fraction(0)) != 1 \
-                and e.cmp_fraction(Fraction(1)) == -1:
+        if not u.is_rational and u.cmp(R(0)) != 1 and e.cmp(R(1)) == -1:
             # a tracked enclosure touching the cell edge cannot support a
             # contracting-root exponent: the image enclosure would span the
             # whole cell no matter the precision
@@ -343,7 +342,7 @@ class TestFixedPoints:
         assert len(rep.fixed_points) == 1
         p = rep.fixed_points[0]
         assert not p.is_rational
-        signs = [(evaluate(h, R(x)) - R(x)).cmp_fraction(Fraction(0)) for x in p.bounds()]
+        signs = [(evaluate(h, R(x)) - R(x)).cmp(R(0)) for x in p.bounds()]
         assert signs == [-1, 1]
         assert [str(c) for c in rep.complement_intervals] == [f"(-3, {p})", f"({p}, 3)"]
 
@@ -423,7 +422,7 @@ def test_monotonicity_sample():
         except Exception:
             continue
         done += 1
-        assert va.definitely_lt(vb), f"not increasing on {to_text(h)}"
+        assert va.cmp(vb) == -1, f"not increasing on {to_text(h)}"
 
 
 def test_image_consistency_sample():

@@ -45,8 +45,8 @@ def _reference_movers(act: Action, U: Interval, radius: int):
         hw = realize(act, w)
         for x in xs:
             y = _or_none(evaluate, hw, x)
-            if y is None or not (x.definitely_lt(y) and y.definitely_lt(hi)
-                                 and lo.definitely_lt(x)):
+            if y is None or not (x.cmp(y) == -1 and y.cmp(hi) == -1
+                                 and lo.cmp(x) == -1):
                 continue
             delta = _reference_max_separation(hw, x, y, U)
             if delta is None:
@@ -67,13 +67,13 @@ def _reference_max_separation(hw: HomeoExpr, x: Real, y: Real,
         room = (y - x) / Real.rational(2)
     d = room * Real.rational(9, 10)
     for _ in range(_MAX_HALVINGS):
-        if d.cmp_fraction(Fraction(0)) != 1:
+        if d.cmp(Real.rational(0)) != 1:
             return None
         a, b = x - d, x + d
         fa = _or_none(evaluate, hw, a)
         fb = None if fa is None else _or_none(evaluate, hw, b)
-        if (fb is not None and lo.definitely_lt(a) and fb.definitely_lt(hi)
-                and (x + d).definitely_lt(fa)):
+        if (fb is not None and lo.cmp(a) == -1 and fb.cmp(hi) == -1
+                and (x + d).cmp(fa) == -1):
             return d
         d = d / Real.rational(2)
     return None

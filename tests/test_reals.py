@@ -78,9 +78,9 @@ class TestRealArithmetic:
 
     def test_shift_keeps_sub_ulp_ends(self):
         tiny = Real.tracked_from_fraction(Fraction(1, 3 << 1000))
-        assert (tiny + fr(-2)).cmp_fraction(Fraction(-2)) is None  # rounds onto -2
+        assert (tiny + fr(-2)).cmp(fr(-2)) is None  # rounds onto -2
         y = tiny.shift(-2)
-        assert y.cmp_fraction(Fraction(-2)) == 1
+        assert y.cmp(fr(-2)) == 1
         # both ends exact, so moving back gives tiny bit for bit
         assert y.shift(2) == tiny and (y - fr(-2)) == tiny and y.shift(0) == y
         lo, hi = y.bounds()
@@ -131,6 +131,9 @@ class TestRealArithmetic:
         s = Real.sqrt2()
         assert s.cmp(fr(1)) == 1
         assert s.cmp(s) is None  # identical enclosures overlap
+        # a zero-width enclosure is its one point: a provable tie
+        half = Real.tracked_from_fraction(Fraction(1, 2))
+        assert half.cmp(fr(1, 2)) == fr(1, 2).cmp(half) == half.cmp(half) == 0
         assert fr(1, 3).leq(fr(1, 2)) is True
         assert s.leq(fr(1)) is False
 
@@ -188,6 +191,11 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval.closed(2, 1)
         Interval.closed(1, 1)  # a single closed point is fine
+        # a zero-width enclosure of 1/2 against 1/2 itself is a provable tie
+        half = Real.tracked_from_fraction(Fraction(1, 2))
+        with pytest.raises(ValueError, match="degenerate"):
+            Interval.open(half, Fraction(1, 2))
+        Interval.closed(half, Fraction(1, 2))
 
     def test_disjointness_with_openness(self):
         a = Interval.open(0, 1)

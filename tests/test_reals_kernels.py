@@ -1,6 +1,7 @@
 """The big-rational kernels of lineact.reals against verbatim copies of the
 bisection root, from_rational rounding and Fraction-bound comparisons they
-replaced (the reference): every result must be identical, mpf tuples
+replaced (the reference; the compare has since gained Real.cmp's rule that
+a provable point tie is 0): every result must be identical, mpf tuples
 included."""
 
 import random
@@ -92,7 +93,8 @@ def ref_mid(self) -> Fraction:
 
 
 def ref_cmp(self, other) -> Optional[int]:
-    """-1, 0, +1, or None when the enclosures overlap undecidably."""
+    """-1, 0, +1, or None when the enclosures overlap undecidably; 0 also
+    when both enclosures are one and the same point."""
     other = Real.coerce(other)
     if self._rat is not None and other._rat is not None:
         a, b = self._rat, other._rat
@@ -103,7 +105,7 @@ def ref_cmp(self, other) -> Optional[int]:
         return -1
     if slo > ohi:
         return 1
-    return None
+    return 0 if slo == shi == olo == ohi else None
 
 
 def ref_leq(self, bound) -> Optional[bool]:
