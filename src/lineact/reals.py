@@ -614,8 +614,13 @@ class Real:
             top = Real.from_fraction(_end_fraction(hi)).pow_real(e)
             return Real.hull(_ZERO, top)
         p = _prec()
-        logx = _mp.mpi_log(self._as_mpi(p), p)
-        return Real(None, _mp.mpi_exp(_mp.mpi_mul(logx, e._as_mpi(p), p), p))
+        t = _mp.mpi_mul(_mp.mpi_log(self._as_mpi(p), p), e._as_mpi(p), p)
+        # exp's cost grows with its argument's magnitude (about 20 s at
+        # 2**(2**20)), so an argument beyond 2**ceiling is refused
+        ceiling = current_precision().ceiling
+        if any(end[2] + end[3] > ceiling for end in t):
+            raise PrecisionExhausted(f"x ** e with |e ln x| beyond 2**{ceiling}")
+        return Real(None, _mp.mpi_exp(t, p))
 
     @staticmethod
     def two_to(t: Fraction) -> "Real":
@@ -733,29 +738,27 @@ _CONSTANTS = {
 
 
 def parse_real(text: str) -> Real:
-    """Parse a scalar literal: rational, decimal, or named constant.
+    """Parse a scalar literal: a named constant, or a rational as
+    ``Fraction`` reads it (integer, ``p/q``, exact decimal, exponent
+    notation), with an optional sign.
 
     Raises ValueError on anything else.
     """
     t = text.strip().lower()
-    neg = t.startswith("-")
-    t = t.removeprefix("-")
-    if t in _CONSTANTS:
-        x = _CONSTANTS[t]()
-        return -x if neg else x
+    name = t.removeprefix("-")
+    if name in _CONSTANTS:
+        x = _CONSTANTS[name]()
+        return x if name == t else -x
     try:
-        if "/" in t:
-            num, _, den = t.partition("/")
-            q = Fraction(int(num), int(den))
-        elif "." in t:
-            whole, _, frac = t.partition(".")
-            den = 10 ** len(frac)
-            q = Fraction(int(whole or "0") * den + int(frac or "0"), den)
-        else:
-            q = Fraction(int(t))
+        # Python reads at most 4300 digits into an int; no exponent gets
+        # round that bound
+        exponent = t.partition("e")[2]
+        if exponent and abs(int(exponent)) > 4300:
+            raise ValueError
+        q = Fraction(t)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad numeric literal {text!r}") from None
-    return Real.from_fraction(-q if neg else q)
+    return Real.from_fraction(q)
 
 
 class Interval:

@@ -155,7 +155,8 @@ class TestGallery:
         assert shift("0.375").as_fraction() == Fraction(3, 8)
         assert shift(2).as_fraction() == 2
         assert shift("SQRT2").bounds() == shift("sqrt2").bounds()
-        for bad in ("1/0", "1e-3", "two", 1.5, None):
+        assert shift("3.75e-1").as_fraction() == Fraction(3, 8)
+        for bad in ("1/0", "1.-5", "two", 1.5, None):
             with pytest.raises(BadParameter):
                 gallery("ex_1_2", alpha=bad)
 

@@ -161,6 +161,21 @@ class TestDispatch:
         assert doc["result"]["count"] == len(values) == 15
         assert values[:8] == ["-4", "-3", "-2", "-3/2", "-1", "-1/2", "-1/4", "0"]
 
+    def test_tolerance_is_echoed_and_applied(self, capsys, tmp_path):
+        # ab - ba is the translation by 1/1000: beyond the default 10**-20,
+        # within 1/10
+        spec = tmp_path / "near.spec"
+        spec.write_text("group free_abelian 2\ngen a = affine(2, 0)\n"
+                        "gen b = affine(1, 1/1000)\n")
+        argv = ["relations", "--spec", str(spec), "--points", "3"]
+        code, doc = run_json(capsys, *argv)
+        assert code == 1 and doc["result"]["passed"] is False
+        assert doc["config"]["tol"] == "1/100000000000000000000"
+        code, doc = run_json(capsys, *argv, "--tol", "1/10")
+        assert code == 0 and doc["result"]["passed"] is True
+        assert doc["config"]["tol"] == doc["result"]["tolerance"] == "1/10"
+        assert doc["result"]["worst_residual"]["value"] == "1/1000"
+
     def test_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "a.spec"
         spec.write_text(
@@ -244,6 +259,8 @@ class TestErrorPaths:
         # only extend draws random words, and --seed is not short for
         # cantor's --seed-interval
         pytest.param("cantor", "--seed 0", id="cantor-seed"),
+        # the tolerance is one literal, --tol
+        pytest.param("relations", "--tol-num 1", id="relations-tol-num"),
     ])
     def test_csv_only_where_offered(self, capsys, command, unread):
         # orbit and cantor print CSV and take --format; extend takes --seed
@@ -254,7 +271,7 @@ class TestErrorPaths:
         assert captured.out == ""
         assert f"unrecognized arguments: {unread}" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--grid", "--tol-num", "--tol-den"])
+    @pytest.mark.parametrize("flag", ["--grid", "--tol"])
     def test_wander_check_grid_refused_exit_2(self, capsys, flag):
         # pointwise-fixed is proved exactly, so there is no grid or tolerance
         with pytest.raises(SystemExit) as exc:
@@ -264,6 +281,24 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} 64" in captured.err
+
+    def test_bad_literal_exit_2(self, capsys):
+        code = main(["eval", "--expr", "affine(1,0)", "--point=1.-5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parse error: bad numeric literal '1.-5'" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--spec", "{missing}/a.spec"],
+        ["eval", "--expr", "identity", "--point", "1", "--output", "{missing}/x.json"],
+    ], ids=["spec", "output"])
+    def test_file_error_exit_2(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
     def test_zero_sample_points_exit_2(self, capsys):
         for argv in (["relations", "--gallery", "ex_1_4", "--k", "2",
@@ -391,5 +426,8 @@ class TestReproducibility:
         code = main(["eval", "--expr", "identity", "--point", "2",
                      "--output", str(out)])
         assert code == 0
+        assert capsys.readouterr().out == ""
         doc = json.loads(out.read_text())
         assert doc["result"]["value"]["value"] == "2"
+        assert doc["config"] == {"expr": "identity", "point": "2",
+                                 "precision": 256, "ceiling": 4096}

@@ -8,7 +8,9 @@ which keeps (n, u) apart in plain mpmath and shares no code with lineact.
 """
 
 import os
+import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -95,3 +97,39 @@ def test_far_cell_orbit_builds_no_fraction_midpoint(k, c, monkeypatch):
 
     monkeypatch.setattr(Real, "mid", refuse)
     assert len(dynamics.orbit(*_heavy_orbit_start(k, c), 4)) == POINTS[k][c]
+
+
+def test_pow_real_refuses_a_huge_exp_argument_at_once():
+    # e ln(1/4) is about -2**5000, beyond the 4096-bit ceiling: refused
+    # before exp, whose cost grows with its argument's magnitude
+    e = Real.tracked_from_fraction(Fraction(2**5000, 3))
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted, match="beyond 2\\*\\*4096"):
+        Real.rational(1, 4).pow_real(e)
+    assert time.perf_counter() - start < 0.5
+
+
+_FAR_BALL = """
+import time
+from lineact.actions import gallery
+from lineact.dynamics import _ball_images
+from lineact.reals import Interval, Real
+start = time.perf_counter()
+iv = Interval.open(Real.rational(-63, 4), Real.rational(-31, 2))
+ball = list(_ball_images(gallery("ex_1_4", k=3), iv, 3))
+print(len(ball), time.perf_counter() - start)
+"""
+
+
+def test_far_cell_ball_ends_in_bounded_time():
+    # from cell -16 the walk met 2**t with t near 3**15, and exp of an
+    # argument of magnitude 2**14,348,908 ran for minutes; the walk runs in
+    # a child process, so that a relapse fails here instead of hanging
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")]))}
+    proc = subprocess.run([sys.executable, "-c", _FAR_BALL], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    words, seconds = proc.stdout.split()
+    assert int(words) == 47 and float(seconds) < 5

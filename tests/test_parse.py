@@ -34,6 +34,23 @@ class TestParseReal:
         with pytest.raises(ParseError):
             parse_real("zz", 3, 9)
 
+    def test_exponent_notation_is_exact(self):
+        assert parse_real("1e-3").as_fraction() == Fraction(1, 1000)
+        assert parse_real("-2.5E2").as_fraction() == -250
+
+    @pytest.mark.parametrize("text", ["1.-5", "1. 5", ".", "--3", "1/-2", "1 / 2",
+                                      "-", "1e", "1e5000"])
+    def test_refuses_what_is_not_one_literal(self, text):
+        # digits only: no sign inside a decimal or a denominator, no inner
+        # space, and no exponent beyond what Python reads as 4300 digits
+        with pytest.raises(ParseError, match="bad numeric literal"):
+            parse_real(text)
+
+    def test_spec_literal_refused_at_its_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_action_file("group free_abelian 1\ngen a = affine(1, 1.-5)\n")
+        assert (err.value.line, err.value.column) == (2, 19)
+
 
 class TestParseExpr:
     def test_round_trips(self):
