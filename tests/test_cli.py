@@ -271,9 +271,10 @@ class TestErrorPaths:
         assert captured.out == ""
         assert f"unrecognized arguments: {unread}" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--grid", "--tol"])
+    @pytest.mark.parametrize("flag", ["--grid", "--tol-num", "--tol-den", "--tol"])
     def test_wander_check_grid_refused_exit_2(self, capsys, flag):
-        # pointwise-fixed is proved exactly, so there is no grid or tolerance
+        # pointwise-fixed is proved exactly, so there is no grid or tolerance;
+        # the old --tol-num/--tol-den pair is refused as well as --tol
         with pytest.raises(SystemExit) as exc:
             main(["wander-check", "--gallery", "ex_1_1", "--interval", "0", "2",
                   "--radius", "2", flag, "64"])
