@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .homeo import (
     Affine,
@@ -53,6 +53,7 @@ __all__ = [
     "realize",
     "RelationCheck",
     "RelationReport",
+    "RESIDUAL_TOL",
     "check_relations",
     "relations_proved",
     "sample_points",
@@ -109,6 +110,10 @@ def realize(act: Action, w: GroupElement) -> HomeoExpr:
 # relation checking
 
 
+# check_relations' tolerance, and the relations and extend subcommands'
+RESIDUAL_TOL = Fraction(1, 10**20)
+
+
 @dataclass
 class RelationCheck:
     lhs: GroupElement
@@ -116,7 +121,6 @@ class RelationCheck:
     residual: Real
     passed: bool
     structural: bool = False
-    worst_point: Optional[Real] = None
 
 
 @dataclass
@@ -131,17 +135,17 @@ class RelationReport:
 
     @property
     def worst_residual(self) -> Real:
-        return _largest((c.residual, None) for c in self.checks)[0]
+        return _largest(c.residual for c in self.checks)
 
 
-def _largest(residuals) -> tuple[Real, Optional[Real]]:
-    """The (residual, point) pair whose residual has the largest upper
-    endpoint, the first of equal maxima; (0, None) when none exceeds 0."""
-    worst, worst_x = Real.rational(0), None
-    for r, x in residuals:
+def _largest(residuals) -> Real:
+    """The residual with the largest upper endpoint, the first of equal
+    maxima; 0 when none exceeds 0."""
+    worst = Real.rational(0)
+    for r in residuals:
         if r.cmp_upper(worst) > 0:
-            worst, worst_x = r, x
-    return worst, worst_x
+            worst = r
+    return worst
 
 
 def sample_points(window: Interval, count: int) -> list[Real]:
@@ -167,7 +171,7 @@ def relations_proved(act: Action) -> bool:
 
 
 def check_relations(act: Action, points: Sequence[Real],
-                    tol: RealLike = Fraction(1, 10**20)) -> RelationReport:
+                    tol: RealLike = RESIDUAL_TOL) -> RelationReport:
     """Residuals |lhs(x) - rhs(x)| over the sample for each defining relation.
 
     Failure is a report outcome, never an exception.  Extensionally equal
@@ -181,10 +185,8 @@ def check_relations(act: Action, points: Sequence[Real],
         if proved:
             checks.append(RelationCheck(lhs, rhs, Real.rational(0), True, True))
             continue
-        worst, worst_x = _largest(
-            (abs(evaluate(hl, x) - evaluate(hr, x)), x) for x in points)
-        ok = worst.leq(tol)
-        checks.append(RelationCheck(lhs, rhs, worst, bool(ok), False, worst_x))
+        worst = _largest(abs(evaluate(hl, x) - evaluate(hr, x)) for x in points)
+        checks.append(RelationCheck(lhs, rhs, worst, bool(worst.leq(tol))))
     return RelationReport(checks, tol, len(points))
 
 
@@ -431,7 +433,7 @@ def homomorphism_residual(act: Action, n_pairs: int, points: Sequence[Real],
             v = random_element(act.presentation, rng, max_len)
             uv = tuple(multiply(u, v).letters())
             u_then_v = tuple(u.letters()) + tuple(v.letters())
-            for i, x in enumerate(pts):
-                yield abs(image(uv, i) - image(u_then_v, i)), x
+            for i in range(len(pts)):
+                yield abs(image(uv, i) - image(u_then_v, i))
 
-    return _largest(residuals())[0]
+    return _largest(residuals())

@@ -17,6 +17,7 @@ import time
 
 from . import report
 from .actions import (
+    RESIDUAL_TOL,
     BadParameter,
     UnknownGalleryName,
     check_relations,
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("relations", _cmd_relations, "verify defining relations numerically")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--window", nargs=2, default=("-5", "5"))
-    p.add_argument("--tol", default="1/100000000000000000000",
+    p.add_argument("--tol", default=str(RESIDUAL_TOL),
                    help="residual tolerance, a scalar literal (default 1/10**20)")
 
     p = cmd("orbit", _cmd_orbit, "enumerate an orbit sample", csv=True)
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the residual's random word pairs (default 0)")
     p.add_argument("--window", nargs=2, default=("-3", "3"))
-    p.add_argument("--tol", default="1/100000000000000000000",
+    p.add_argument("--tol", default=str(RESIDUAL_TOL),
                    help="residual tolerance, a scalar literal (default 1/10**20)")
 
     return ap

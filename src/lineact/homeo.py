@@ -262,8 +262,6 @@ def _eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
             raise PrecisionExhausted(
                 f"enclosure touches cell {n} edge under a fractional exponent"
             )
-        if e.is_rational:
-            return u.pow_fraction(e.as_fraction()).shift(n)
         return u.pow_real(e).shift(n)
 
     return _piecewise_eval(x, _cell_branch, in_cell)
@@ -306,8 +304,8 @@ def _eval_odd_power(node: OddPower, x: Real) -> Real:
 
     def in_branch(b: int, v: Real) -> Real:
         if b == -1:
-            return -((-v).root(node.p))
-        return v.root(node.p)
+            return -((-v).pow_real(Fraction(1, node.p)))
+        return v.pow_real(Fraction(1, node.p))
 
     return _piecewise_eval(x, _sign_branch, in_branch)
 
@@ -380,14 +378,16 @@ def inverse(h: HomeoExpr) -> HomeoExpr:
 def _factors(h: HomeoExpr) -> list[HomeoExpr]:
     if isinstance(h, Compose):
         return [f for m in h.maps for f in _factors(m)]
+    if isinstance(h, Inverse):
+        return _factors(inverse(h.child))
     return [] if isinstance(h, Identity) else [h]
 
 
 def compose(*hs: HomeoExpr) -> HomeoExpr:
     """hs[0] o hs[1] o ... (the last acts first), as one flat node.
 
-    Nested composites are spliced in and identities dropped; no factor
-    left gives the identity, one factor gives that factor itself.
+    Composites are spliced in, inverse nodes made structural and identities
+    dropped; no factor left gives the identity, one gives that factor.
     """
     maps = [f for h in hs for f in _factors(h)]
     if not maps:
@@ -397,14 +397,6 @@ def compose(*hs: HomeoExpr) -> HomeoExpr:
 
 def power(h: HomeoExpr, n: int) -> HomeoExpr:
     return compose(*[h if n >= 0 else inverse(h)] * abs(n))
-
-
-def _flatten(h: HomeoExpr) -> list[HomeoExpr]:
-    if isinstance(h, Compose):
-        return [x for m in h.maps for x in _flatten(m)]
-    if isinstance(h, Inverse):
-        return _flatten(inverse(h.child))
-    return [h]
 
 
 def _simplify_leaf(h: HomeoExpr) -> HomeoExpr:
@@ -449,7 +441,7 @@ def simplify(h: HomeoExpr) -> HomeoExpr:
     base merge, L^a o L^b = L^(a+b), which takes any run of both to L^C o T_D,
     the identity exactly when C = D = 0.  Evaluation agrees with the input.
     """
-    items = [_simplify_leaf(x) for x in _flatten(h)]
+    items = [_simplify_leaf(x) for x in _factors(h)]
     items = [x for x in items if not isinstance(x, Identity)]
 
     changed = True

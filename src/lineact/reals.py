@@ -572,34 +572,19 @@ class Real:
         p = _prec()
         return Real(None, _mp.mpi_pow_int(self._as_mpi(p), e, p))
 
-    def root(self, p: int) -> "Real":
-        """Exact-aware p-th root for positive values (sign-preserving for odd p)."""
-        if p == 1:
-            return self
-        if self._rat is not None:
-            r = _fraction_root(self._rat, p)
-            if r is not None:
-                return Real(r)
-        return self.pow_fraction(Fraction(1, p))
-
-    def pow_fraction(self, e: Fraction) -> "Real":
-        """``self ** e`` for positive self (or rational self with integer e)."""
-        if e.denominator == 1:
-            return self.pow_int(e.numerator)
-        if self._rat is not None:
-            base_root = _fraction_root(self._rat, e.denominator)
-            if base_root is not None:
-                return Real(base_root).pow_int(e.numerator)
-            if self._rat < 0:
-                raise ValueError("fractional power of a negative value")
-            if self._rat == 0:
-                return _ZERO
-        return self.pow_real(Real.tracked_from_fraction(e))
-
-    def pow_real(self, e: "Real") -> "Real":
-        """``self ** e`` via exp/log for a certainly nonnegative base."""
-        if e._rat is not None and e._rat.denominator == 1:
-            return self.pow_int(e._rat.numerator)
+    def pow_real(self, e: RealLike) -> "Real":
+        """``self ** e``: :meth:`pow_int` for an integer e; an exact root of
+        a rational base for a rational e; else exp and log, for a base >= 0."""
+        if type(e) is not Real:
+            e = Real.coerce(e)
+        q = e._rat
+        if q is not None:
+            if q.denominator == 1:
+                return self.pow_int(q.numerator)
+            if self._rat is not None:
+                r = _fraction_root(self._rat, q.denominator)
+                if r is not None:
+                    return Real(r).pow_int(q.numerator)
         lo, hi = _ends(self)
         lo_sign = _cmp_end(lo, 0)
         if lo_sign < 0:
@@ -629,7 +614,7 @@ class Real:
             n = t.numerator
             if abs(n) <= _EXACT_POW_BIT_BUDGET:
                 return Real(Fraction(2) ** n)
-        return Real.rational(2).pow_fraction(t)
+        return Real.rational(2).pow_real(t)
 
     # -- comparisons --------------------------------------------------
 

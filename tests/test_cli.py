@@ -239,6 +239,14 @@ class TestErrorPaths:
         assert re.search(r"^error: cell -?\d+ beyond the configured horizon 2$",
                          err, re.M)
 
+    def test_precision_exhausted_exit_2(self, capsys):
+        code = main(["orbit", "--gallery", "ex_1_4", "--k", "3",
+                     "--point=-63/4", "--radius", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precision exhausted: ")
+
     def test_unordered_interval_exit_2(self, capsys):
         code = main(["eval", "--expr", "identity", "--interval", "sqrt2", "sqrt2"])
         assert code == 2

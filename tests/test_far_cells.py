@@ -17,7 +17,7 @@ import mpmath
 import pytest
 
 from lineact import actions, dynamics
-from lineact.reals import PrecisionExhausted, Real, current_precision
+from lineact.reals import Interval, PrecisionExhausted, Real, current_precision
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -133,3 +133,13 @@ def test_far_cell_ball_ends_in_bounded_time():
     assert proc.returncode == 0, proc.stderr[-2000:]
     words, seconds = proc.stdout.split()
     assert int(words) == 47 and float(seconds) < 5
+
+
+def test_far_cell_certificate_reports_undecidable_words():
+    # from cell -16 some words meet a cell exponent beyond any precision:
+    # their verdict is a violation, and the certificate still returns
+    iv = Interval.open(Fraction(-63, 4), Fraction(-31, 2))
+    cert = dynamics.wandering_certificate(actions.gallery("ex_1_4", k=3), iv, 2)
+    assert not cert.certified
+    assert any(v.verdict == "violation" and v.reason == "undecidable at ceiling"
+               for v in cert.verdicts)

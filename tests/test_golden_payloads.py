@@ -22,6 +22,9 @@ and no other byte changed.  When the config came to be worked out from the
 parsed options, listing only the options that are set,
 ``cantor_failed`` and ``cantor_no_move`` lost their ``"orbit_depth": null``
 line, the unset ``--orbit-depth``, and no other byte changed.
+``cantor.csv``, the argv of ``cantor.json`` with ``--format csv``, was
+added later, written by the code as it stood before ``Real``'s rational
+powers became one method.
 
 To rewrite the files after an intended payload change::
 
@@ -70,6 +73,9 @@ CASES = {
                                       "--radius", "5"]),
     "cantor.json": (0, ["cantor", "--gallery", "ex_1_4", "--k", "2",
                         "--depth", "2", "--radius", "4", "--orbit-depth", "1"]),
+    "cantor.csv": (0, ["cantor", "--gallery", "ex_1_4", "--k", "2",
+                       "--depth", "2", "--radius", "4", "--orbit-depth", "1",
+                       "--format", "csv"]),
     "classify.json": (0, ["classify", "--gallery", "ex_1_2", "--alpha", "sqrt2",
                           "--point", "0", "--radius", "20", "--window", "0", "1"]),
     "extend.json": (0, ["extend", "--pairs", "30", "--points", "6"]),

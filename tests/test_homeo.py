@@ -110,7 +110,7 @@ def reference_eval_ladder(node: UnitPowerLadder, x: Real, fine=None) -> Real:
             raise PrecisionExhausted(
                 f"enclosure touches cell {n} edge under a fractional exponent"
             )
-        y = u.pow_fraction(e.as_fraction()) if e.is_rational else u.pow_real(e)
+        y = u.pow_real(e)
         if fine is not None and finer_than_ulp(y, n):
             fine.append(n)
         return y + rn
@@ -273,6 +273,11 @@ class TestCompose:
         assert compose() == compose(Identity(), Compose()) == Identity()
         assert power(g, 3) == Compose(g, g, g)
         assert power(g, -2) == Compose(inverse(g), inverse(g))
+
+    def test_inverse_nodes_become_structural(self):
+        f, g, h = affine(1, 1), OddPower(3), affine(2, 0)
+        assert compose(f, Inverse(Compose(g, h))) == Compose(f, inverse(h), inverse(g))
+        assert compose(Inverse(Inverse(g))) == g
 
 
 class TestSimplify:

@@ -91,19 +91,19 @@ class TestRealArithmetic:
         assert far.shift(1) == far + fr(1)
 
     def test_root_exact_on_perfect_powers(self):
-        assert fr(9, 4).root(2).as_fraction() == Fraction(3, 2)
-        assert fr(27, 8).root(3).as_fraction() == Fraction(3, 2)
-        assert fr(-27, 8).root(3).as_fraction() == Fraction(-3, 2)
+        assert fr(9, 4).pow_real(Fraction(1, 2)).as_fraction() == Fraction(3, 2)
+        assert fr(27, 8).pow_real(Fraction(1, 3)).as_fraction() == Fraction(3, 2)
+        assert fr(-27, 8).pow_real(Fraction(1, 3)).as_fraction() == Fraction(-3, 2)
 
     def test_root_tracked_otherwise(self):
-        v = fr(2).root(2)
+        v = fr(2).pow_real(Fraction(1, 2))
         assert v.kind == "tracked-real"
         lo, hi = v.bounds()
         assert float(lo) <= math.sqrt(2) <= float(hi)
 
     def test_root_huge_index_fast(self):
         # regression: exact-root probing must not attempt astronomical powers
-        v = fr(3, 7).pow_fraction(Fraction(1, 2**32))
+        v = fr(3, 7).pow_real(Fraction(1, 2**32))
         lo, hi = v.bounds()
         assert 0 < lo < hi < 1
 

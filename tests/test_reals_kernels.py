@@ -1,8 +1,8 @@
 """The big-rational kernels of lineact.reals against verbatim copies of the
-bisection root, from_rational rounding and Fraction-bound comparisons they
-replaced (the reference; the compare has since gained Real.cmp's rule that
-a provable point tie is 0): every result must be identical, mpf tuples
-included."""
+bisection root, from_rational rounding, Fraction-bound comparisons and
+rational-power dispatch they replaced (the reference; the compare has since
+gained Real.cmp's rule that a provable point tie is 0): every result must be
+identical, mpf tuples included."""
 
 import random
 import time
@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
     finf,
@@ -30,6 +30,7 @@ from lineact.dynamics import orbit
 from lineact.reals import (
     PrecisionExhausted,
     Real,
+    _fraction_root,
     _iroot,
     _mpi_from_fraction,
     _prec,
@@ -57,6 +58,32 @@ def ref_iroot(n: int, p: int) -> Optional[int]:
         else:
             hi = mid
     return lo if lo**p == n else None
+
+
+def ref_root(x: Real, p: int) -> Real:
+    """Exact-aware p-th root for positive values (sign-preserving for odd p)."""
+    if p == 1:
+        return x
+    if x._rat is not None:
+        r = _fraction_root(x._rat, p)
+        if r is not None:
+            return Real(r)
+    return ref_pow_fraction(x, Fraction(1, p))
+
+
+def ref_pow_fraction(x: Real, e: Fraction) -> Real:
+    """``x ** e`` for positive x (or rational x with integer e)."""
+    if e.denominator == 1:
+        return x.pow_int(e.numerator)
+    if x._rat is not None:
+        base_root = _fraction_root(x._rat, e.denominator)
+        if base_root is not None:
+            return Real(base_root).pow_int(e.numerator)
+        if x._rat < 0:
+            raise ValueError("fractional power of a negative value")
+        if x._rat == 0:
+            return Real(Fraction(0))
+    return x.pow_real(Real.tracked_from_fraction(e))
 
 
 def ref_mpi_from_fraction(q: Fraction, prec: int):
@@ -286,6 +313,63 @@ def test_iroot_matches_bisection(np):
     assert _iroot(n, p) == ref_iroot(n, p)
 
 
+def state(r: Real):
+    """What a Real is, for comparison: its rational or its mpf pair."""
+    return ("exact", r._rat) if r.is_rational else ("tracked", r._mpi)
+
+
+def outcome(fn, *args):
+    """The result's state, or the type of the error raised."""
+    try:
+        return state(fn(*args))
+    except (ValueError, ZeroDivisionError, PrecisionExhausted) as exc:
+        return type(exc)
+
+
+@st.composite
+def powered(draw):
+    """A rational exponent e = num/p and a base: often a perfect p-th power
+    or its neighbour, of either sign, or exact 0; exact, or tracked away
+    from 0."""
+    p = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    e = Fraction(draw(st.sampled_from([1, 1, 2, 3, -1, -2])), p)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = st.sampled_from([1, 2, 8, 64, 300])
+    r = Fraction(rng.getrandbits(draw(sizes)) or 1, rng.getrandbits(draw(sizes)) or 1)
+    shape = draw(st.sampled_from(["power", "power", "near", "free", "zero"]))
+    if shape == "zero":
+        return Real(Fraction(0)), e
+    q = {"power": r**p, "near": r**p + Fraction(1, r.denominator**p), "free": r}[shape]
+    if draw(st.booleans()):
+        q = -q
+    how = draw(st.sampled_from(["exact", "exact", "tracked", "hull"]))
+    if how == "hull" and q < 0:
+        how = "tracked"  # q's hull with q + 1/3 might touch 0
+    with precision(draw(st.sampled_from([8, 53, 256]))):
+        return reals(q, how), e
+
+
+@settings(max_examples=300, deadline=None)
+@given(powered())
+@example((Real(Fraction(-27, 8)), Fraction(1, 3)))
+@example((Real(Fraction(0)), Fraction(1, 3)))
+@example((Real(Fraction(0)), Fraction(-1, 2)))
+def test_pow_real_matches_the_old_power_dispatch(xe):
+    x, e = xe
+    if e.numerator == 1:
+        want = outcome(ref_root, x, e.denominator)
+    else:
+        want = outcome(ref_pow_fraction, x, e)
+    assert outcome(x.pow_real, e) == want
+
+
+def test_pow_real_roots_the_upper_end_of_a_hull_at_0():
+    x = Real.hull(Real(Fraction(0)), Real(Fraction(1, 8)))
+    assert x.pow_real(Fraction(1, 3)).bounds() == (0, Fraction(1, 2))
+    # the old dispatch rounded the upper end outward through exp and log
+    assert ref_pow_fraction(x, Fraction(1, 3)).bounds()[1] > Fraction(1, 2)
+
+
 # -- regressions: megabit exact values stay fast ------------------------------
 
 # The bisection root and the quadratic conversions took tens of seconds on
@@ -295,7 +379,7 @@ _FAST_S = 10.0
 
 def test_root_of_huge_exact_power():
     t = time.perf_counter()
-    r = Real((Fraction(5, 8)) ** (2**16)).root(8)
+    r = Real((Fraction(5, 8)) ** (2**16)).pow_real(Fraction(1, 8))
     assert time.perf_counter() - t < _FAST_S
     assert r.as_fraction() == Fraction(5, 8) ** (2**13)
 
