@@ -12,9 +12,10 @@ Expression grammar (prefix notation, case-insensitive names):
                                   flat node, identity factors dropped
 
 Scalar literals: integers, rationals ``p/q``, decimal strings (exact), and
-the named constants ``sqrt2``, ``sqrt3``, ``pi``, ``e`` materialized at the
-current working precision.  The grammar lives in :func:`lineact.reals.parse_real`
-and is shared with the CLI's points, windows and ``--alpha``.
+the named constants ``sqrt2`` and ``sqrt3``, exact values of Q(sqrt2) and
+Q(sqrt3), and ``pi`` and ``e``, enclosures at the current working
+precision.  The grammar lives in :func:`lineact.reals.parse_real` and is
+shared with the CLI's points, windows and ``--alpha``.
 
 Action-specification files: a ``group`` header line followed by one ``gen``
 line per generator, e.g. ::

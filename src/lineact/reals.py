@@ -1,23 +1,32 @@
-"""Exact rational and tracked-precision real numbers.
+"""Exact rational, exact real-quadratic and tracked-precision real numbers.
 
-Two kinds of scalar live here.  An exact rational is a ``fractions.Fraction``
-in lowest terms.  A tracked real is a rigorous enclosure ``[lo, hi]`` of an
-unknown real, stored as a pair of dyadic endpoints (mpmath raw mpf values)
-that are always rounded outward.  Every arithmetic operation either stays
-exact (when the operation is closed over the rationals and the operands are
-rational) or degrades to a tracked enclosure whose error bound is never
-dropped.  Exact values stay bounded: a rational's integer power stays exact
-up to 8 precision ceilings of bits, and :meth:`Real.shift` adds an integer
-to sub-ulp tracked ends exactly up to 2**21 bits, keeping tiny offsets.
+Three kinds of scalar live here.  An exact rational is a ``fractions.Fraction``
+in lowest terms.  An exact quadratic is (a + b*sqrt(r))/d for integers a,
+b != 0, d > 0 with gcd(a, b, d) = 1 and r in {2, 3}: ``sqrt2``, ``sqrt3`` and
+every field operation on them and on rationals stays in Q(sqrt(r)).  A
+tracked real is a rigorous enclosure ``[lo, hi]`` of an unknown real, stored
+as a pair of dyadic endpoints (mpmath raw mpf values) that are always
+rounded outward.  Every arithmetic operation either stays exact (when the
+operation is closed over the operands' field: +, -, *, / and integer powers
+over Q or one Q(sqrt(r))) or degrades to a tracked enclosure whose error
+bound is never dropped; two radicands, a non-integer power, pi and e go
+tracked.  Exact values stay bounded: an integer power stays exact up to 8
+precision ceilings of bits, and :meth:`Real.shift` adds an integer to
+sub-ulp tracked ends exactly up to 2**21 bits, keeping tiny offsets.
 
 The certified order works on the raw endpoints: two mpf endpoints compare
 with ``mpf_cmp``, an mpf endpoint and a rational by sign and binary
 magnitude before at most one exact integer product, and two rationals by
-numerator over a shared denominator.  :meth:`Real.cmp` is the one three-way
+numerator over a shared denominator.  An exact quadratic is its own
+endpoint: against a rational or a value of its field it compares by the
+exact sign of one u + v*sqrt(r), and against an mpf through its enclosure,
+exactly when the mpf falls inside.  :meth:`Real.cmp` is the one three-way
 order, and it reads two enclosures of one and the same point as a tie.  No
 ``Fraction`` is built to compare or sort a tracked value
 (:meth:`Real.mid_key`); :meth:`Real.bounds` turns endpoints into fractions
-for reporting, oracles and the exact path.
+for reporting, oracles and the exact path.  Equality is exact too: two
+tracked values are equal only when they are one object, since equal
+enclosures do not prove equal values.
 
 Precision of tracked arithmetic is controlled by :class:`PrecisionContext`.
 The default working precision is 256 bits; callers that need a comparison
@@ -31,7 +40,7 @@ import math
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Optional, Union
 
 import mpmath.libmp as _mp
@@ -247,12 +256,140 @@ def _cmp_rational(a: Fraction, b: Fraction) -> int:
     return (d > 0) - (d < 0)
 
 
-# An endpoint is an exact value's Fraction or a tracked value's raw mpf.
+# -- exact quadratics: (a, b, d, r) stands for (a + b*sqrt(r))/d ---------
+
+# floor(sqrt(r) * 2**p): sqrt(r) lies in [R, R + 1) / 2**p.  A few (r, p)
+# are live at a time: two radicands at the working and print precisions.
+@lru_cache(maxsize=64)
+def _sqrt_floor(r: int, p: int) -> int:
+    return math.isqrt(r << 2 * p)
+
+
+def _mpi_from_quad(quad, prec: int):
+    """(a + b*sqrt(r))/d rounded outward to prec bits: its bracket
+    (a*2**p + b*R)/(d*2**p) .. (a*2**p + b*(R + 1))/(d*2**p), R =
+    _sqrt_floor(r, p), with each end rounded once."""
+    a, b, d, r = quad
+    lo = (a << prec) + b * _sqrt_floor(r, prec)
+    hi = lo + b
+    if b < 0:
+        lo, hi = hi, lo
+    den = d << prec
+    return (_mpf_round(lo, den, prec, round_floor),
+            _mpf_round(hi, den, prec, round_ceiling))
+
+
+def _quad_sign(u: int, v: int, r: int) -> int:
+    """The sign of u + v*sqrt(r): of u*u - r*v*v when u and v differ in sign."""
+    if u >= 0 and v >= 0:
+        return int(u > 0 or v > 0)
+    if u <= 0 and v <= 0:
+        return -1
+    t = u * u - r * v * v
+    s = (t > 0) - (t < 0)
+    return s if u > 0 else -s
+
+
+def _quadratic(a: int, b: int, d: int, r: int) -> "Real":
+    """(a + b*sqrt(r))/d (d != 0) in canonical form; rational when b = 0."""
+    if not b:
+        return Real(Fraction(a, d))
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return Real(None, None, (a, b, d, r))
+
+
+def _common(x: "Real", y: "Real"):
+    """x's and y's (a, b, d, r) over one radicand, for x or y quadratic:
+    None unless the other is rational (of every field) or shares it."""
+    xq, yq = x._quad, y._quad
+    if xq is None:
+        q = x._rat
+        if q is None:
+            return None
+        xq = (q.numerator, 0, q.denominator, yq[3])
+    elif yq is None:
+        q = y._rat
+        if q is None:
+            return None
+        yq = (q.numerator, 0, q.denominator, xq[3])
+    elif xq[3] != yq[3]:
+        return None
+    return xq, yq
+
+
+def _quad_pow(a: int, b: int, d: int, r: int, n: int) -> "Real":
+    """((a + b*sqrt(r))/d)**n for n >= 0, by squaring."""
+    x, y, den = 1, 0, d**n
+    while n:
+        if n & 1:
+            x, y = x * a + r * y * b, x * b + y * a
+        n >>= 1
+        if n:
+            a, b = a * a + r * b * b, 2 * a * b
+    return _quadratic(x, y, den, r)
+
+
+def _quad_mid(quad) -> Fraction:
+    """The exact midpoint of the quadratic's bracket at the print precision,
+    so an approximation does not depend on the working precision."""
+    a, b, d, r = quad
+    p = _DEFAULT_BITS
+    return Fraction((a << (p + 1)) + b * (2 * _sqrt_floor(r, p) + 1), d << (p + 1))
+
+
+# An endpoint is an exact rational's Fraction, an exact quadratic's Real
+# itself, or a tracked value's raw mpf.
 
 def _ends(x: "Real"):
-    """x's lower and upper endpoint: its rational twice, or its two mpf."""
+    """x's lower and upper endpoint: its rational or itself twice, or its two
+    mpf."""
     q = x._rat
-    return (q, q) if q is not None else x._mpi
+    if q is not None:
+        return (q, q)
+    return x._mpi if x._quad is None else (x, x)
+
+
+def _cmp_quad(x: "Real", y) -> int:
+    """_cmp_end of an exact quadratic x and any endpoint y, exactly.
+
+    A rational or a quadratic of x's radicand decides by the sign of one
+    u + v*sqrt(r).  An mpf outside x's enclosure decides by ``mpf_cmp``, one
+    inside by that sign test on its exact dyadic value.  Quadratics of two
+    radicands are never equal, so their enclosures are refined until they
+    part.
+    """
+    a, b, d, r = x._quad
+    if type(y) is tuple:
+        lo, hi = x._as_mpi(_prec())
+        if mpf_cmp(hi, y) < 0:
+            return -1
+        if mpf_cmp(lo, y) > 0:
+            return 1
+        sign, man, exp, _ = y
+        if sign:
+            man = -man
+        if exp >= 0:
+            return _quad_sign(a - d * (man << exp), b, r)
+        return _quad_sign((a << -exp) - d * man, b << -exp, r)
+    if type(y) is Real:
+        c, e, f, s = y._quad
+        if s == r:
+            return _quad_sign(a * f - c * d, b * f - e * d, r)
+        p = _prec()
+        while True:
+            xlo, xhi = _mpi_from_quad(x._quad, p)
+            ylo, yhi = _mpi_from_quad(y._quad, p)
+            if mpf_cmp(xhi, ylo) < 0:
+                return -1
+            if mpf_cmp(xlo, yhi) > 0:
+                return 1
+            p *= 2
+    n, m = y.numerator, y.denominator
+    return _quad_sign(a * m - n * d, b * m, r)
 
 
 def _cmp_end(a, b) -> int:
@@ -266,13 +403,19 @@ def _cmp_end(a, b) -> int:
     sums make one) is compared above b's integer part f: a - f (one exact
     ``mpf_sub``) against (num - f*den)/den in [0, 1).  Else the answer is the
     sign of man*2**exp*den - num.  Every step is exact, so every path agrees.
+    A quadratic endpoint goes to :func:`_cmp_quad`.
     """
+    tb = type(b)
     if type(a) is not tuple:
-        if type(b) is not tuple:
-            return _cmp_rational(a, b)
-        return -_cmp_end(b, a)
-    if type(b) is tuple:
+        if type(a) is Real:
+            return _cmp_quad(a, b)
+        if tb is tuple:
+            return -_cmp_end(b, a)
+        return -_cmp_quad(b, a) if tb is Real else _cmp_rational(a, b)
+    if tb is tuple:
         return mpf_cmp(a, b)
+    if tb is Real:
+        return -_cmp_quad(b, a)
     if a[3] < 0:
         if a[3] == -1:
             raise ValueError("nan endpoint")
@@ -327,6 +470,8 @@ def _round_end(e, prec: int, rnd):
     """An endpoint rounded to prec bits in direction rnd, as an mpf."""
     if type(e) is tuple:
         return mpf_pos(e, prec, rnd)
+    if type(e) is Real:
+        return e._as_mpi(prec)[rnd is round_ceiling]
     return _mpf_round(e.numerator, e.denominator, prec, rnd)
 
 
@@ -334,19 +479,23 @@ RealLike = Union["Real", Fraction, int]
 
 
 class Real:
-    """A real number: exact rational or outward-rounded tracked enclosure.
+    """A real number: exact rational, exact quadratic or outward-rounded
+    tracked enclosure.
 
-    Immutable.  Construct with :meth:`rational`, :meth:`from_fraction`, or
-    arithmetic on existing values.  ``_mpi`` is a tracked value's enclosure;
-    an exact value keeps ``(prec, enclosure)`` there, its outward rounding at
-    the precision last asked of :meth:`_as_mpi`.  Never mutate ``_rat``.
+    Immutable.  Construct with :meth:`rational`, :meth:`from_fraction`,
+    :meth:`sqrt2`, :meth:`sqrt3`, or arithmetic on existing values.  ``_rat``
+    is an exact rational's value and ``_quad`` an exact quadratic's canonical
+    (a, b, d, r); ``_mpi`` is a tracked value's enclosure, and an exact value
+    keeps ``(prec, enclosure)`` there, its outward rounding at the precision
+    last asked of :meth:`_as_mpi`.  Never mutate ``_rat`` or ``_quad``.
     """
 
-    __slots__ = ("_rat", "_mpi")
+    __slots__ = ("_rat", "_mpi", "_quad")
 
-    def __init__(self, rat: Optional[Fraction], mpi=None):
+    def __init__(self, rat: Optional[Fraction], mpi=None, quad=None):
         self._rat = rat
         self._mpi = mpi
+        self._quad = quad
 
     # -- constructors -------------------------------------------------
 
@@ -380,20 +529,18 @@ class Real:
         lo = blo if _cmp_end(blo, alo) < 0 else alo
         hi = bhi if _cmp_end(bhi, ahi) > 0 else ahi
         if lo == hi:  # equal ends come from one operand, so are of one kind
-            return Real(_end_fraction(lo))
+            return lo if type(lo) is Real else Real(_end_fraction(lo))
         p = _prec()
         return Real(None, (_round_end(lo, p, round_floor),
                            _round_end(hi, p, round_ceiling)))
 
     @staticmethod
     def sqrt2() -> "Real":
-        p = _prec()
-        return Real(None, _mp.mpi_sqrt(_mpi_from_fraction(Fraction(2), p), p))
+        return Real(None, None, (0, 1, 1, 2))
 
     @staticmethod
     def sqrt3() -> "Real":
-        p = _prec()
-        return Real(None, _mp.mpi_sqrt(_mpi_from_fraction(Fraction(3), p), p))
+        return Real(None, None, (0, 1, 1, 3))
 
     @staticmethod
     def pi() -> "Real":
@@ -413,11 +560,13 @@ class Real:
 
     @property
     def kind(self) -> str:
-        return "exact-rational" if self.is_rational else "tracked-real"
+        if self._rat is not None:
+            return "exact-rational"
+        return "tracked-real" if self._quad is None else "exact-quadratic"
 
     def as_fraction(self) -> Fraction:
         if self._rat is None:
-            raise ValueError("tracked real has no exact fraction value")
+            raise ValueError(f"{self.kind} value has no exact fraction value")
         return self._rat
 
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -427,7 +576,7 @@ class Real:
         """
         if self._rat is not None:
             return (self._rat, self._rat)
-        lo, hi = self._mpi
+        lo, hi = self._mpi if self._quad is None else self._as_mpi(_prec())
         if lo[3] < 0 or hi[3] < 0:
             raise ValueError("enclosure has a non-finite endpoint")
         return (Fraction(*to_rational(lo)), Fraction(*to_rational(hi)))
@@ -439,12 +588,19 @@ class Real:
             f = q.numerator // q.denominator
             fc = (f, f if q.denominator == 1 else f + 1)
             return (fc, fc)
+        if self._quad is not None:
+            # floor(a + b*sqrt(r)) is a + s or a - s - 1, s = isqrt(r*b*b)
+            # (never a square), and floor(x/d) = floor(floor(x)/d)
+            a, b, d, r = self._quad
+            s = math.isqrt(r * b * b)
+            f = (a + s if b > 0 else a - s - 1) // d
+            return ((f, f + 1), (f, f + 1))
         lo, hi = self._mpi
         return ((to_int(lo, round_floor), to_int(lo, round_ceiling)),
                 (to_int(hi, round_floor), to_int(hi, round_ceiling)))
 
     def err(self) -> Fraction:
-        if self._rat is not None:
+        if self._rat is not None or self._quad is not None:
             return Fraction(0)
         lo, hi = self.bounds()
         return (hi - lo) / 2
@@ -452,6 +608,8 @@ class Real:
     def mid(self) -> Fraction:
         if self._rat is not None:
             return self._rat
+        if self._quad is not None:
+            return _quad_mid(self._quad)
         return _end_fraction(self._half_sum())
 
     def _half_sum(self):
@@ -469,6 +627,8 @@ class Real:
         q = self._rat
         if q is not None:
             return (approx_float(q), _END_ORDER(q))
+        if self._quad is not None:
+            return (approx_float(self.mid()), _END_ORDER(self))
         h = self._half_sum()
         if h[2] + h[3] < -1021:  # to_float rounds twice below 2**-1022
             return (approx_float(_end_fraction(h)), _END_ORDER(h))
@@ -478,12 +638,16 @@ class Real:
         return float(self.mid())
 
     def _as_mpi(self, prec: int):
-        if self._rat is None:
+        q = self._rat
+        if q is None and self._quad is None:
             return self._mpi
         cached = self._mpi
         if cached is not None and cached[0] == prec:
             return cached[1]
-        v = _mpi_from_fraction(self._rat, prec)
+        if q is not None:
+            v = _mpi_from_fraction(q, prec)
+        else:
+            v = _mpi_from_quad(self._quad, prec)
         self._mpi = (prec, v)
         return v
 
@@ -494,6 +658,13 @@ class Real:
             other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
             return Real(self._rat + other._rat)
+        if self._quad is not None or other._quad is not None:
+            qs = _common(self, other)
+            if qs is not None:
+                (a, b, d, r), (c, e, f, _) = qs
+                if d == f:
+                    return _quadratic(a + c, b + e, d, r)
+                return _quadratic(a * f + c * d, b * f + e * d, d * f, r)
         p = _prec()
         return Real(None, _mp.mpi_add(self._as_mpi(p), other._as_mpi(p), p))
 
@@ -507,6 +678,9 @@ class Real:
         budget, so a cell offset far below 1 survives its move to cell n."""
         if self._rat is not None:
             return Real(self._rat + n)
+        if self._quad is not None:  # gcd(a + n*d, b, d) = gcd(a, b, d) = 1
+            a, b, d, r = self._quad
+            return Real(None, None, (a + n * d, b, d, r))
         p, nbits, nf = _prec(), n.bit_length(), from_int(n)
         lo, hi = ends = self._mpi
         if (_finer(lo, p, nbits) or _finer(hi, p, nbits)) and all(
@@ -520,6 +694,13 @@ class Real:
             other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
             return Real(self._rat - other._rat)
+        if self._quad is not None or other._quad is not None:
+            qs = _common(self, other)
+            if qs is not None:
+                (a, b, d, r), (c, e, f, _) = qs
+                if d == f:
+                    return _quadratic(a - c, b - e, d, r)
+                return _quadratic(a * f - c * d, b * f - e * d, d * f, r)
         p = _prec()
         return Real(None, _mp.mpi_sub(self._as_mpi(p), other._as_mpi(p), p))
 
@@ -531,6 +712,11 @@ class Real:
             other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
             return Real(self._rat * other._rat)
+        if self._quad is not None or other._quad is not None:
+            qs = _common(self, other)
+            if qs is not None:
+                (a, b, d, r), (c, e, f, _) = qs
+                return _quadratic(a * c + r * b * e, a * e + b * c, d * f, r)
         p = _prec()
         return Real(None, _mp.mpi_mul(self._as_mpi(p), other._as_mpi(p), p))
 
@@ -543,6 +729,13 @@ class Real:
             raise ZeroDivisionError("division by a value that may be zero")
         if self._rat is not None and other._rat is not None:
             return Real(self._rat / other._rat)
+        if self._quad is not None or other._quad is not None:
+            qs = _common(self, other)
+            if qs is not None:
+                # times f*(c - e*sqrt(r)) over d*(c*c - r*e*e), nonzero
+                (a, b, d, r), (c, e, f, _) = qs
+                return _quadratic(f * (a * c - r * b * e), f * (b * c - a * e),
+                                  d * (c * c - r * e * e), r)
         p = _prec()
         return Real(None, _mp.mpi_div(self._as_mpi(p), other._as_mpi(p), p))
 
@@ -552,23 +745,35 @@ class Real:
     def __neg__(self) -> "Real":
         if self._rat is not None:
             return Real(-self._rat)
+        if self._quad is not None:
+            a, b, d, r = self._quad
+            return Real(None, None, (-a, -b, d, r))
         return Real(None, _mp.mpi_neg(self._mpi, _prec()))
 
     def __abs__(self) -> "Real":
         if self._rat is not None:
             return Real(abs(self._rat))
+        if self._quad is not None:
+            a, b, _, r = self._quad
+            return -self if _quad_sign(a, b, r) < 0 else self
         return Real(None, _mp.mpi_abs(self._mpi, _prec()))
 
     def pow_int(self, e: int) -> "Real":
         if e < 0 and self.contains_zero():
             raise ZeroDivisionError("negative power of a value that may be zero")
+        budget = _EXACT_POW_CEILINGS * current_precision().ceiling
         if self._rat is not None:
             cost = abs(e) * max(
                 self._rat.numerator.bit_length(),
                 self._rat.denominator.bit_length(),
             )
-            if cost <= _EXACT_POW_CEILINGS * current_precision().ceiling:
+            if cost <= budget:
                 return Real(self._rat**e)
+        elif self._quad is not None:
+            a, b, d, r = (self if e >= 0 else _ONE / self)._quad
+            cost = abs(e) * max(a.bit_length(), b.bit_length(), d.bit_length())
+            if cost <= budget:
+                return _quad_pow(a, b, d, r, abs(e))
         p = _prec()
         return Real(None, _mp.mpi_pow_int(self._as_mpi(p), e, p))
 
@@ -621,6 +826,8 @@ class Real:
     def contains_zero(self) -> bool:
         if self._rat is not None:
             return not self._rat
+        if self._quad is not None:
+            return False
         lo, hi = self._mpi
         return mpf_sign(lo) <= 0 <= mpf_sign(hi)
 
@@ -669,37 +876,63 @@ class Real:
                 return NotImplemented
         if self._rat is not None and other._rat is not None:
             return self._rat == other._rat
-        if (self._rat is None) != (other._rat is None):
-            return False
-        return self._mpi == other._mpi
+        if self._quad is not None or other._quad is not None:
+            return self._quad == other._quad
+        # two enclosures prove no equality, however alike: equal only as
+        # one object
+        return self is other
 
     def __hash__(self):
         if self._rat is not None:
             return hash(self._rat)
+        if self._quad is not None:
+            return hash(self._quad)
         return hash(self._mpi)
 
     # -- formatting ----------------------------------------------------
 
     def __str__(self) -> str:
-        q = self._rat
+        q, quad = self._rat, self._quad
         if q is not None and max(abs(q.numerator), q.denominator) < _PRINT_BOUND:
             return str(q)
+        if quad is not None and max(abs(quad[0]), abs(quad[1]), quad[2]) < _PRINT_BOUND:
+            return _quad_text(*quad)
         # 40 significant digits: 256 bits hold about 77
-        v = self._mpi if q is None else _mpi_from_fraction(q, _DEFAULT_BITS)
+        if q is not None:
+            v = _mpi_from_fraction(q, _DEFAULT_BITS)
+        else:
+            v = self._mpi if quad is None else _mpi_from_quad(quad, _DEFAULT_BITS)
         mid = _mp.mpi_mid(v, _DEFAULT_BITS)
         delta = _mp.mpi_delta(v, _DEFAULT_BITS)
         text = "%s±%s" % (_mp.to_str(mid, 40), _mp.to_str(delta, 3))
-        if q is None:
-            return text
-        return "%s [exact p/q: %d/%d bits]" % (
-            text, q.numerator.bit_length(), q.denominator.bit_length())
+        if q is not None:
+            return "%s [exact p/q: %d/%d bits]" % (
+                text, q.numerator.bit_length(), q.denominator.bit_length())
+        if quad is not None:
+            return "%s [exact (a+b*sqrt%d)/d: %d/%d/%d bits]" % (
+                text, quad[3], quad[0].bit_length(), quad[1].bit_length(),
+                quad[2].bit_length())
+        return text
 
     def __repr__(self) -> str:
         return f"Real({self})"
 
 
-# the zero that sign tests compare against, built once
+# the zero that sign tests compare against, and the one quadratics are
+# inverted from, built once
 _ZERO = Real(Fraction(0))
+_ONE = Real(Fraction(1))
+
+
+def _quad_text(a: int, b: int, d: int, r: int) -> str:
+    """(a + b*sqrt(r))/d as p+q*sqrtr with p = a/d and q = b/d, e.g.
+    ``1/7+3*sqrt2``, ``1-sqrt3`` or ``-1/2*sqrt2``; p = 0 and |q| = 1 are
+    left out."""
+    p, q = Fraction(a, d), Fraction(b, d)
+    root = f"sqrt{r}" if abs(q) == 1 else f"{abs(q)}*sqrt{r}"
+    if not p:
+        return root if q > 0 else "-" + root
+    return f"{p}{'+' if q > 0 else '-'}{root}"
 
 
 def approx_float(q: Fraction) -> float:
@@ -723,9 +956,10 @@ _CONSTANTS = {
 
 
 def parse_real(text: str) -> Real:
-    """Parse a scalar literal: a named constant, or a rational as
-    ``Fraction`` reads it (integer, ``p/q``, exact decimal, exponent
-    notation), with an optional sign.
+    """Parse a scalar literal: a named constant (``sqrt2`` and ``sqrt3``
+    exact, ``pi`` and ``e`` tracked), or a rational as ``Fraction`` reads it
+    (integer, ``p/q``, exact decimal, exponent notation), with an optional
+    sign.
 
     Raises ValueError on anything else.
     """

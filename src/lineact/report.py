@@ -3,9 +3,10 @@
 All payloads carry the schema tag ``line-act/1``.  Serialization is
 deterministic for a fixed configuration: dictionaries are emitted with
 sorted keys by the CLI, scalars print through the canonical Real formatter
-(exact rationals as ``p/q``, tracked values as decimal with an error
-suffix), and a float approximation is attached where downstream plotting
-tools want plain numbers.  Every such float goes through
+(exact rationals as ``p/q``, exact quadratics as ``p+q*sqrt2`` or
+``p+q*sqrt3``, tracked values as decimal with an error suffix), and a
+float approximation is attached where downstream plotting tools want
+plain numbers.  Every such float goes through
 ``reals.approx_float``: a value beyond float range prints as ``null`` in
 JSON and as ``inf``/``-inf`` in CSV, next to its exact text.
 """

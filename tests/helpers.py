@@ -1,8 +1,10 @@
-"""Shared test utilities: the random expression corpus and the
-relation-rewriting oracle."""
+"""Shared test utilities: tracked square roots, the random expression
+corpus and the relation-rewriting oracle."""
 
 import random
 from fractions import Fraction
+
+from mpmath.libmp import mpi_sqrt
 
 from lineact.homeo import (
     Affine,
@@ -13,12 +15,34 @@ from lineact.homeo import (
     OddPower,
     UnitPowerLadder,
 )
-from lineact.reals import Real
+from lineact.reals import Real, _mpi_from_fraction, current_precision
 from lineact.words import Presentation, free_reduced_words, reduce_letters
 
 
 def upper(v) -> float:
     return float(abs(v).bounds()[1])
+
+
+def _tracked_sqrt(n: int) -> Real:
+    p = current_precision().bits
+    return Real(None, mpi_sqrt(_mpi_from_fraction(Fraction(n), p), p))
+
+
+def tracked_sqrt2() -> Real:
+    """An enclosure of sqrt(2) at working precision, a tracked operand: the
+    exact ``Real.sqrt2()`` never takes the tracked path."""
+    return _tracked_sqrt(2)
+
+
+def tracked_sqrt3() -> Real:
+    """An enclosure of sqrt(3) at working precision (see tracked_sqrt2)."""
+    return _tracked_sqrt(3)
+
+
+def same_enclosure(x: Real, y: Real) -> bool:
+    """Are x and y tracked values with one and the same enclosure?  Tracked
+    equality is identity, so a test of an enclosure compares it here."""
+    return x.kind == y.kind == "tracked-real" and x._mpi == y._mpi
 
 
 def random_tree(rng: random.Random, depth: int):

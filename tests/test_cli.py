@@ -36,9 +36,11 @@ class TestDispatch:
             assert doc["result"]["value"]["value"] == value
 
     def test_eval_interval_keeps_literal_enclosures(self, capsys):
-        sqrt2 = "1.41421356237309504880168872420969807857\u00b11.73e-77"
-        for lo, hi, want in (("0", "sqrt2", ["0", sqrt2]),
-                             ("-sqrt2", "-1/2", ["-" + sqrt2, "-1/2"])):
+        # sqrt2 is exact, and prints as its exact text
+        for lo, hi, want in (("0", "sqrt2", ["0", "sqrt2"]),
+                             ("-sqrt2", "-1/2", ["-sqrt2", "-1/2"]),
+                             ("pi", "4", ["3.141592653589793238462643383279502884197"
+                                          "\u00b13.45e-77", "4"])):
             code, doc = run_json(capsys, "eval", "--expr", "affine(1,0)",
                                  "--interval", lo, hi)
             assert code == 0
@@ -199,6 +201,39 @@ class TestDispatch:
         assert res["counts"] == {"violation": 6}
         assert {v["reason"] for v in res["verdicts"]} == {"identity not proved"}
 
+    @pytest.mark.parametrize("shift", ["sqrt2", "pi"])
+    def test_near_equal_coefficients_are_not_a_proof(self, capsys, tmp_path, shift):
+        # a o b - b o a is the translation by (a1 - a2) * shift = 2**-301 *
+        # shift, though both sides' coefficients share one 256-bit enclosure
+        one = 1 << 300
+        spec = tmp_path / "near.spec"
+        spec.write_text(f"group free_abelian 2\n"
+                        f"gen a = affine({one + 1}/{one}, {shift})\n"
+                        f"gen b = affine({2 * one + 1}/{2 * one}, {shift})\n")
+        code, doc = run_json(capsys, "relations", "--spec", str(spec), "--points", "3")
+        assert code == 0  # passed only within the tolerance
+        (rel,) = doc["result"]["relations"]
+        assert rel["structural"] is False
+        residual = rel["residual"]
+        if shift == "sqrt2":
+            assert residual["kind"] == "exact-quadratic"
+            assert residual["value"] == f"1/{2 * one}*sqrt2"
+        else:
+            assert residual["kind"] == "tracked-real"
+            assert residual["approx"] > 0
+
+    @pytest.mark.parametrize("alpha", ["sqrt2", "3/2"])
+    def test_commutator_of_two_translations_is_not_a_witness(self, capsys, alpha):
+        # a b a^-1 b^-1 is the identity element; with sqrt2 exact, simplify
+        # proves it as it does for a rational alpha
+        code, doc = run_json(capsys, "wander-check", "--gallery", "ex_1_2",
+                             "--alpha", alpha, "--interval", "0", "1/1000",
+                             "--radius", "4")
+        assert code == 0
+        res = doc["result"]
+        assert res["certified"] is True and res["witness"] is None
+        assert res["counts"] == {"disjoint": 152, "pointwise-fixed": 8}
+
 
 # each command with its required arguments, so that argparse reaches the
 # unread flag
@@ -248,9 +283,14 @@ class TestErrorPaths:
         assert captured.err.startswith("precision exhausted: ")
 
     def test_unordered_interval_exit_2(self, capsys):
-        code = main(["eval", "--expr", "identity", "--interval", "sqrt2", "sqrt2"])
+        # two enclosures of pi overlap: their order is unknown
+        code = main(["eval", "--expr", "identity", "--interval", "pi", "pi"])
         assert code == 2
         assert "not certainly ordered" in capsys.readouterr().err
+        # two exact sqrt2 are a provable tie: an empty open interval
+        code = main(["eval", "--expr", "identity", "--interval", "sqrt2", "sqrt2"])
+        assert code == 2
+        assert "degenerate interval endpoints: sqrt2 .. sqrt2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("at", [["--point", "1", "--interval", "0", "1"], []],
                              ids=["both", "neither"])

@@ -24,7 +24,11 @@ parsed options, listing only the options that are set,
 line, the unset ``--orbit-depth``, and no other byte changed.
 ``cantor.csv``, the argv of ``cantor.json`` with ``--format csv``, was
 added later, written by the code as it stood before ``Real``'s rational
-powers became one method.
+powers became one method.  When ``sqrt2`` and ``sqrt3`` became exact
+values of their quadratic fields, ``extend.json`` changed on purpose: its
+homomorphism residual and its ``t b`` and ``a b`` relation residuals (so
+also ``worst_residual``) became the exact rational ``0``, where they had
+been 256-bit enclosures of about 1e-74 to 1e-77; no other golden changed.
 
 To rewrite the files after an intended payload change::
 

@@ -30,6 +30,8 @@ from lineact.reals import (
     Interval, PrecisionExhausted, Real, current_precision, precision, retry_precision,
 )
 
+from helpers import tracked_sqrt2
+
 R = Real.rational
 
 
@@ -143,8 +145,8 @@ class TestLadderCellCache:
     def points(self, n):
         return [R(n), R(4 * n + 1, 4), R(2 * n + 1, 2), R(8 * n + 7, 8),
                 Real.tracked_from_fraction(Fraction(n)),
-                R(n) + Real.sqrt2() / R(3),
-                Real.hull(R(n) - Real.sqrt2() / R(10**30), R(n) + R(1, 10**30))]
+                R(n) + tracked_sqrt2() / R(3),
+                Real.hull(R(n) - tracked_sqrt2() / R(10**30), R(n) + R(1, 10**30))]
 
     def test_matches_reference_across_precisions(self):
         # bit for bit where no image offset is finer than its cell's ulp;

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from lineact.reals import Interval, Real
 
+from helpers import tracked_sqrt2
+
 
 class ReferenceInterval(Interval):
     """The predicates as they read Fraction bounds before they were built on
@@ -141,7 +143,7 @@ GRID = sorted({Fraction(n, d) for d in (1, 2, 4, 3) for n in range(-2 * d, 2 * d
 fractions = st.sampled_from(GRID)
 exact = fractions.map(Real.from_fraction)
 tracked_point = fractions.map(Real.tracked_from_fraction)
-sqrt2_tracked = st.builds(lambda q, r: Real.from_fraction(q) + Real.sqrt2() * r,
+sqrt2_tracked = st.builds(lambda q, r: Real.from_fraction(q) + tracked_sqrt2() * r,
                           fractions, st.sampled_from([Fraction(0), Fraction(1, 2),
                                                       Fraction(-1), Fraction(1)]))
 hulls = st.builds(lambda a, b: Real.hull(Real.from_fraction(a), Real.from_fraction(b)),

@@ -16,6 +16,8 @@ from lineact.reals import (
     retry_precision,
 )
 
+from helpers import same_enclosure, tracked_sqrt2
+
 
 def fr(n, d=1):
     return Real.rational(n, d)
@@ -35,14 +37,14 @@ class TestRealArithmetic:
         assert q.numerator == 2 and q.denominator == 3
 
     def test_mixing_degrades_to_tracked(self):
-        s = Real.sqrt2()
+        s = tracked_sqrt2()
         v = fr(1) + s
         assert v.kind == "tracked-real"
         lo, hi = v.bounds()
         assert float(lo) <= 1 + math.sqrt(2) <= float(hi)
 
     def test_tracked_error_bound_nonnegative_and_kept(self):
-        s = Real.sqrt2()
+        s = tracked_sqrt2()
         assert s.err() >= 0
         v = (s + fr(1)) * (s - fr(1))  # should enclose 1
         lo, hi = v.bounds()
@@ -52,9 +54,9 @@ class TestRealArithmetic:
     @mpmath.workdps(120)
     def test_sqrt2_encloses_truth(self):
         truth = mpmath.mpf(2) ** mpmath.mpf("0.5")
-        lo, hi = Real.sqrt2().bounds()
+        lo, hi = tracked_sqrt2().bounds()
         assert float(lo) <= float(truth) <= float(hi)
-        assert float(Real.sqrt2().err()) < 1e-70
+        assert float(tracked_sqrt2().err()) < 1e-70
 
     def test_pow_int_exact(self):
         assert fr(3, 2).pow_int(4).as_fraction() == Fraction(81, 16)
@@ -71,10 +73,10 @@ class TestRealArithmetic:
 
     def test_shift_exact_and_ordinary_ends(self):
         assert fr(3, 4).shift(-2).as_fraction() == Fraction(-5, 4)
-        x = Real.sqrt2()
+        x = tracked_sqrt2()
         for n in (0, 1, -3, 1 << 70):
             # ends no finer than n's ulp: bit for bit the rounded sum
-            assert x.shift(n) == x + fr(n)
+            assert same_enclosure(x.shift(n), x + fr(n))
 
     def test_shift_keeps_sub_ulp_ends(self):
         tiny = Real.tracked_from_fraction(Fraction(1, 3 << 1000))
@@ -82,13 +84,14 @@ class TestRealArithmetic:
         y = tiny.shift(-2)
         assert y.cmp(fr(-2)) == 1
         # both ends exact, so moving back gives tiny bit for bit
-        assert y.shift(2) == tiny and (y - fr(-2)) == tiny and y.shift(0) == y
+        assert same_enclosure(y.shift(2), tiny)
+        assert same_enclosure(y - fr(-2), tiny) and same_enclosure(y.shift(0), y)
         lo, hi = y.bounds()
         assert lo < Fraction(-2) + Fraction(1, 3 << 1000) < hi
 
     def test_shift_rounds_past_the_exact_budget(self):
         far = Real.tracked_from_fraction(Fraction(1, 3 << (1 << 21)))
-        assert far.shift(1) == far + fr(1)
+        assert same_enclosure(far.shift(1), far + fr(1))
 
     def test_root_exact_on_perfect_powers(self):
         assert fr(9, 4).pow_real(Fraction(1, 2)).as_fraction() == Fraction(3, 2)
@@ -128,7 +131,7 @@ class TestRealArithmetic:
     def test_comparisons(self):
         assert fr(1, 3).cmp(fr(1, 2)) == -1
         assert fr(1, 2).cmp(fr(1, 2)) == 0
-        s = Real.sqrt2()
+        s = tracked_sqrt2()
         assert s.cmp(fr(1)) == 1
         assert s.cmp(s) is None  # identical enclosures overlap
         # a zero-width enclosure is its one point: a provable tie
@@ -140,10 +143,31 @@ class TestRealArithmetic:
     def test_str_forms(self):
         assert str(fr(3, 4)) == "3/4"
         assert str(fr(5)) == "5"
-        assert "±" in str(Real.sqrt2())
+        assert "±" in str(tracked_sqrt2())
+
+    def test_exact_quadratic_str_forms(self):
+        s, t = Real.sqrt2(), Real.sqrt3()
+        assert [str(x) for x in (s, -s, s / 2, fr(1, 7) + 3 * s, 1 - t, t * t)] == \
+            ["sqrt2", "-sqrt2", "1/2*sqrt2", "1/7+3*sqrt2", "1-sqrt3", "3"]
+        assert (s.kind, (s * s).kind) == ("exact-quadratic", "exact-rational")
+        # the midpoint that approximations print from ignores the precision
+        x = fr(1, 7) + 3 * s
+        with precision(64):
+            low = x.mid()
+        with precision(1024):
+            assert x.mid() == low
+        # past the 4300-digit print bound: the 256-bit rounding and the sizes
+        big = (1 + s).pow_int(20000)
+        assert big.kind == "exact-quadratic"
+        assert str(big).endswith("[exact (a+b*sqrt2)/d: 25431/25430/1 bits]")
+
+    def test_tracked_equality_is_identity(self):
+        # one enclosure does not prove one value
+        p, q = Real.pi(), Real.pi()
+        assert p == p and p != q and same_enclosure(p, q)
 
     def test_str_independent_of_ambient_precision(self):
-        s = Real.sqrt2()
+        s = tracked_sqrt2()
         text = str(s)
         with precision(64):
             assert str(s) == text
@@ -158,9 +182,9 @@ class TestPrecisionContext:
 
     def test_scoped_precision_changes_enclosures(self):
         with precision(64):
-            wide = Real.sqrt2().err()
+            wide = tracked_sqrt2().err()
         with precision(512):
-            narrow = Real.sqrt2().err()
+            narrow = tracked_sqrt2().err()
         assert narrow < wide
 
     def test_doubled_hits_ceiling(self):
@@ -197,6 +221,15 @@ class TestInterval:
             Interval.open(half, Fraction(1, 2))
         Interval.closed(half, Fraction(1, 2))
 
+    def test_exact_quadratic_tie_rejected(self):
+        # two sqrt2 are one point, exactly: an empty open interval
+        with pytest.raises(ValueError, match="degenerate"):
+            Interval.open(Real.sqrt2(), Real.sqrt2())
+        Interval.closed(Real.sqrt2(), Real.sqrt2())
+        # touching at an exact quadratic end is certainly disjoint
+        s = Real.sqrt2()
+        assert Interval.open(fr(1), s).certainly_disjoint(Interval.open(s, fr(2)))
+
     def test_disjointness_with_openness(self):
         a = Interval.open(0, 1)
         b = Interval.open(1, 2)
@@ -221,7 +254,7 @@ class TestInterval:
         assert not Interval.closed(0, 1).certainly_subset_of(Interval.open(0, 1))
 
     def test_tracked_endpoint_uncertainty(self):
-        s = Real.sqrt2()
+        s = tracked_sqrt2()
         a = Interval.open(s, fr(2))
         b = Interval.open(fr(2), fr(3))
         # (sqrt2, 2) and (2, 3): touching at an exact rational endpoint

@@ -2,8 +2,11 @@
 bisection root, from_rational rounding, Fraction-bound comparisons and
 rational-power dispatch they replaced (the reference; the compare has since
 gained Real.cmp's rule that a provable point tie is 0): every result must be
-identical, mpf tuples included."""
+identical, mpf tuples included.  The exact quadratics are checked against an
+integer oracle of their own, and the paths that rely on them (the sqrt2
+extension's residual, an ex_1_2 orbit) must stay exact."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -25,9 +28,17 @@ from mpmath.libmp import (
     round_floor,
 )
 
-from lineact.actions import gallery
+from lineact.actions import (
+    conjugate_into_unit,
+    direct_product_extension,
+    extend_action,
+    gallery,
+    homomorphism_residual,
+    sample_points,
+)
 from lineact.dynamics import orbit
 from lineact.reals import (
+    Interval,
     PrecisionExhausted,
     Real,
     _fraction_root,
@@ -36,6 +47,8 @@ from lineact.reals import (
     _prec,
     precision,
 )
+
+from helpers import tracked_sqrt2, tracked_sqrt3
 
 
 # -- the reference: the kernels as they were, kept unchanged ----------------
@@ -389,3 +402,120 @@ def test_far_cell_orbit_fails_fast():
     with pytest.raises(PrecisionExhausted, match="touches cell -4 edge"):
         orbit(gallery("ex_1_4", k=3), Fraction(-2) + Fraction(5, 8), 4)
     assert time.perf_counter() - t < _FAST_S
+
+
+# -- exact quadratics against an integer oracle -------------------------------
+# The oracle holds p + q*sqrt(r) as two Fractions p and q, and decides every
+# sign from an integer square root: for v != 0, v*sqrt(r) lies strictly
+# between two consecutive integers.
+
+def q_sign(u: int, v: int, r: int) -> int:
+    """The sign of u + v*sqrt(r): u + v*sqrt(r) lies in (low, low + 1), low
+    = u + k or u - k - 1 with k = isqrt(r*v*v), as v > 0 or v < 0."""
+    if not v:
+        return (u > 0) - (u < 0)
+    k = math.isqrt(r * v * v)
+    return 1 if (u + k if v > 0 else u - k - 1) >= 0 else -1
+
+
+def q_cmp(x, y, r: int) -> int:
+    """The order of x = (p, q) and y as numbers p + q*sqrt(r)."""
+    dp, dq = x[0] - y[0], x[1] - y[1]
+    den = math.lcm(dp.denominator, dq.denominator)
+    return q_sign(int(dp * den), int(dq * den), r)
+
+
+def q_state(x, r: int):
+    """The kind and stored value the exact number x = (p, q) must have: d is
+    the least common denominator of p and q, so gcd(a, b, d) = 1."""
+    p, q = x
+    if not q:
+        return ("exact-rational", p)
+    d = math.lcm(p.denominator, q.denominator)
+    return ("exact-quadratic", (int(p * d), int(q * d), d, r))
+
+
+def state_of(v: Real):
+    return (v.kind, v._rat if v.kind == "exact-rational" else v._quad)
+
+
+def q_mul(x, y, r):
+    return (x[0] * y[0] + r * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def q_pow(x, n: int, r: int):
+    out = (Fraction(1), Fraction(0))
+    if n < 0:
+        norm = x[0] ** 2 - r * x[1] ** 2
+        x, n = (x[0] / norm, -x[1] / norm), -n
+    for _ in range(n):
+        out = q_mul(out, x, r)
+    return out
+
+
+small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+field_elements = st.tuples(small, st.one_of(st.just(Fraction(0)), small))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_elements, field_elements, st.sampled_from([2, 3]),
+       st.integers(-4, 6), st.integers(-5, 5), precs)
+def test_quadratic_ops_match_integer_oracle(x, y, r, e, n, prec):
+    root = Real.sqrt2() if r == 2 else Real.sqrt3()
+    a, b = (Real(p) + Real(q) * root for p, q in (x, y))
+    assert state_of(a) == q_state(x, r) and state_of(b) == q_state(y, r)
+    assert state_of(a + b) == q_state((x[0] + y[0], x[1] + y[1]), r)
+    assert state_of(a - b) == q_state((x[0] - y[0], x[1] - y[1]), r)
+    assert state_of(a * b) == q_state(q_mul(x, y, r), r)
+    zero = (Fraction(0), Fraction(0))
+    if y != zero:
+        norm = y[0] ** 2 - r * y[1] ** 2
+        assert state_of(a / b) == q_state(q_mul(x, (y[0] / norm, -y[1] / norm), r), r)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    sign = q_cmp(x, zero, r)
+    assert state_of(-a) == q_state((-x[0], -x[1]), r)
+    assert state_of(abs(a)) == q_state((sign * x[0], sign * x[1]) if sign else x, r)
+    assert state_of(a.shift(n)) == q_state((x[0] + n, x[1]), r)
+    if x != zero or e >= 0:
+        assert state_of(a.pow_int(e)) == q_state(q_pow(x, e, r), r)
+    assert a.cmp(b) == q_cmp(x, y, r) and a.cmp(0) == sign
+    assert a.leq(b) is (q_cmp(x, y, r) <= 0)
+    assert (a == b) is (x == y) and (x != y or hash(a) == hash(b))
+    assert a.contains_zero() is (x == zero)
+    (f, c), upper = a.floor_ceil()
+    assert upper == (f, c)
+    assert q_cmp(x, (f, 0), r) >= 0 > q_cmp(x, (f + 1, 0), r)
+    assert c == (f if q_cmp(x, (f, 0), r) == 0 else f + 1)
+    # the outward rounding at any precision holds the exact value, and the
+    # midpoint lies inside the one at the print precision
+    with precision(prec):
+        lo, hi = a.bounds()
+    assert q_cmp((lo, 0), x, r) <= 0 <= q_cmp((hi, 0), x, r)
+    lo, hi = a.bounds()
+    assert lo <= a.mid() <= hi
+
+
+def test_two_radicands_go_tracked():
+    s, t = Real.sqrt2(), Real.sqrt3()
+    for v in (s + t, s * t, s / t, t - s, s.pow_real(Fraction(1, 2)), s + Real.pi()):
+        assert v.kind == "tracked-real"
+    lo, hi = (s + t).bounds()
+    for end, side in ((lo, -1), (hi, 1)):  # end - sqrt2 against sqrt3, squared
+        u = Real(end) - s
+        assert u.cmp(0) == 1 and (u * u).cmp(3) == side
+    # the fallback encloses what the tracked path encloses
+    assert (s + t).cmp(tracked_sqrt2() + tracked_sqrt3()) is None
+    # different radicands are never equal, so the order always decides
+    assert s.cmp(t) == -1 and t.cmp(s) == 1 and (t - 1).cmp(s / 2) == 1
+
+
+def test_sqrt2_paths_stay_exact():
+    # a silent fallback to enclosures would show only as a slowdown
+    inner = conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2"))
+    ext = extend_action(direct_product_extension(inner, coset_label="t"))
+    res = homomorphism_residual(ext, 8, sample_points(Interval.closed(-3, 3), 3))
+    assert res.kind == "exact-rational" and res.as_fraction() == 0
+    kinds = {p.value.kind for p in orbit(gallery("ex_1_2", alpha="sqrt2"), 0, 3)}
+    assert kinds == {"exact-rational", "exact-quadratic"}

@@ -31,6 +31,8 @@ from lineact.reals import (
     precision,
 )
 
+from helpers import tracked_sqrt2
+
 
 # -- the reference: the Fraction-bound versions, kept unchanged ----------------
 
@@ -200,7 +202,7 @@ def tracked_values(draw) -> Real:
     q = draw(exact_values())
     with precision(draw(precs)):
         if kind == "sqrt2":
-            return Real.sqrt2() + Real(q)
+            return tracked_sqrt2() + Real(q)
         if kind == "point":  # zero width, exact when q fits
             return Real.tracked_from_fraction(Fraction(draw(st.sampled_from(_ANCHORS))))
         if kind == "hull":  # an endpoint exactly at q
@@ -332,7 +334,7 @@ _PINNED = [
     (Real.tracked_from_fraction(8 - Fraction(1, 1 << 50)), Real(Fraction(4, 3))),  # lb + 2
     (_far(-3, 5000, -1), Real(Fraction(-10, 3))),  # b's floor -4, not its trunc -3
     (_far(4, 5000), Real(Fraction(31, 2))),  # a - floor(b) <= -1
-    (Real.sqrt2(), Real(Fraction(3, 2))),  # close and narrow: not reduced
+    (tracked_sqrt2(), Real(Fraction(3, 2))),  # close and narrow: not reduced
     (_far(-3, 5000), Real(Fraction(-14, 5))),  # close and wide: reduced
 ]
 

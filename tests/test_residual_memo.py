@@ -26,6 +26,8 @@ from lineact.homeo import evaluate
 from lineact.reals import Interval, PrecisionExhausted, Real
 from lineact.words import multiply
 
+from helpers import tracked_sqrt2
+
 R = Real.rational
 
 
@@ -52,7 +54,7 @@ def outcome(fn, *args):
     except PrecisionExhausted as exc:
         return ("PrecisionExhausted", str(exc))
     # an exact value's _mpi only caches its rounding
-    return ("exact", r._rat) if r.is_rational else ("tracked", r._mpi)
+    return (r.kind, r._mpi if r.kind == "tracked-real" else (r._rat, r._quad))
 
 
 def sqrt2_extension():
@@ -68,7 +70,7 @@ ACTIONS = {
 }
 POINTS = {
     "exact": lambda: sample_points(Interval.closed(-3, 3), 4),
-    "sqrt2": lambda: [Real.sqrt2() * R(j, 3) for j in (-4, -1, 2, 5)],
+    "sqrt2": lambda: [tracked_sqrt2() * R(j, 3) for j in (-4, -1, 2, 5)],
 }
 SEEDS = range(10)
 
