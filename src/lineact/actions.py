@@ -3,9 +3,9 @@
 An :class:`Action` maps each generator label of a presentation to a
 homeomorphism expression.  Words act through :func:`realize` with the left
 action convention: the leftmost letter of a word acts last (outermost).
-Relation residuals are checked numerically by :func:`check_relations`, with a
-structural shortcut that recognizes extensionally equal sides after
-simplification and reports an exactly zero residual.
+:func:`check_relations` passes a defining relation on a proof, when
+simplification makes both sides one expression, or on sampled residuals
+that are certainly zero; no tolerance stands in for either.
 
 The :func:`gallery` registry holds the stock catalog of actions used across
 the test and demo suites, addressable by catalog id (``ex_1_1`` ...
@@ -36,7 +36,7 @@ from .homeo import (
     inverse,
     simplify,
 )
-from .reals import Interval, Real, RealLike, parse_real
+from .reals import Interval, Real, parse_real
 from .words import (
     GroupElement,
     Letter,
@@ -53,7 +53,6 @@ __all__ = [
     "realize",
     "RelationCheck",
     "RelationReport",
-    "RESIDUAL_TOL",
     "check_relations",
     "relations_proved",
     "sample_points",
@@ -110,10 +109,6 @@ def realize(act: Action, w: GroupElement) -> HomeoExpr:
 # relation checking
 
 
-# check_relations' tolerance, and the relations and extend subcommands'
-RESIDUAL_TOL = Fraction(1, 10**20)
-
-
 @dataclass
 class RelationCheck:
     lhs: GroupElement
@@ -126,7 +121,6 @@ class RelationCheck:
 @dataclass
 class RelationReport:
     checks: list[RelationCheck]
-    tolerance: Real
     sample_size: int
 
     @property
@@ -170,24 +164,23 @@ def relations_proved(act: Action) -> bool:
     return all(proof[-1] for proof in _relation_proofs(act))
 
 
-def check_relations(act: Action, points: Sequence[Real],
-                    tol: RealLike = RESIDUAL_TOL) -> RelationReport:
+def check_relations(act: Action, points: Sequence[Real]) -> RelationReport:
     """Residuals |lhs(x) - rhs(x)| over the sample for each defining relation.
 
-    Failure is a report outcome, never an exception.  Extensionally equal
-    sides detected by simplification short-circuit to an exact zero residual.
+    A relation passes when simplify proves it (structural, residual exactly
+    0) or when every sampled residual is certainly zero, never when one is
+    only small.  Failure is a report outcome, never an exception.
     """
     if not points:
         raise ValueError("need at least one sample point")
-    tol = Real.coerce(tol)
     checks = []
     for lhs, rhs, hl, hr, proved in _relation_proofs(act):
         if proved:
             checks.append(RelationCheck(lhs, rhs, Real.rational(0), True, True))
             continue
         worst = _largest(abs(evaluate(hl, x) - evaluate(hr, x)) for x in points)
-        checks.append(RelationCheck(lhs, rhs, worst, bool(worst.leq(tol))))
-    return RelationReport(checks, tol, len(points))
+        checks.append(RelationCheck(lhs, rhs, worst, worst.cmp(0) == 0))
+    return RelationReport(checks, len(points))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import time
 
 from . import report
 from .actions import (
-    RESIDUAL_TOL,
     BadParameter,
     UnknownGalleryName,
     check_relations,
@@ -115,7 +114,7 @@ def _cmd_eval(args):
 def _cmd_relations(args):
     act = _resolve_action(args)
     pts = sample_points(_interval(*args.window), args.points)
-    rep = check_relations(act, pts, parse_real(args.tol))
+    rep = check_relations(act, pts)
     return _status(rep.passed), report.relations_json(rep)
 
 
@@ -184,9 +183,8 @@ def _cmd_extend(args):
     act = extend_action(spec)
     pts = sample_points(_interval(*args.window), args.points)
     residual = homomorphism_residual(act, args.pairs, pts, args.len, seed=args.seed)
-    tol = parse_real(args.tol)
-    ok = bool(residual.leq(tol))
-    rel = check_relations(act, pts, tol)
+    ok = residual.cmp(0) == 0
+    rel = check_relations(act, pts)
     return _status(ok and rel.passed), {
         "group": act.presentation.describe(),
         "generators": list(act.presentation.labels),
@@ -236,11 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--point")
     at.add_argument("--interval", nargs=2, metavar=("LO", "HI"))
 
-    p = cmd("relations", _cmd_relations, "verify defining relations numerically")
+    p = cmd("relations", _cmd_relations,
+            "check defining relations: proved, or exactly zero at every sample point")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--window", nargs=2, default=("-5", "5"))
-    p.add_argument("--tol", default=str(RESIDUAL_TOL),
-                   help="residual tolerance, a scalar literal (default 1/10**20)")
 
     p = cmd("orbit", _cmd_orbit, "enumerate an orbit sample", csv=True)
     p.add_argument("--point", required=True)
@@ -284,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the residual's random word pairs (default 0)")
     p.add_argument("--window", nargs=2, default=("-3", "3"))
-    p.add_argument("--tol", default=str(RESIDUAL_TOL),
-                   help="residual tolerance, a scalar literal (default 1/10**20)")
 
     return ap
 

@@ -37,6 +37,7 @@ from .homeo import (
 )
 from .reals import (
     _ZERO,
+    _precedes,
     Interval,
     PrecisionExhausted,
     Real,
@@ -416,7 +417,7 @@ def find_wandering_interval(act: Action, window: Interval,
 
 def _endpoints_fixed(img: Interval, iv: Interval, tol: Real) -> bool:
     """Whether each endpoint of the image img of iv is within tol of its own."""
-    return bool(abs(img.lo - iv.lo).leq(tol)) and bool(abs(img.hi - iv.hi).leq(tol))
+    return all(_precedes(abs(a - b), tol, True) for a, b in ((img.lo, iv.lo), (img.hi, iv.hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,8 @@ __all__ = [
 
 
 class PrecisionExhausted(Exception):
-    """A tolerance check could not be decided at the precision ceiling."""
+    """A comparison or an enclosure needs more bits than the precision
+    ceiling allows."""
 
 
 class UndecidableComparison(Exception):
@@ -854,18 +855,6 @@ class Real:
         """-1, 0 or +1 as self's upper endpoint is below, at or above other's."""
         return _cmp_end(_ends(self)[1], _ends(other)[1])
 
-    def leq(self, bound: RealLike) -> Optional[bool]:
-        """Is self <= bound?  True/False only when certain."""
-        if type(bound) is not Real:
-            bound = Real.coerce(bound)
-        slo, shi = _ends(self)
-        blo, bhi = _ends(bound)
-        if _cmp_end(shi, blo) <= 0:
-            return True
-        if _cmp_end(slo, bhi) > 0:
-            return False
-        return None
-
     # -- structural equality (used by simplify) -----------------------
 
     def __eq__(self, other) -> bool:
@@ -1024,7 +1013,7 @@ class Interval:
         return (self.lo + self.hi) / Real.rational(2)
 
     # Every endpoint comparison below compares raw endpoints (_cmp_end),
-    # through Real.cmp, Real.leq or directly: a tie of an upper end with a
+    # through Real.cmp, _precedes or directly: a tie of an upper end with a
     # lower end settles a question only with an open end on either side.
 
     def certainly_disjoint(self, other: "Interval") -> bool:

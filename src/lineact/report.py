@@ -103,7 +103,6 @@ def certificate_json(cert: WanderingCertificate) -> dict:
 def relations_json(rep: RelationReport) -> dict:
     return {
         "passed": rep.passed,
-        "tolerance": str(rep.tolerance),
         "sample_size": rep.sample_size,
         "worst_residual": real_json(rep.worst_residual),
         "relations": [

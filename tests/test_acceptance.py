@@ -79,7 +79,7 @@ def test_criterion_2_ladder_relation_and_orbit_formula():
     for k in (2, 3):
         act = gallery("ex_1_4", k=k)
         pts = sample_points(Interval.closed(-4, 5), 1000)
-        rep = check_relations(act, pts, Fraction(1, 10**20))
+        rep = check_relations(act, pts)
         assert rep.passed
         assert upper(rep.worst_residual) <= 1e-20
 

@@ -89,7 +89,7 @@ class TestCheckRelations:
     def test_ladder_residual(self):
         act = gallery("ex_1_4", k=2)
         pts = sample_points(Interval.closed(-4, 5), 200)
-        rep = check_relations(act, pts, Fraction(1, 10**25))
+        rep = check_relations(act, pts)
         assert rep.passed
         assert upper(rep.worst_residual) <= 1e-25
 
@@ -98,7 +98,7 @@ class TestCheckRelations:
         p3 = Presentation.baumslag_solitar(-3, labels=("g", "f"))
         bad = Action(p3, {"g": UnitPowerLadder(2, 1),
                           "f": Affine(R(1), R(1))})
-        rep = check_relations(bad, [R(1, 2)], Fraction(1, 1000))
+        rep = check_relations(bad, [R(1, 2)])
         assert not rep.passed
         assert float(rep.worst_residual.bounds()[0]) > 1e-3
 
@@ -233,8 +233,7 @@ class TestExtension:
 
     def test_relations_of_extended_group(self):
         _, _, act = self.build()
-        rep = check_relations(act, sample_points(Interval.closed(-2, 2), 12),
-                              Fraction(1, 10**20))
+        rep = check_relations(act, sample_points(Interval.closed(-2, 2), 12))
         assert rep.passed
 
 
@@ -310,9 +309,12 @@ class TestExtensionReproducesAlternatingLadder:
             horizon=32,
         )
         act = extend_action(spec)
-        rep = check_relations(act, sample_points(Interval.closed(-3, 3), 30),
-                              Fraction(1, 10**20))
-        assert rep.passed
+        # the odd cells run through tracked square roots, so the residual is
+        # a tiny enclosure of 0, never a certain zero: not proved
+        rep = check_relations(act, sample_points(Interval.closed(-3, 3), 30))
+        assert not rep.passed
+        assert not rep.checks[0].structural
+        assert upper(rep.worst_residual) <= 1e-60
 
 
 def test_realize_is_homomorphism_across_gallery():

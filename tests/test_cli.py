@@ -151,6 +151,17 @@ class TestDispatch:
         assert code == 0
         assert doc["result"]["homomorphism_ok"] is True
 
+    def test_extend_with_tracked_alpha_is_not_proved(self, capsys):
+        # with pi as a tracked enclosure the residual is an enclosure around
+        # zero, never a certain zero, so the homomorphism is not proved
+        code, doc = run_json(
+            capsys, "extend", "--alpha", "pi", "--pairs", "4", "--points", "2",
+        )
+        assert code == 1
+        res = doc["result"]
+        assert res["homomorphism_ok"] is False
+        assert res["homomorphism_residual"]["kind"] == "tracked-real"
+
     def test_gallery_params_orbit(self, capsys):
         code, doc = run_json(
             capsys, "orbit", "--gallery", "ex_1_3", "--n", "2",
@@ -163,20 +174,15 @@ class TestDispatch:
         assert doc["result"]["count"] == len(values) == 15
         assert values[:8] == ["-4", "-3", "-2", "-3/2", "-1", "-1/2", "-1/4", "0"]
 
-    def test_tolerance_is_echoed_and_applied(self, capsys, tmp_path):
-        # ab - ba is the translation by 1/1000: beyond the default 10**-20,
-        # within 1/10
+    def test_exact_nonzero_residual_fails_without_tolerance(self, capsys, tmp_path):
+        # ab - ba is the translation by 1/1000: an exact, nonzero residual
         spec = tmp_path / "near.spec"
         spec.write_text("group free_abelian 2\ngen a = affine(2, 0)\n"
                         "gen b = affine(1, 1/1000)\n")
-        argv = ["relations", "--spec", str(spec), "--points", "3"]
-        code, doc = run_json(capsys, *argv)
+        code, doc = run_json(capsys, "relations", "--spec", str(spec), "--points", "3")
         assert code == 1 and doc["result"]["passed"] is False
-        assert doc["config"]["tol"] == "1/100000000000000000000"
-        code, doc = run_json(capsys, *argv, "--tol", "1/10")
-        assert code == 0 and doc["result"]["passed"] is True
-        assert doc["config"]["tol"] == doc["result"]["tolerance"] == "1/10"
         assert doc["result"]["worst_residual"]["value"] == "1/1000"
+        assert "tol" not in doc["config"] and "tolerance" not in doc["result"]
 
     def test_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "a.spec"
@@ -211,9 +217,9 @@ class TestDispatch:
                         f"gen a = affine({one + 1}/{one}, {shift})\n"
                         f"gen b = affine({2 * one + 1}/{2 * one}, {shift})\n")
         code, doc = run_json(capsys, "relations", "--spec", str(spec), "--points", "3")
-        assert code == 0  # passed only within the tolerance
+        assert code == 1 and doc["result"]["passed"] is False
         (rel,) = doc["result"]["relations"]
-        assert rel["structural"] is False
+        assert rel["structural"] is False and rel["passed"] is False
         residual = rel["residual"]
         if shift == "sqrt2":
             assert residual["kind"] == "exact-quadratic"
@@ -307,8 +313,10 @@ class TestErrorPaths:
         # only extend draws random words, and --seed is not short for
         # cantor's --seed-interval
         pytest.param("cantor", "--seed 0", id="cantor-seed"),
-        # the tolerance is one literal, --tol
+        # no tolerance decides a relation: --tol is gone, as --tol-num was
         pytest.param("relations", "--tol-num 1", id="relations-tol-num"),
+        pytest.param("relations", "--tol 1/10", id="relations-tol"),
+        pytest.param("extend", "--tol 1/10", id="extend-tol"),
     ])
     def test_csv_only_where_offered(self, capsys, command, unread):
         # orbit and cantor print CSV and take --format; extend takes --seed

@@ -29,6 +29,18 @@ values of their quadratic fields, ``extend.json`` changed on purpose: its
 homomorphism residual and its ``t b`` and ``a b`` relation residuals (so
 also ``worst_residual``) became the exact rational ``0``, where they had
 been 256-bit enclosures of about 1e-74 to 1e-77; no other golden changed.
+When a relation came to pass only on a proof or on residuals that are
+certainly zero, with no tolerance, ``relations.json`` and ``extend.json``
+lost ``config.tol`` and the report's ``tolerance`` (in ``extend.json``,
+``result.relations.tolerance``), and no other byte changed;
+``relations_tracked.json`` and ``extend_tracked.json`` were added then:
+ex_1_2 and its extension with ``--alpha pi``, whose residuals are tracked
+enclosures of 0, not proofs, so both exit 1.
+
+Every JSON golden, and the live payload of every case, is also checked for
+a verdict that could only rest on a tolerance: a relation passes only when
+structural or at residual ``0``, ``homomorphism_ok`` is true only at
+residual ``0``, and no payload carries a ``tolerance`` or ``config.tol``.
 
 To rewrite the files after an intended payload change::
 
@@ -40,6 +52,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
+from functools import lru_cache
 
 import pytest
 
@@ -61,6 +74,9 @@ CASES = {
                              "--point", "0", "--radius", "3"]),
     "relations.json": (0, ["relations", "--gallery", "ex_1_4", "--k", "2",
                            "--points", "40", "--window", "-4", "5"]),
+    # pi is a tracked enclosure, so a b - b a is enclosed, never proved 0
+    "relations_tracked.json": (1, ["relations", "--gallery", "ex_1_2", "--alpha", "pi",
+                                   "--points", "4", "--window", "0", "1"]),
     "transitive_found.json": (0, ["transitive", "--gallery", "free_transitive",
                                   "--u", "0.1", "0.2", "--v", "10.5", "10.6",
                                   "--radius", "12"]),
@@ -83,6 +99,8 @@ CASES = {
     "classify.json": (0, ["classify", "--gallery", "ex_1_2", "--alpha", "sqrt2",
                           "--point", "0", "--radius", "20", "--window", "0", "1"]),
     "extend.json": (0, ["extend", "--pairs", "30", "--points", "6"]),
+    "extend_tracked.json": (1, ["extend", "--alpha", "pi", "--pairs", "4",
+                                "--points", "2"]),
     # negative results: a construction that fails with its partial result
     "cantor_failed.json": (1, ["cantor", "--gallery", "ex_1_4", "--k", "2",
                                "--depth", "3", "--radius", "5"]),
@@ -95,12 +113,17 @@ CASES = {
 }
 
 
-def payload(argv: list[str]) -> tuple[int, str]:
-    """(exit status, payload text with the timestamp removed)."""
+@lru_cache(maxsize=None)
+def _run(argv: tuple[str, ...]) -> tuple[int, str]:
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(argv)
-    text = buf.getvalue()
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def payload(argv: list[str]) -> tuple[int, str]:
+    """(exit status, payload text with the timestamp removed)."""
+    code, text = _run(tuple(argv))
     if not text.startswith("{"):
         return code, text
     doc = json.loads(text)
@@ -116,6 +139,62 @@ def test_payload_matches_golden(name):
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         assert text == fh.read()
 
+
+def _dicts(node):
+    """Every dict in a parsed payload, outermost first."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _dicts(item)
+
+
+def _tolerance_breaches(doc) -> list[str]:
+    """Every place in a payload where a verdict could rest on a tolerance:
+    a passed relation that is neither structural nor at residual 0, a true
+    homomorphism_ok at a residual other than 0, a tolerance key, config.tol."""
+    found = ["config.tol"] if "tol" in doc.get("config", {}) else []
+    for node in _dicts(doc):
+        if "tolerance" in node:
+            found.append(f"tolerance {node['tolerance']}")
+        if ("lhs" in node and node["passed"] and not node["structural"]
+                and node["residual"]["value"] != "0"):
+            found.append(f"{node['lhs']} = {node['rhs']} passed at "
+                         f"residual {node['residual']['value']}")
+        if node.get("homomorphism_ok") and node["homomorphism_residual"]["value"] != "0":
+            found.append(f"homomorphism_ok at residual "
+                         f"{node['homomorphism_residual']['value']}")
+    return found
+
+
+GOLDEN_JSON = sorted(name for name in os.listdir(GOLDEN) if name.endswith(".json"))
+
+
+def _golden(name: str) -> dict:
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", GOLDEN_JSON)
+def test_no_verdict_rests_on_a_tolerance(name):
+    docs = [_golden(name)]
+    if name in CASES:
+        docs.append(json.loads(payload(CASES[name][1])[1]))
+    for doc in docs:
+        assert _tolerance_breaches(doc) == []
+
+
+def test_tolerance_guard_is_not_vacuous():
+    # the goldens hold relations that pass and fail and a true
+    # homomorphism_ok, and the guard flags what a tolerance would let by
+    nodes = [node for name in GOLDEN_JSON for node in _dicts(_golden(name))]
+    assert {node["passed"] for node in nodes if "lhs" in node} == {True, False}
+    assert any(node.get("homomorphism_ok") for node in nodes)
+    near = {"lhs": "a b", "rhs": "b a", "passed": True, "structural": False,
+            "residual": {"value": "1/1000"}}
+    assert len(_tolerance_breaches({"config": {"tol": "1/10"},
+                                    "result": {"relations": [near]}})) == 2
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)

@@ -14,7 +14,8 @@ from helpers import tracked_sqrt2
 
 class ReferenceInterval(Interval):
     """The predicates as they read Fraction bounds before they were built on
-    Real.cmp/leq, kept as the reference: no interval is empty, the empty
+    Real.cmp and the touching-ends rule reals._precedes, kept as the
+    reference: no interval is empty, the empty
     intersection is None, and a tie of enclosure bounds counts whether or
     not the endpoints are exact."""
 

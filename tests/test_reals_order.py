@@ -1,6 +1,7 @@
 """The certified order on mpf endpoints against verbatim copies of the
-Fraction-bound versions it replaced (the reference): Real.cmp, leq,
-contains_zero and hull, the branch choice of piecewise maps, the orbit
+Fraction-bound versions it replaced (the reference): Real.cmp, the
+touching-ends rule reals._precedes (against the retired leq), contains_zero
+and hull, the branch choice of piecewise maps, the orbit
 overlap merge and the largest-residual pick must all agree, mpf tuples
 included.  Real.cmp also decides a provable point tie (both enclosures one
 and the same point) as 0, so against a rational it is the retired
@@ -27,6 +28,7 @@ from lineact.reals import (
     _mpf_round,
     _mpi_from_fraction,
     _prec,
+    _precedes,
     approx_float,
     precision,
 )
@@ -356,7 +358,7 @@ def test_order_matches_reference(xy):
     x, y = xy
     for a, b in ((x, y), (y, x), (x, x)):
         assert a.cmp(b) == ref_cmp_tie(a, b)
-        assert a.leq(b) == ref_leq(a, b)
+        assert _precedes(a, b, True) is (ref_leq(a, b) is True)
         for q in b.bounds():
             assert a.cmp(Real(q)) == ref_cmp_fraction(a, q)
         assert a.contains_zero() == ref_contains_zero(a)
@@ -521,7 +523,8 @@ def test_infinite_endpoints_order_as_infinities():
     down = Real(None, (fninf, one))  # [-inf, 1]
     with pytest.raises(ValueError):
         up.bounds()
-    assert up.cmp(5) is None and up.leq(1) is None
+    one_r = Real.rational(1)
+    assert up.cmp(5) is None and not _precedes(up, one_r, True)
     assert up.cmp(up) is None and up.cmp(0) == 1
-    assert down.cmp(-5) is None and down.leq(1) is True and down.cmp(2) == -1
+    assert down.cmp(-5) is None and _precedes(down, one_r, True) and down.cmp(2) == -1
     assert not up.contains_zero() and down.contains_zero()
