@@ -265,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-interval", nargs=2, default=("0", "1"),
                    metavar=("LO", "HI"))
 
-    p = cmd("classify", _cmd_classify, "classify an orbit closure heuristically")
+    p = cmd("classify", _cmd_classify,
+            "classify an orbit closure: exactly for exact affine actions, "
+            "else heuristically from an orbit sample")
     p.add_argument("--point", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from .actions import Action, realize, relations_proved
 from .homeo import (
+    Affine,
     HomeoExpr,
     HorizonExceeded,
     Identity,
@@ -38,6 +39,7 @@ from .homeo import (
 from .reals import (
     _ZERO,
     _precedes,
+    _quad_coords,
     Interval,
     PrecisionExhausted,
     Real,
@@ -773,19 +775,95 @@ _GROWTH_RATIO = Fraction(5, 2)
 @dataclass
 class OrbitClosureClass:
     kind: str    # 'fixed-point' | 'discrete-sequence' | 'cantor-like' | 'dense'
-    evidence: dict
+    evidence: Optional[dict] = None   # the sample's figures; None when certified
+    basis: Optional[str] = None       # why a certified class holds; None when heuristic
+
+
+def _independent(vectors: list) -> list[int]:
+    """Indices of the vectors that are Q-independent of those before them,
+    by Gaussian elimination over Fraction: their count is the Q-rank."""
+    rows: list = []    # (pivot column, reduced row), each zero at earlier pivots
+    picked = []
+    for i, v in enumerate(vectors):
+        for col, row in rows:
+            if v[col]:
+                f = v[col] / row[col]
+                v = [x - f * y for x, y in zip(v, row)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is not None:
+            rows.append((col, v))
+            picked.append(i)
+    return picked
+
+
+def _certified_class(act: Action) -> Optional[tuple[str, str]]:
+    """(class, basis) decided exactly, or None when the sample must decide.
+
+    Decided when every generator simplifies to an exact ``Affine`` (rational
+    or exact quadratic coefficients) or the identity, and ``simplify`` proves
+    every relation.  With all slopes 1 the group is the translation group
+    Z b_1 + ... + Z b_r, and the Q-rank of the b_i over (1, sqrt2, sqrt3)
+    decides: 0 a fixed point, 1 a lattice c Z, 2 or more a dense subgroup
+    (Kronecker).  A slope a != 1 with a nonzero translation T, or with a
+    second exact fixed point b/(1 - a) (then the commutator is one), gives
+    translations a^n T of every small length: dense.  A common fixed point
+    with no translation, and any tracked value, is left to the sample.
+    """
+    maps = []
+    for label in act.presentation.labels:
+        h = simplify(act.images[label])
+        if isinstance(h, Identity):
+            continue
+        if not isinstance(h, Affine) or _quad_coords(h.a) is None \
+                or _quad_coords(h.b) is None:
+            return None
+        maps.append((label, h))
+    if not relations_proved(act):
+        return None
+    dilations = [(label, h) for label, h in maps if h.a != 1]
+    if not dilations:
+        lengths = [h.b for _, h in maps]
+        picked = _independent([_quad_coords(b) for b in lengths])
+        if not picked:
+            return "fixed-point", "every generator acts as the identity"
+        if len(picked) == 1:
+            return ("discrete-sequence", "every translation length is a rational "
+                    f"multiple of {lengths[picked[0]]}")
+        i, j = picked[:2]
+        return ("dense", f"translation lengths {lengths[i]} and {lengths[j]} "
+                "are Q-independent")
+    dil, g = dilations[0]
+    for label, h in maps:
+        if h.a == 1:
+            return ("dense", f"dilation {dil} (slope {g.a}) conjugates translation "
+                    f"{label} (length {h.b}) to arbitrarily short translations")
+    fixed = [(label, h.b / (1 - h.a)) for label, h in dilations]
+    fixed = [(label, p) for label, p in fixed if _quad_coords(p) is not None]
+    for label, p in fixed[1:]:
+        if p != fixed[0][1]:
+            return ("dense", f"dilations {fixed[0][0]} and {label} fix "
+                    f"{fixed[0][1]} and {p}: their commutator is a nonzero "
+                    "translation, and a dilation shrinks it arbitrarily")
+    return None
 
 
 def classify_orbit_closure(act: Action, x: RealLike, radius: int,
                            window: Interval) -> OrbitClosureClass:
-    """Heuristic orbit-closure shape from a finite sample.
+    """Orbit-closure class: certified for exact affine actions, else
+    read off a finite sample.
 
-    The verdict is a deterministic function of the orbit sample and the
-    module's fixed thresholds.  'cantor-like' is best-effort: no finite sample can
-    witness a Cantor structure, so it is the residual class.
+    When :func:`_certified_class` decides, the class carries its ``basis``
+    and no sample is drawn.  Otherwise the verdict is a heuristic, a
+    deterministic function of the orbit sample and the module's fixed
+    thresholds, reported with its ``evidence``.  'cantor-like' is
+    best-effort: no finite sample can witness a Cantor structure, so it is
+    the residual class.
     """
     if radius < 2:
         raise ValueError(f"radius must be at least 2, got {radius}")
+    certified = _certified_class(act)
+    if certified is not None:
+        return OrbitClosureClass(certified[0], basis=certified[1])
     diam = window.diameter()
     lo_f, hi_f = window.lo.mid(), window.hi.mid()
     # one walk serves both samples: the half-radius ball is its first layers;

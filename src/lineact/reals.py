@@ -342,6 +342,19 @@ def _quad_mid(quad) -> Fraction:
     return Fraction((a << (p + 1)) + b * (2 * _sqrt_floor(r, p) + 1), d << (p + 1))
 
 
+def _quad_coords(x: "Real") -> Optional[tuple[Fraction, Fraction, Fraction]]:
+    """An exact x's coordinates over the Q-basis (1, sqrt2, sqrt3), or None
+    for a tracked x.  1, sqrt2 and sqrt3 are Q-independent, so exact values
+    have the same coordinates exactly when they are equal."""
+    if x._rat is not None:
+        return (x._rat, Fraction(0), Fraction(0))
+    if x._quad is None:
+        return None
+    a, b, d, r = x._quad
+    s = Fraction(b, d)
+    return (Fraction(a, d), s, Fraction(0)) if r == 2 else (Fraction(a, d), Fraction(0), s)
+
+
 # An endpoint is an exact rational's Fraction, an exact quadratic's Real
 # itself, or a tracked value's raw mpf.
 

@@ -179,7 +179,10 @@ def checks_json(checks: list[LadderCheck]) -> dict:
 
 
 def classification_json(cls: OrbitClosureClass) -> dict:
-    # the class is read off a finite sample by fixed thresholds: no proof
+    if cls.basis is not None:
+        # decided exactly from the generators, with no sample drawn
+        return {"class": cls.kind, "heuristic": False, "basis": cls.basis}
+    # otherwise read off a finite sample by fixed thresholds: no proof
     return {"class": cls.kind, "heuristic": True, "evidence": {
         k: _approx(v) if isinstance(v, float) else v
         for k, v in cls.evidence.items()}}

@@ -350,15 +350,20 @@ class TestClassifier:
         assert cls.kind == "fixed-point"
 
     def test_discrete_sequence(self):
+        # the translations x + n: Q-rank 1, decided with no sample drawn
         cls = classify_orbit_closure(gallery("ex_1_1"), 0, 10,
                                      Interval.closed(-5, 5))
         assert cls.kind == "discrete-sequence"
-        assert cls.evidence["min_gap"] == 1.0
+        assert cls.basis == "every translation length is a rational multiple of 1"
+        assert cls.evidence is None
 
     def test_dense(self):
+        # Kronecker: 1 and sqrt2 are Q-independent, so Z + Z sqrt2 is dense
         cls = classify_orbit_closure(gallery("ex_1_2", alpha="sqrt2"), 0, 60,
                                      Interval.closed(0, 1))
         assert cls.kind == "dense"
+        assert cls.basis == "translation lengths 1 and sqrt2 are Q-independent"
+        assert cls.evidence is None
 
     def test_residual_class_for_edge_accumulating_orbit(self):
         # power-map orbits pile up at the cell edges: neither dense nor
@@ -371,13 +376,14 @@ class TestClassifier:
 
     @pytest.mark.parametrize("radius", [4, 5])
     @pytest.mark.parametrize("act, x, window", [
-        (gallery("ex_1_2", alpha="sqrt2"), R(0), Interval.closed(0, 1)),
+        (gallery("ex_1_2", alpha="pi"), R(0), Interval.closed(0, 1)),
         (gallery("klein_bottle"), R(1, 3), Interval.closed(0, 1)),
         (gallery("ex_1_4", k=2), R(7, 8), Interval.closed(-2, 2)),
     ], ids=["ex_1_2", "klein_bottle", "ex_1_4_k2"])
     def test_one_walk_counts_as_two_orbits(self, act, x, window, radius):
         # both samples come from one walk; each count must equal the count
-        # of a separate orbit at its radius
+        # of a separate orbit at its radius (ex_1_2 at alpha = pi: a tracked
+        # length, so the class is still read off the sample)
         lo, hi = window.lo.mid(), window.hi.mid()
 
         def inside(pts):

@@ -37,10 +37,19 @@ lost ``config.tol`` and the report's ``tolerance`` (in ``extend.json``,
 ex_1_2 and its extension with ``--alpha pi``, whose residuals are tracked
 enclosures of 0, not proofs, so both exit 1.
 
+When ``classify`` came to decide exact affine actions exactly,
+``classify.json`` changed on purpose: ex_1_2 with ``--alpha sqrt2`` is
+``dense`` (the sample at radius 20 had read ``discrete-sequence``), with
+``"heuristic": false``, a ``basis`` and no ``evidence``; demo 09's output
+changed with it, and no other golden or demo output changed.
+
 Every JSON golden, and the live payload of every case, is also checked for
 a verdict that could only rest on a tolerance: a relation passes only when
 structural or at residual ``0``, ``homomorphism_ok`` is true only at
 residual ``0``, and no payload carries a ``tolerance`` or ``config.tol``.
+They are checked as well for a ``classify`` result that mixes its kinds: a
+certified one (``"heuristic": false``) carries a non-empty ``basis`` and
+no ``evidence``, a heuristic one ``evidence`` and no ``basis``.
 
 To rewrite the files after an intended payload change::
 
@@ -176,13 +185,38 @@ def _golden(name: str) -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", GOLDEN_JSON)
-def test_no_verdict_rests_on_a_tolerance(name):
+def _golden_and_live(name: str) -> list[dict]:
     docs = [_golden(name)]
     if name in CASES:
         docs.append(json.loads(payload(CASES[name][1])[1]))
-    for doc in docs:
+    return docs
+
+
+@pytest.mark.parametrize("name", GOLDEN_JSON)
+def test_no_verdict_rests_on_a_tolerance(name):
+    for doc in _golden_and_live(name):
         assert _tolerance_breaches(doc) == []
+
+
+def _classify_breaches(doc) -> list[str]:
+    """Every classify result that mixes a certified and a sampled class: a
+    certified one needs a basis and no evidence, a heuristic one evidence
+    and no basis."""
+    found = []
+    for node in _dicts(doc):
+        if "class" not in node:
+            continue
+        if node["heuristic"] is False and (not node.get("basis") or "evidence" in node):
+            found.append(f"certified {node['class']} without a basis or with evidence")
+        if node["heuristic"] is True and ("evidence" not in node or "basis" in node):
+            found.append(f"heuristic {node['class']} without evidence or with a basis")
+    return found
+
+
+@pytest.mark.parametrize("name", GOLDEN_JSON)
+def test_classify_is_certified_or_sampled(name):
+    for doc in _golden_and_live(name):
+        assert _classify_breaches(doc) == []
 
 
 def test_tolerance_guard_is_not_vacuous():
@@ -195,6 +229,24 @@ def test_tolerance_guard_is_not_vacuous():
             "residual": {"value": "1/1000"}}
     assert len(_tolerance_breaches({"config": {"tol": "1/10"},
                                     "result": {"relations": [near]}})) == 2
+
+
+def test_classify_guard_is_not_vacuous():
+    # the golden is certified and a tracked alpha is sampled; both pass the
+    # guard, and each with the other's field does not
+    certified = _golden("classify.json")["result"]
+    assert certified["heuristic"] is False
+    _, text = payload(["classify", "--gallery", "ex_1_2", "--alpha", "pi",
+                       "--point", "0", "--radius", "4", "--window", "0", "1"])
+    sampled = json.loads(text)["result"]
+    assert sampled["heuristic"] is True
+    assert _classify_breaches([certified, sampled]) == []
+    assert len(_classify_breaches([
+        {**certified, "evidence": sampled["evidence"]},
+        {**certified, "basis": ""},
+        {**sampled, "basis": certified["basis"]},
+        {k: v for k, v in sampled.items() if k != "evidence"},
+    ])) == 4
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
