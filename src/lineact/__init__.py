@@ -32,7 +32,6 @@ from .homeo import (
     evaluate,
     fixed_points,
     inverse,
-    is_identity_on,
     power,
     simplify,
     to_text,

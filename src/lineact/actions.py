@@ -36,7 +36,7 @@ from .homeo import (
     inverse,
     simplify,
 )
-from .reals import Interval, Real, parse_real
+from .reals import _ONE, _ZERO, Interval, Real, parse_real
 from .words import (
     GroupElement,
     Letter,
@@ -135,7 +135,7 @@ class RelationReport:
 def _largest(residuals) -> Real:
     """The residual with the largest upper endpoint, the first of equal
     maxima; 0 when none exceeds 0."""
-    worst = Real.rational(0)
+    worst = _ZERO
     for r in residuals:
         if r.cmp_upper(worst) > 0:
             worst = r
@@ -176,7 +176,7 @@ def check_relations(act: Action, points: Sequence[Real]) -> RelationReport:
     checks = []
     for lhs, rhs, hl, hr, proved in _relation_proofs(act):
         if proved:
-            checks.append(RelationCheck(lhs, rhs, Real.rational(0), True, True))
+            checks.append(RelationCheck(lhs, rhs, _ZERO, True, True))
             continue
         worst = _largest(abs(evaluate(hl, x) - evaluate(hr, x)) for x in points)
         checks.append(RelationCheck(lhs, rhs, worst, worst.cmp(0) == 0))
@@ -200,20 +200,16 @@ def _alpha_param(alpha) -> Real:
     raise BadParameter(f"cannot parse alpha {alpha!r}")
 
 
-def _one() -> Real:
-    return Real.rational(1)
-
-
 def _gallery_integer_translation() -> Action:
     p = Presentation.free_abelian(1, labels=("a",))
-    return Action(p, {"a": Affine(_one(), _one())})
+    return Action(p, {"a": Affine(_ONE, _ONE)})
 
 
 def _gallery_two_translations(alpha="sqrt2") -> Action:
     p = Presentation.free_abelian(2, labels=("a", "b"))
     return Action(p, {
-        "a": Affine(_one(), _one()),
-        "b": Affine(_one(), _alpha_param(alpha)),
+        "a": Affine(_ONE, _ONE),
+        "b": Affine(_ONE, _alpha_param(alpha)),
     })
 
 
@@ -223,8 +219,8 @@ def _gallery_affine_dilation(n=2) -> Action:
         raise BadParameter("the dilation catalog entry needs n >= 2")
     p = Presentation.baumslag_solitar(n, labels=("a", "b"))
     return Action(p, {
-        "a": Affine(_one(), _one()),
-        "b": Affine(Real.rational(n), Real.rational(0)),
+        "a": Affine(_ONE, _ONE),
+        "b": Affine(Real.rational(n), _ZERO),
     })
 
 
@@ -235,7 +231,7 @@ def _gallery_power_ladder(k=2) -> Action:
     p = Presentation.baumslag_solitar(-k, labels=("g", "f"))
     return Action(p, {
         "g": UnitPowerLadder(k, 1),
-        "f": Affine(_one(), _one()),
+        "f": Affine(_ONE, _ONE),
     })
 
 
@@ -243,14 +239,14 @@ def _gallery_klein_bottle() -> Action:
     p = Presentation.baumslag_solitar(-1, labels=("g", "f"))
     return Action(p, {
         "g": UnitPowerLadder(1, 1),
-        "f": Affine(_one(), _one()),
+        "f": Affine(_ONE, _ONE),
     })
 
 
 def _gallery_free_transitive() -> Action:
     p = Presentation.free(2, labels=("f", "g"))
     return Action(p, {
-        "f": Affine(_one(), _one()),
+        "f": Affine(_ONE, _ONE),
         "g": OddPower(3),
     })
 
@@ -336,7 +332,7 @@ class ExtensionSpec:
 
 def extend_action(spec: ExtensionSpec) -> Action:
     """The G-action: coset generator translates by 1, H-generators act cellwise."""
-    images: dict[str, HomeoExpr] = {spec.coset_label: Affine(_one(), _one())}
+    images: dict[str, HomeoExpr] = {spec.coset_label: Affine(_ONE, _ONE)}
     inner_p = spec.inner_action.presentation
     for i, lab in enumerate(inner_p.labels):
         images[lab] = ExtensionCell(spec, inner_p.generator(i))
@@ -390,6 +386,10 @@ _SUFFIX_MEMO_ENTRIES = 4096
 def homomorphism_residual(act: Action, n_pairs: int, points: Sequence[Real],
                           max_len: int = 6, seed: int = 0) -> Real:
     """Worst |(uv)(x) - u(v(x))| over random word pairs and sample points.
+
+    It measures rounding, never the relations: ``multiply`` freely reduces,
+    so uv = u'v' for u = u'c, v = c^-1 v', while u o v = u' o c o c^-1 o v',
+    one map in every action.  Only :func:`check_relations` tests relations.
 
     Words act letter by letter, last letter first, so uv, v and u o v (the
     letters of u then v) share suffixes.  One memo per call maps (letter

@@ -44,7 +44,8 @@ from .dynamics import (
 )
 from .homeo import HorizonExceeded, eval_interval, evaluate
 from .parse import ParseError, parse_action_file, parse_expr, parse_real
-from .reals import _CONSTANTS, Interval, PrecisionExhausted, precision
+from .reals import (_CONSTANTS, _DEFAULT_BITS, _DEFAULT_CEILING, Interval,
+                    PrecisionExhausted, precision)
 from .words import UnknownGenerator, UnsupportedPresentation
 
 EXIT_OK = 0
@@ -209,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         # no abbreviations: cantor's --seed-interval would take a stray --seed
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p._negative_number_matcher = negative
-        p.add_argument("--precision", type=int, default=256,
-                       help="working precision in bits (default 256)")
-        p.add_argument("--ceiling", type=int, default=4096,
-                       help="precision ceiling for retry-and-double (default 4096)")
+        p.add_argument("--precision", type=int, default=_DEFAULT_BITS,
+                       help="working precision in bits (default %(default)s)")
+        p.add_argument("--ceiling", type=int, default=_DEFAULT_CEILING,
+                       help="precision ceiling for retry-and-double (default %(default)s)")
         p.add_argument("--output", help="write payload to a file")
         if csv:
             p.add_argument("--format", choices=("json", "csv"), default="json")

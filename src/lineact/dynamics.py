@@ -33,7 +33,6 @@ from .homeo import (
     evaluate,
     fixed_points,
     inverse,
-    is_identity_on,
     simplify,
 )
 from .reals import (
@@ -154,16 +153,16 @@ def _orbit_sample(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
 _point_value = attrgetter("value")
 
 
-def _merge_overlapping(items: list, value=lambda r: r, key=None) -> list:
+def _merge_overlapping(items: list, value=lambda r: r) -> list:
     """Items sorted by value midpoint, minus each one whose enclosure overlaps
     the last one kept; of equal midpoints the earlier item comes first.
 
-    ``key(item)``, by default ``value(item).mid_key()``, is the midpoint
-    rounded to a float, then exact.  Rounding is monotone, so it never orders
-    two midpoints against their exact order: the exact compare breaks float
-    ties only, and the sort is the exact-midpoint sort."""
+    The sort key, ``value(item).mid_key()``, is the midpoint rounded to a
+    float, then exact.  Rounding is monotone, so it never orders two
+    midpoints against their exact order: the exact compare breaks float ties
+    only, and the sort is the exact-midpoint sort."""
     merged: list = []
-    for item in sorted(items, key=key or (lambda it: value(it).mid_key())):
+    for item in sorted(items, key=lambda it: value(it).mid_key()):
         # cmp is +-1 only for enclosures that certainly do not meet
         if merged and value(item).cmp(value(merged[-1])) in (None, 0):
             continue
@@ -178,19 +177,19 @@ def coverage_gap(points: Sequence, window: Interval) -> Real:
     endpoints count as gap borders; with no points inside, the gap is the
     window diameter.
     """
-    lo_f, hi_f = window.lo.mid(), window.hi.mid()
-    values: list[Real] = []
-    for p in points:
-        v = p.value if isinstance(p, OrbitPoint) else Real.coerce(p)
-        m = v.mid()
-        if lo_f <= m <= hi_f:
-            values.append(v)
-    return _largest_gap(values, window)
+    values = [p.value if isinstance(p, OrbitPoint) else Real.coerce(p) for p in points]
+    return _largest_gap(_in_window(values, window), window)
+
+
+def _in_window(values: list[Real], window: Interval) -> list[Real]:
+    """The values whose midpoint lies between the window's end midpoints."""
+    lo, hi = window.lo.mid(), window.hi.mid()
+    return [v for v in values if lo <= v.mid() <= hi]
 
 
 def _largest_gap(values: list[Real], window: Interval) -> Real:
     """coverage_gap of sorted values already known to lie in the window."""
-    best = Real.rational(0)
+    best = _ZERO
     prev = window.lo
     for v in values + [window.hi]:
         gap = v - prev
@@ -288,7 +287,7 @@ def _word_verdict(act: Action, w: GroupElement, img: Optional[Interval],
     if img is not None and img.certainly_disjoint(J):
         return WordVerdict(w, "disjoint")
     hw = realize(act, w)
-    if is_identity_on(hw, J):
+    if simplify(hw) == Identity():
         return WordVerdict(w, "pointwise-fixed")
     try:
         disjoint = retry_precision(lambda: _certainly_disjoint(hw, J))
@@ -618,8 +617,6 @@ def cantor_ladder(act: Action, depth: int, radius: int,
             if gap_best is None or width > gap_best[2]:
                 gap_best = (a, b, width)
         a, b, _ = gap_best
-        if a.cmp(b) != -1:
-            raise failed("largest orbit gap degenerate")
         U_i = Interval.open(a, b)
         levels.append(LadderLevel(i, w, x, V, ii, U_i))
         U_prev = U_i
@@ -865,18 +862,15 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     if certified is not None:
         return OrbitClosureClass(certified[0], basis=certified[1])
     diam = window.diameter()
-    lo_f, hi_f = window.lo.mid(), window.hi.mid()
-    # one walk serves both samples: the half-radius ball is its first layers;
-    # each point's midpoint is worked out once, as (midpoint, point)
-    sample = [(p.value.mid(), p) for p in _orbit_sample(act, x, radius)]
+    # one walk serves both samples: the half-radius ball is its first layers
+    sample = _orbit_sample(act, x, radius)
 
-    def in_window(marked: list) -> list:
-        merged = _merge_overlapping(marked, lambda mp: mp[1].value,
-                                    lambda mp: (approx_float(mp[0]), mp[0]))
-        return [(m, p) for m, p in merged if lo_f <= m <= hi_f]
+    def in_window(points: list[OrbitPoint]) -> list[Real]:
+        merged = _merge_overlapping(points, _point_value)
+        return _in_window([p.value for p in merged], window)
 
     inside = in_window(sample)
-    inside_half = in_window([mp for mp in sample if mp[1].word.length() <= radius // 2])
+    inside_half = in_window([p for p in sample if p.word.length() <= radius // 2])
 
     evidence: dict = {
         "radius": radius,
@@ -886,13 +880,14 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     if len(inside) <= 1:
         return OrbitClosureClass("fixed-point", evidence)
 
-    gap = _largest_gap([p.value for _, p in inside], window)
+    gap = _largest_gap(inside, window)
     evidence["coverage_gap"] = approx_float(gap.mid())
     evidence["window_diameter"] = approx_float(diam.mid())
     if gap.mid() < _DENSE_FRACTION * diam.mid():
         return OrbitClosureClass("dense", evidence)
 
-    gaps = sorted(b - a for (a, _), (b, _) in zip(inside, inside[1:]))
+    mids = [v.mid() for v in inside]
+    gaps = sorted(b - a for a, b in zip(mids, mids[1:]))
     min_gap = gaps[0]
     median_gap = gaps[len(gaps) // 2]
     growth = Fraction(len(inside), max(len(inside_half), 1))

@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .reals import (
+    _ONE,
     _ZERO,
     Interval,
     PrecisionExhausted,
@@ -57,7 +58,6 @@ __all__ = [
     "simplify",
     "FixReport",
     "fixed_points",
-    "is_identity_on",
     "to_text",
 ]
 
@@ -202,9 +202,6 @@ def _piecewise_eval(x: Real, branch_of: Callable[[int, int], int],
     lo_v = eval_branch(blo, Real.from_fraction(xlo))
     hi_v = eval_branch(bhi, Real.from_fraction(xhi))
     return Real.hull(lo_v, hi_v)
-
-
-_ONE = Real.rational(1)
 
 
 def _psi(x: Real) -> Real:
@@ -358,8 +355,7 @@ def inverse(h: HomeoExpr) -> HomeoExpr:
     if isinstance(h, Identity):
         return h
     if isinstance(h, Affine):
-        one = Real.rational(1)
-        return Affine(one / h.a, -h.b / h.a)
+        return Affine(_ONE / h.a, -h.b / h.a)
     if isinstance(h, OddPower):
         return OddPower(h.p, not h.root)
     if isinstance(h, UnitPowerLadder):
@@ -409,7 +405,7 @@ def _simplify_leaf(h: HomeoExpr) -> HomeoExpr:
         p = h.word.presentation
         if normal_form_key(p, h.word) == key_rule(p)[:2]:   # the identity's key
             return Identity()
-    if isinstance(h, Affine) and h.a == Real.rational(1) and h.b == Real.rational(0):
+    if isinstance(h, Affine) and h.a == _ONE and h.b == _ZERO:
         return Identity()
     return h
 
@@ -573,14 +569,6 @@ def _simplest_between(x: Fraction, y: Fraction) -> Fraction:
             return Fraction(p0 * n + p1, q0 * n + q1)
         p0, p1, q0, q1 = p0 * n + p1, p0, q0 * n + q1, q0
         x, y = 1 / (y - n), (None if x == n else 1 / (x - n))
-
-
-def is_identity_on(h: HomeoExpr, iv: Interval) -> bool:
-    """Is h proved to restrict to the identity on iv?  Exact, with no sample
-    and no tolerance: True only when :func:`simplify` reduces h to the
-    identity; a map that fixes iv but is not proved so gives False.  That
-    proof is global, so iv names the domain of the claim but is not read."""
-    return simplify(h) == Identity()
 
 
 # ---------------------------------------------------------------------------

@@ -86,16 +86,17 @@ class UndecidableComparison(Exception):
     """Two tracked enclosures overlap; the comparison needs more precision."""
 
 
-# Default working precision, and the fixed precision tracked values are
-# printed at, so output does not depend on the context active when printing.
+# Default working precision (also the fixed precision tracked values print
+# at, so output does not depend on the context) and precision ceiling.
 _DEFAULT_BITS = 256
+_DEFAULT_CEILING = 4096
 # An exact value whose numerator or denominator has more decimal digits than
 # Python's default int-to-str cap, 4300, prints as its 256-bit rounding.
 _PRINT_BOUND = 10 ** 4300
 
 
 class PrecisionContext:
-    def __init__(self, bits: int = _DEFAULT_BITS, ceiling: int = 4096):
+    def __init__(self, bits: int = _DEFAULT_BITS, ceiling: int = _DEFAULT_CEILING):
         if bits < 8 or ceiling < bits:
             raise ValueError("need 8 <= bits <= ceiling")
         self.bits = bits
@@ -118,7 +119,7 @@ def precision(bits: int, ceiling: Optional[int] = None):
     """Run a block at a given working precision (in bits of mantissa)."""
     old = getattr(_state, "ctx", None)
     cur_ceiling = ceiling if ceiling is not None else max(
-        bits, (old.ceiling if old else 4096)
+        bits, (old.ceiling if old else _DEFAULT_CEILING)
     )
     _state.ctx = PrecisionContext(bits, cur_ceiling)
     try:
@@ -372,9 +373,11 @@ def _cmp_quad(x: "Real", y) -> int:
 
     A rational or a quadratic of x's radicand decides by the sign of one
     u + v*sqrt(r).  An mpf outside x's enclosure decides by ``mpf_cmp``, one
-    inside by that sign test on its exact dyadic value.  Quadratics of two
-    radicands are never equal, so their enclosures are refined until they
-    part.
+    inside by that sign test on its exact dyadic value.  For y = (c +
+    e*sqrt(s))/f of another radicand, x - y has the sign of P - w*sqrt(s),
+    P = u + v*sqrt(r), u = a*f - c*d, v = b*f, w = e*d: P's sign when w's
+    differs, else that sign times the sign of P*P - s*w*w, which is
+    (u*u + r*v*v - s*w*w) + 2*u*v*sqrt(r).  No value is 0: v, w != 0.
     """
     a, b, d, r = x._quad
     if type(y) is tuple:
@@ -393,15 +396,11 @@ def _cmp_quad(x: "Real", y) -> int:
         c, e, f, s = y._quad
         if s == r:
             return _quad_sign(a * f - c * d, b * f - e * d, r)
-        p = _prec()
-        while True:
-            xlo, xhi = _mpi_from_quad(x._quad, p)
-            ylo, yhi = _mpi_from_quad(y._quad, p)
-            if mpf_cmp(xhi, ylo) < 0:
-                return -1
-            if mpf_cmp(xlo, yhi) > 0:
-                return 1
-            p *= 2
+        u, v, w = a * f - c * d, b * f, e * d
+        sp = _quad_sign(u, v, r)
+        if sp != (w > 0) - (w < 0):
+            return sp
+        return sp * _quad_sign(u * u + r * v * v - s * w * w, 2 * u * v, r)
     n, m = y.numerator, y.denominator
     return _quad_sign(a * m - n * d, b * m, r)
 

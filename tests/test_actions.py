@@ -30,10 +30,10 @@ from lineact.homeo import (
     eval_interval,
     evaluate,
     inverse,
-    is_identity_on,
     simplify,
     to_text,
 )
+from lineact.parse import parse_action_file
 from lineact.reals import Interval, Real
 from lineact.words import Presentation, free_reduced_words, multiply, parse_word
 
@@ -127,7 +127,7 @@ class TestGallery:
         assert rep.passed
         # f g f^-1 g acts as the identity
         w = parse_word(act.presentation, "f g f^-1 g")
-        assert is_identity_on(realize(act, w), Interval.open(-3, 3))
+        assert simplify(realize(act, w)) == Identity()
 
     def test_free_transitive_no_short_relations(self):
         act = gallery("free_transitive")
@@ -344,6 +344,18 @@ def test_residual_needs_pairs_letters_and_points():
         with pytest.raises(ValueError, match="need n_pairs >= 1, max_len >= 1"):
             homomorphism_residual(act, n_pairs, points, max_len)
     assert upper(homomorphism_residual(act, 1, pts, 1)) == 0.0
+
+
+def test_residual_is_blind_to_relations():
+    # multiply only cancels u's tail against v's head, so uv and u o v are
+    # one map in every action: a b != b a here, and the residual is still 0
+    act = parse_action_file(
+        "group free_abelian 2\ngen a = affine(2, 0)\ngen b = affine(1, 1)\n")
+    pts = sample_points(Interval.open(-3, 3), 5)
+    res = homomorphism_residual(act, 200, pts, 6)
+    assert res.kind == "exact-rational" and res.as_fraction() == 0
+    rep = check_relations(act, pts)
+    assert not rep.passed and rep.worst_residual.as_fraction() == 1
 
 
 def test_check_relations_needs_a_point():

@@ -241,6 +241,56 @@ class TestDispatch:
         assert res["counts"] == {"disjoint": 152, "pointwise-fixed": 8}
 
 
+class TestVerdictBranches:
+    """Verdicts the gallery never reaches, each against the answer known by
+    construction."""
+
+    def run_spec(self, capsys, tmp_path, text, *argv):
+        spec = tmp_path / "a.spec"
+        spec.write_text(text)
+        return run_json(capsys, argv[0], "--spec", str(spec), *argv[1:])
+
+    def test_certified_dense_from_two_fixed_points(self, capsys, tmp_path):
+        # 2x and 2x + 1 fix 0 and -1: their commutator is a translation,
+        # which the dilation shrinks towards every length
+        code, doc = self.run_spec(
+            capsys, tmp_path, "group free 2\ngen a = affine(2, 0)\ngen b = affine(2, 1)\n",
+            "classify", "--point", "0", "--radius", "4", "--window", "0", "1")
+        res = doc["result"]
+        assert code == 0 and (res["class"], res["heuristic"]) == ("dense", False)
+        assert "dilations a and b fix 0 and -1" in res["basis"]
+
+    def test_sampled_fixed_point(self, capsys, tmp_path):
+        # 2x and 3x both fix 0, so the orbit of 0 is {0}
+        code, doc = self.run_spec(
+            capsys, tmp_path, "group free 2\ngen a = affine(2, 0)\ngen b = affine(3, 0)\n",
+            "classify", "--point", "0", "--radius", "4", "--window", "-1", "1")
+        res = doc["result"]
+        assert code == 0 and (res["class"], res["heuristic"]) == ("fixed-point", True)
+        assert res["evidence"] == {"count": 1, "count_half_radius": 1, "radius": 4}
+
+    def test_sampled_dense(self, capsys, tmp_path):
+        # conjugating x + pi by 2x gives the translations by pi * 2**-n:
+        # every orbit is dense, and pi keeps the class off the certified path
+        code, doc = self.run_spec(
+            capsys, tmp_path, "group free 2\ngen a = affine(1, pi)\ngen b = affine(2, 0)\n",
+            "classify", "--point", "1/3", "--radius", "8", "--window", "0", "1")
+        res = doc["result"]
+        assert code == 0 and (res["class"], res["heuristic"]) == ("dense", True)
+        assert (res["evidence"]["count"], res["evidence"]["count_half_radius"]) == (69, 10)
+        assert res["evidence"]["coverage_gap"] < res["evidence"]["window_diameter"] / 20
+
+    def test_trivial_action_wander_find(self, capsys, tmp_path):
+        # every generator is the identity, so the whole window wanders
+        code, doc = self.run_spec(
+            capsys, tmp_path, "group bs 1 -1\ngen g = identity\ngen f = identity\n",
+            "wander-find", "--window", "-1", "1")
+        res = doc["result"]
+        assert code == 0 and res["trivial_action"] is True
+        assert res["pivot"] is None and res["component"] is None
+        assert (res["interval"]["lo"], res["interval"]["hi"]) == ("-1", "1")
+
+
 # each command with its required arguments, so that argparse reaches the
 # unread flag
 _REQUIRED_ARGV = {

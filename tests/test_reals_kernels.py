@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -510,6 +511,55 @@ def test_two_radicands_go_tracked():
     assert (s + t).cmp(tracked_sqrt2() + tracked_sqrt3()) is None
     # different radicands are never equal, so the order always decides
     assert s.cmp(t) == -1 and t.cmp(s) == 1 and (t - 1).cmp(s / 2) == 1
+
+
+# -- two radicands against mpmath ---------------------------------------------
+# (a + b*sqrt2)/d and (c + e*sqrt3)/f are ordered by an exact sign; the
+# oracle evaluates their difference at 20,000 bits, sharing no code with it.
+# For odd n, (sqrt3 - sqrt2)**n is c*sqrt3 - d*sqrt2 with integer c and d,
+# and tiny: d*sqrt2 lies below c*sqrt3 by about 2**(-1.65 n) while both are
+# about 2**(1.65 n).  Refining enclosures until they part took 4,096 bits at
+# n = 1201 and 8,192 at n = 1501.
+
+def sqrt3_minus_sqrt2_power(n: int) -> tuple[int, int]:
+    """(c, d) with (sqrt3 - sqrt2)**n = c*sqrt3 - d*sqrt2, n odd."""
+    c, d = 1, 1
+    for _ in range(n // 2):   # times (sqrt3 - sqrt2)**2 = 5 - 2*sqrt6
+        c, d = 5 * c + 4 * d, 6 * c + 5 * d
+    return c, d
+
+
+def oracle_sign(a: int, b: int, d: int, c: int, e: int, f: int) -> int:
+    with mpmath.workprec(20_000):
+        v = (a + b * mpmath.sqrt(2)) / d - (c + e * mpmath.sqrt(3)) / f
+    return (v > 0) - (v < 0)
+
+
+# A + B*sqrt2 + E*sqrt3 is about 3.3e-81 (mpmath.pslq at tol 1e-80): parting
+# the enclosures took a second round, at 512 bits
+PSLQ_A = -1055040034269141520276585847796672223975
+PSLQ_B = 1956228018972470043345675263354897370483
+PSLQ_E = -988125841214919715488741902203264285929
+C_1201, D_1201 = sqrt3_minus_sqrt2_power(1201)
+C_1501, D_1501 = sqrt3_minus_sqrt2_power(1501)
+nonzero = st.integers(-10**9, 10**9).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**9, 10**9), nonzero, st.integers(1, 10**4),
+       st.integers(-10**9, 10**9), nonzero, st.integers(1, 10**4))
+@example(PSLQ_A, PSLQ_B, 1, 0, -PSLQ_E, 1)
+@example(-PSLQ_A, -PSLQ_B, 1, 0, PSLQ_E, 1)
+@example(0, D_1201, 1, 0, C_1201, 1)
+@example(5, D_1501, 7, 5, C_1501, 7)
+@example(-3, -D_1501, 2, -3, -C_1501, 2)
+def test_two_radicands_order_exactly(a, b, d, c, e, f):
+    x = (Real.rational(a) + Real.rational(b) * Real.sqrt2()) / Real.rational(d)
+    y = (Real.rational(c) + Real.rational(e) * Real.sqrt3()) / Real.rational(f)
+    assert x.kind == y.kind == "exact-quadratic"
+    want = oracle_sign(a, b, d, c, e, f)
+    assert want != 0   # 1, sqrt2 and sqrt3 are Q-independent
+    assert x.cmp(y) == want and y.cmp(x) == -want
 
 
 def test_sqrt2_paths_stay_exact():
