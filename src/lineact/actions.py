@@ -315,6 +315,8 @@ class ExtensionSpec:
     def __post_init__(self):
         if self.conjugation_rule is None:
             self.conjugation_rule = lambda j, w: w
+        if self.horizon < 0:   # no cell would evaluate: each would be the identity
+            raise BadParameter(f"horizon must be nonnegative, got {self.horizon}")
         if self.coset_label not in self.group.labels:
             raise BadParameter("group presentation lacks the coset label")
         for lab in self.inner_action.presentation.labels:
@@ -322,11 +324,11 @@ class ExtensionSpec:
                 raise BadParameter(f"group presentation lacks inner label {lab!r}")
 
     def cell_expr(self, j: int, word: GroupElement) -> HomeoExpr:
-        key = (j, word.word)
-        expr = self._cell_cache.get(key)
+        # a cell map depends on the conjugated word alone
+        w = self.conjugation_rule(j, word)
+        expr = self._cell_cache.get(w.word)
         if expr is None:
-            expr = simplify(realize(self.inner_action, self.conjugation_rule(j, word)))
-            self._cell_cache[key] = expr
+            expr = self._cell_cache[w.word] = simplify(realize(self.inner_action, w))
         return expr
 
 

@@ -43,7 +43,6 @@ from .reals import (
     PrecisionExhausted,
     Real,
     RealLike,
-    UndecidableComparison,
     approx_float,
     current_precision,
     retry_precision,
@@ -136,9 +135,12 @@ class OrbitPoint:
 def orbit(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
     """Sorted orbit sample {w(x) : w in the radius-L ball}, deduplicated.
 
-    Two values merge when their enclosures overlap (equality within combined
-    error bounds); the witness kept for a merged point is the shortlex-first
-    word that produced it.
+    Points go in midpoint order, and one whose enclosure overlaps the last
+    point kept is dropped (:func:`_merge_overlapping`).  So of overlapping
+    enclosures the one with the least midpoint is kept, with its word; the
+    shortlex-first word wins only a tie of midpoints.  An exact point can
+    thus lose to a tracked enclosure of the same value whose midpoint lies
+    below it.
     """
     return _merge_overlapping(_orbit_sample(act, x, radius), _point_value)
 
@@ -300,14 +302,14 @@ def _word_verdict(act: Action, w: GroupElement, img: Optional[Interval],
     return WordVerdict(w, "violation", "identity not proved")
 
 
-def _certainly_disjoint(h: HomeoExpr, J: Interval) -> bool:
-    """Whether h(J) misses J; raises UndecidableComparison when unclear."""
+def _certainly_disjoint(h: HomeoExpr, J: Interval) -> Optional[bool]:
+    """Whether h(J) misses J; None when that is undecided."""
     img = eval_interval(h, J)
     if img.certainly_disjoint(J):
         return True
     if img.certainly_intersects(J):
         return False
-    raise UndecidableComparison("image neither certainly misses nor meets J")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,10 @@ from .reals import (
     PrecisionExhausted,
     Real,
     RealLike,
-    UndecidableComparison,
     current_precision,
     retry_precision,
 )
-from .words import GroupElement, key_rule, multiply, normal_form_key
+from .words import GroupElement, multiply
 
 __all__ = [
     "HomeoExpr",
@@ -402,8 +401,8 @@ def _simplify_leaf(h: HomeoExpr) -> HomeoExpr:
             return Identity()
         return BoundedConjugate(inner)
     if isinstance(h, ExtensionCell):
-        p = h.word.presentation
-        if normal_form_key(p, h.word) == key_rule(p)[:2]:   # the identity's key
+        n = h.spec.horizon  # evaluation refuses every cell beyond it
+        if all(h.spec.cell_expr(j, h.word) == Identity() for j in range(-n, n + 1)):
             return Identity()
     if isinstance(h, Affine) and h.a == _ONE and h.b == _ZERO:
         return Identity()
@@ -414,6 +413,8 @@ def _rewrite_pair(cur: HomeoExpr, nxt: HomeoExpr) -> Optional[list[HomeoExpr]]:
     """The factors cur o nxt rewrite to, or None when no rule applies."""
     if isinstance(cur, Affine) and isinstance(nxt, Affine):
         return [_simplify_leaf(Affine(cur.a * nxt.a, cur.a * nxt.b + cur.b))]
+    if isinstance(cur, BoundedConjugate) and isinstance(nxt, BoundedConjugate):
+        return [_simplify_leaf(BoundedConjugate(compose(cur.inner, nxt.inner)))]
     if isinstance(cur, ExtensionCell) and isinstance(nxt, ExtensionCell) \
             and cur.spec is nxt.spec:
         return [_simplify_leaf(ExtensionCell(cur.spec, multiply(cur.word, nxt.word)))]
@@ -435,7 +436,9 @@ def simplify(h: HomeoExpr) -> HomeoExpr:
     t(n - d) = (-k)^d t(n), so T_d o L^c = L^(c (-k)^d) o T_d for the integer
     translation T_d: translations move right past ladders and ladders of one
     base merge, L^a o L^b = L^(a+b), which takes any run of both to L^C o T_D,
-    the identity exactly when C = D = 0.  Evaluation agrees with the input.
+    the identity exactly when C = D = 0.  BC(f) o BC(g) = BC(f o g), and a cell
+    is the identity when each of its cell maps within the horizon simplifies
+    to it.  Evaluation agrees with the input.
     """
     items = [_simplify_leaf(x) for x in _factors(h)]
     items = [x for x in items if not isinstance(x, Identity)]
@@ -499,12 +502,12 @@ def _residual_sign(h: HomeoExpr, x: Fraction) -> Optional[int]:
     return (evaluate(h, q) - q).cmp(_ZERO)
 
 
-def _fixed_points_pass(h, window, grid_n) -> FixReport:
+def _fixed_points_pass(h, window, grid_n) -> Optional[FixReport]:
     lo, hi = window.lo.bounds()[1], window.hi.bounds()[0]
     xs = [lo + (hi - lo) * Fraction(j, grid_n - 1) for j in range(grid_n)]
     signs = [_residual_sign(h, x) for x in xs]
     if None in signs:
-        raise UndecidableComparison("sign of residual unclear")
+        return None
 
     fixed: list[Real] = []
     for j, s in enumerate(signs):

@@ -29,9 +29,9 @@ tracked values are equal only when they are one object, since equal
 enclosures do not prove equal values.
 
 Precision of tracked arithmetic is controlled by :class:`PrecisionContext`.
-The default working precision is 256 bits; callers that need a comparison
-decided can retry at doubled precision up to the ceiling (4096 bits) and
-raise :class:`PrecisionExhausted` beyond it.
+The default working precision is 256 bits.  An undecided comparison answers
+None; :func:`retry_precision` reruns a computation at doubled precision while
+it answers None, and raises :class:`PrecisionExhausted` at the 4096-bit ceiling.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from mpmath.libmp import (
 
 __all__ = [
     "PrecisionExhausted",
-    "UndecidableComparison",
     "PrecisionContext",
     "precision",
     "current_precision",
@@ -80,10 +79,6 @@ __all__ = [
 class PrecisionExhausted(Exception):
     """A comparison or an enclosure needs more bits than the precision
     ceiling allows."""
-
-
-class UndecidableComparison(Exception):
-    """Two tracked enclosures overlap; the comparison needs more precision."""
 
 
 # Default working precision (also the fixed precision tracked values print
@@ -129,19 +124,18 @@ def precision(bits: int, ceiling: Optional[int] = None):
 
 
 def retry_precision(fn):
-    """Run fn(), doubling working precision on undecidable comparisons."""
+    """fn()'s answer, run again at doubled precision while it is None
+    (undecided); PrecisionExhausted when it is still None at the ceiling."""
     ctx = current_precision()
     bits = ctx.bits
     while True:
-        try:
-            with precision(bits, ctx.ceiling):
-                return fn()
-        except UndecidableComparison:
-            if bits >= ctx.ceiling:
-                raise PrecisionExhausted(
-                    f"undecidable at the {ctx.ceiling}-bit ceiling"
-                )
-            bits = min(bits * 2, ctx.ceiling)
+        with precision(bits, ctx.ceiling):
+            out = fn()
+        if out is not None:
+            return out
+        if bits >= ctx.ceiling:
+            raise PrecisionExhausted(f"undecidable at the {ctx.ceiling}-bit ceiling")
+        bits = min(bits * 2, ctx.ceiling)
 
 
 def _prec() -> int:
@@ -369,15 +363,13 @@ def _ends(x: "Real"):
 
 
 def _cmp_quad(x: "Real", y) -> int:
-    """_cmp_end of an exact quadratic x and any endpoint y, exactly.
-
-    A rational or a quadratic of x's radicand decides by the sign of one
-    u + v*sqrt(r).  An mpf outside x's enclosure decides by ``mpf_cmp``, one
-    inside by that sign test on its exact dyadic value.  For y = (c +
-    e*sqrt(s))/f of another radicand, x - y has the sign of P - w*sqrt(s),
-    P = u + v*sqrt(r), u = a*f - c*d, v = b*f, w = e*d: P's sign when w's
-    differs, else that sign times the sign of P*P - s*w*w, which is
-    (u*u + r*v*v - s*w*w) + 2*u*v*sqrt(r).  No value is 0: v, w != 0.
+    """_cmp_end of an exact quadratic x = (a + b*sqrt(r))/d and any endpoint
+    y, exactly.  An mpf outside x's enclosure decides by ``mpf_cmp``; else y
+    is (c + e*sqrt(s))/f in integers (a rational n/m is (n, 0, m, r), an mpf
+    its exact dyadic value), and x - y has the sign of u + v*sqrt(r) -
+    w*sqrt(s), u = a*f - c*d, v = b*f, w = e*d.  For s != r (so v, w != 0)
+    and P = u + v*sqrt(r), that is P's sign when w's differs, else that sign
+    times the sign of P*P - s*w*w = (u*u + r*v*v - s*w*w) + 2*u*v*sqrt(r).
     """
     a, b, d, r = x._quad
     if type(y) is tuple:
@@ -387,22 +379,18 @@ def _cmp_quad(x: "Real", y) -> int:
         if mpf_cmp(lo, y) > 0:
             return 1
         sign, man, exp, _ = y
-        if sign:
-            man = -man
-        if exp >= 0:
-            return _quad_sign(a - d * (man << exp), b, r)
-        return _quad_sign((a << -exp) - d * man, b << -exp, r)
-    if type(y) is Real:
+        c, e, f, s = (-man if sign else man) << max(exp, 0), 0, 1 << max(-exp, 0), r
+    elif type(y) is Real:
         c, e, f, s = y._quad
-        if s == r:
-            return _quad_sign(a * f - c * d, b * f - e * d, r)
-        u, v, w = a * f - c * d, b * f, e * d
-        sp = _quad_sign(u, v, r)
-        if sp != (w > 0) - (w < 0):
-            return sp
-        return sp * _quad_sign(u * u + r * v * v - s * w * w, 2 * u * v, r)
-    n, m = y.numerator, y.denominator
-    return _quad_sign(a * m - n * d, b * m, r)
+    else:
+        c, e, f, s = y.numerator, 0, y.denominator, r
+    u, v, w = a * f - c * d, b * f, e * d
+    if s == r:
+        return _quad_sign(u, v - w, r)
+    sp = _quad_sign(u, v, r)
+    if sp != (w > 0) - (w < 0):
+        return sp
+    return sp * _quad_sign(u * u + r * v * v - s * w * w, 2 * u * v, r)
 
 
 def _cmp_end(a, b) -> int:

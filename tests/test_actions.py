@@ -18,8 +18,10 @@ from lineact.actions import (
     gallery_entries,
     homomorphism_residual,
     realize,
+    relations_proved,
     sample_points,
 )
+from lineact.dynamics import wandering_certificate
 from lineact.homeo import (
     Affine,
     Compose,
@@ -274,6 +276,56 @@ class TestExtensionCell:
         G = Presentation.free_abelian(3, labels=("t", "a", "b"))
         with pytest.raises(TypeError):
             ExtensionSpec(inner, G, "t", None, 64, _cell_cache={})
+
+
+NON_COMMUTING = "group free_abelian 2\ngen a = affine(2, 0)\ngen b = affine(1, 1)\n"
+
+
+class TestCellProvedFromItsMaps:
+    """A cell is the identity when simplify proves each of its cell maps
+    within the horizon the identity; the inner presentation's normal form
+    proves nothing about the inner action."""
+
+    def test_unproved_inner_relation_proves_no_cell(self):
+        # a b != b a in the inner action, though free_abelian says it is
+        inner = conjugate_into_unit(parse_action_file(NON_COMMUTING))
+        ext = extend_action(direct_product_extension(inner, coset_label="t"))
+        h = realize(ext, parse_word(ext.presentation, "a b a^-1 b^-1"))
+        assert simplify(h) != Identity()
+        assert evaluate(h, R(1, 3)).as_fraction() == Fraction(2, 3)
+        assert evaluate(h, R(5, 2)).as_fraction() == Fraction(11, 4)
+        cert = wandering_certificate(ext, Interval.open(R(1, 10), R(1, 5)), 4)
+        assert "pointwise-fixed" not in cert.counts()
+
+    def test_sign_flipping_rule_proves_its_commutator_on_every_cell(self):
+        # demo 08's rule over ex_1_2: odd cells act by the inverse word
+        inner = conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2"))
+        spec = ExtensionSpec(inner, Presentation.free(3, labels=("t", "a", "b")), "t",
+                             lambda j, w: w if j % 2 == 0 else w.inverse())
+        ext = extend_action(spec)
+        assert simplify(realize(ext, parse_word(ext.presentation, "a b a^-1 b^-1"))) \
+            == Identity()
+        w = parse_word(inner.presentation, "a b a^-1 b^-1")
+        n = spec.horizon
+        assert all(spec.cell_expr(j, w) == Identity() for j in range(-n, n + 1))
+
+    def test_negative_horizon_is_refused(self):
+        # no cell would evaluate, so each cell would vacuously be the identity
+        inner = conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2"))
+        with pytest.raises(BadParameter, match="horizon must be nonnegative"):
+            direct_product_extension(inner, coset_label="t", horizon=-1)
+
+    def test_conjugated_inner_relations_are_proved(self):
+        assert relations_proved(conjugate_into_unit(gallery("ex_1_2")))
+        assert relations_proved(conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2")))
+
+    def test_direct_product_cells_share_one_entry(self):
+        # a cell map depends on the conjugated word alone
+        inner = conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2"))
+        spec = direct_product_extension(inner, coset_label="t")
+        w = parse_word(inner.presentation, "a b^-1")
+        exprs = {id(spec.cell_expr(j, w)) for j in range(-spec.horizon, spec.horizon + 1)}
+        assert len(exprs) == 1 and len(spec._cell_cache) == 1
 
 
 class TestExtensionReproducesAlternatingLadder:

@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from lineact import dynamics
 from lineact.actions import (
     Action,
     conjugate_into_unit,
     direct_product_extension,
     extend_action,
     gallery,
+    realize,
 )
 from lineact.dynamics import (
     ConstructionFailed,
@@ -29,9 +32,11 @@ from lineact.homeo import (
     Affine,
     Identity,
     UnitPowerLadder,
+    eval_interval,
 )
-from lineact.reals import Interval, Real
-from lineact.words import Presentation, bs_pair
+from lineact.parse import parse_action_file
+from lineact.reals import Interval, Real, current_precision
+from lineact.words import Presentation, bs_pair, parse_word
 
 R = Real.rational
 
@@ -393,3 +398,44 @@ class TestClassifier:
         assert ev["count"] == inside(orbit(act, x, radius))
         assert ev["count_half_radius"] == inside(orbit(act, x, radius // 2))
         assert ev["count_half_radius"] < ev["count"]
+
+
+def test_certificate_decides_disjointness_at_doubled_precision(monkeypatch):
+    # the cube root sends J = (c, 2) to (c**(1/3), 2**(1/3)), missing J by
+    # under 2**-300, c being 2**(1/3) rounded up at 300 bits: 256 bits leave
+    # it undecided, 512 bits decide it
+    with mpmath.workprec(2000):
+        c = Fraction(int(mpmath.ceil(mpmath.cbrt(2) * 2**300)), 2**300)
+    act = parse_action_file("group free 1\ngen a = oddpower(3, root)\n")
+    tried = []
+    one_pass = dynamics._certainly_disjoint
+
+    def spy(h, J):
+        out = one_pass(h, J)
+        tried.append((current_precision().bits, out))
+        return out
+
+    monkeypatch.setattr(dynamics, "_certainly_disjoint", spy)
+    cert = wandering_certificate(act, Interval.open(c, 2), 1)
+    assert cert.certified
+    assert [(str(v.word), v.verdict) for v in cert.verdicts] \
+        == [("a", "disjoint"), ("a^-1", "disjoint")]
+    assert tried == [(256, None), (512, True)]
+
+
+NON_COMMUTING = "group free_abelian 2\ngen a = affine(2, 0)\ngen b = affine(1, 1)\n"
+U_NC, V_NC = Interval.open(0, R(1, 10)), Interval.open(R(23, 20), R(119, 100))
+
+
+def test_b_a_carries_u_onto_v():
+    act = parse_action_file(NON_COMMUTING)
+    img = eval_interval(realize(act, parse_word(act.presentation, "b a")), U_NC)
+    assert img == Interval.open(1, R(6, 5)) and img.certainly_intersects(V_NC)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "dedup walks trust unproved relations: the free_abelian walk keeps a b "
+    "for b a, though a b != b a in this action"))
+def test_transitivity_search_trusts_no_unproved_relation():
+    act = parse_action_file(NON_COMMUTING)
+    assert transitivity_search(act, U_NC, V_NC, 2) is not None

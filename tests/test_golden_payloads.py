@@ -43,6 +43,13 @@ When ``classify`` came to decide exact affine actions exactly,
 ``"heuristic": false``, a ``basis`` and no ``evidence``; demo 09's output
 changed with it, and no other golden or demo output changed.
 
+When ``simplify`` came to merge adjacent bounded conjugates, BC(f) o BC(g)
+= BC(f o g), ``extend_tracked.json`` changed on purpose: the pi extension's
+``a b = b a`` residual, and so ``worst_residual``, went from 3.454e-77
++- 6.91e-77 to 1.727e-77 +- 3.45e-77, since a two-letter cell map now
+rounds through one conjugate where it rounded through two.  Its exit status
+stays 1, and no other golden or demo output changed.
+
 Every JSON golden, and the live payload of every case, is also checked for
 a verdict that could only rest on a tolerance: a relation passes only when
 structural or at residual ``0``, ``homomorphism_ok`` is true only at

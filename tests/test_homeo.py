@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from mpmath.libmp import mpf_cmp
 
+from lineact import homeo
 from lineact.homeo import (
     _cell_branch,
     _piecewise_eval,
@@ -312,6 +313,28 @@ class TestSimplify:
     def test_identity_affine(self):
         assert simplify(affine(1, 0)) == Identity()
 
+    def test_bounded_conjugates_merge(self):
+        # psi^-1 o psi cancels on (-1, 1), and both sides fix the rest
+        f, g = affine(2, (1, 3)), affine((1, 2), -1)
+        assert simplify(Compose(BoundedConjugate(f), BoundedConjugate(g))) \
+            == BoundedConjugate(affine(1, (-5, 3)))
+        assert simplify(Compose(BoundedConjugate(f), BoundedConjugate(inverse(f)))) \
+            == Identity()
+
+    @pytest.mark.parametrize("f, g", [
+        (affine(2, (1, 3)), affine((1, 2), -1)),
+        (OddPower(3), affine(1, (1, 2))),
+        (affine(3, 0), OddPower(5)),
+    ])
+    def test_merged_and_unmerged_conjugates_agree_exactly(self, f, g):
+        unmerged = Compose(BoundedConjugate(f), BoundedConjugate(g))
+        merged = simplify(unmerged)
+        assert isinstance(merged, BoundedConjugate)
+        for n in range(-15, 16):
+            x = R(n, 7)
+            a, b = evaluate(unmerged, x), evaluate(merged, x)
+            assert a.is_rational and b.is_rational and a.as_fraction() == b.as_fraction()
+
 
 class TestFixedPoints:
     def test_translation_has_none(self):
@@ -355,6 +378,34 @@ class TestFixedPoints:
     def test_degenerate_window(self):
         with pytest.raises(WindowDegenerate):
             fixed_points(affine(1, 1), Interval.closed(1, 1), 16)
+
+    @pytest.mark.parametrize("b, fixed", [((-1, 4), Fraction(1, 4)),
+                                          ((-1, 3), Fraction(1, 3))])
+    def test_off_grid_fixed_point_is_exact(self, b, fixed):
+        # 2x + b fixes -b alone, between the grid points 0 and 1: 1/4 is a
+        # bisection midpoint, 1/3 none, but the simplest rational of the
+        # last bracket
+        rep = fixed_points(affine(2, b), Interval.open(0, 1), 2)
+        assert [(p.is_rational, p.as_fraction()) for p in rep.fixed_points] \
+            == [(True, fixed)]
+
+    def test_undecided_sign_escalates(self, monkeypatch):
+        # the cube root of 1 + 2**-300 lies below it by about 2**-300 * 2/3,
+        # which 256 bits cannot resolve: that pass answers None, and the
+        # 512-bit pass finds the exact fixed point 1 between the grid points
+        tried = []
+        one_pass = homeo._fixed_points_pass
+
+        def spy(*args):
+            out = one_pass(*args)
+            tried.append((current_precision().bits, out is None))
+            return out
+
+        monkeypatch.setattr(homeo, "_fixed_points_pass", spy)
+        window = Interval.open(Fraction(1, 2), 1 + Fraction(1, 2**300))
+        rep = fixed_points(OddPower(3, root=True), window, 2)
+        assert tried == [(256, True), (512, False)]
+        assert [(p.is_rational, p.as_fraction()) for p in rep.fixed_points] == [(True, 1)]
 
 
 class TestIsIdentityOn:

@@ -10,7 +10,6 @@ from lineact.reals import (
     Interval,
     PrecisionExhausted,
     Real,
-    UndecidableComparison,
     current_precision,
     _precedes,
     precision,
@@ -189,13 +188,13 @@ class TestPrecisionContext:
         assert narrow < wide
 
     def test_doubled_hits_ceiling(self):
-        # retry_precision doubles the working precision up to the ceiling,
-        # then gives up
+        # retry_precision doubles the working precision while the answer is
+        # None (undecided), up to the ceiling, then gives up
         tried = []
 
         def undecidable():
             tried.append(current_precision().bits)
-            raise UndecidableComparison("never decided")
+            return None
 
         with precision(128, 640):
             with pytest.raises(PrecisionExhausted, match="640-bit ceiling"):

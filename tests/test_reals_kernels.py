@@ -45,6 +45,7 @@ from lineact.reals import (
     _fraction_root,
     _iroot,
     _mpi_from_fraction,
+    _mpi_from_quad,
     _prec,
     _precedes,
     precision,
@@ -560,6 +561,35 @@ def test_two_radicands_order_exactly(a, b, d, c, e, f):
     want = oracle_sign(a, b, d, c, e, f)
     assert want != 0   # 1, sqrt2 and sqrt3 are Q-independent
     assert x.cmp(y) == want and y.cmp(x) == -want
+
+
+# -- a quadratic against an mpf inside its enclosure --------------------------
+# The 300- and 512-bit brackets of x nest inside its 256-bit enclosure, and
+# so do that enclosure's own ends: mpf_cmp decides none of them, so x's
+# exact sign against the dyadic value does.  |a| up to 10**100 gives mpf of
+# both exponent signs.
+
+def oracle_mpf_sign(a: int, b: int, d: int, r: int, m) -> int:
+    with mpmath.workprec(20_000):
+        v = (a + b * mpmath.sqrt(r)) / d - mpmath.mp.make_mpf(m)
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-10**100, 10**100), nonzero, st.integers(1, 10**4),
+       st.sampled_from((2, 3)))
+@example(0, 1, 1, 2)
+@example(-10**100, 7, 3, 3)
+def test_quadratic_against_an_mpf_inside_its_enclosure(a, b, d, r):
+    root = Real.sqrt2() if r == 2 else Real.sqrt3()
+    x = (Real.rational(a) + Real.rational(b) * root) / Real.rational(d)
+    assert x.kind == "exact-quadratic"
+    lo, hi = x._as_mpi(_prec())
+    for m in (lo, hi, *_mpi_from_quad(x._quad, 300), *_mpi_from_quad(x._quad, 512)):
+        assert mpf_cmp(lo, m) <= 0 <= mpf_cmp(hi, m)
+        want = oracle_mpf_sign(a, b, d, r, m)
+        y = Real(None, (m, m))
+        assert want != 0 and x.cmp(y) == want and y.cmp(x) == -want
 
 
 def test_sqrt2_paths_stay_exact():
