@@ -4,8 +4,8 @@ An :class:`Action` maps each generator label of a presentation to a
 homeomorphism expression.  Words act through :func:`realize` with the left
 action convention: the leftmost letter of a word acts last (outermost).
 :func:`check_relations` passes a defining relation on a proof, when
-simplification makes both sides one expression, or on sampled residuals
-that are certainly zero; no tolerance stands in for either.
+simplification takes its relator lhs rhs^-1 to the identity, and on nothing
+else: neither a tolerance nor a sample of exact zeros stands in for a proof.
 
 The :func:`gallery` registry holds the stock catalog of actions used across
 the test and demo suites, addressable by catalog id (``ex_1_1`` ...
@@ -29,6 +29,7 @@ from .homeo import (
     BoundedConjugate,
     ExtensionCell,
     HomeoExpr,
+    Identity,
     OddPower,
     UnitPowerLadder,
     compose,
@@ -115,7 +116,6 @@ class RelationCheck:
     rhs: GroupElement
     residual: Real
     passed: bool
-    structural: bool = False
 
 
 @dataclass
@@ -151,35 +151,33 @@ def sample_points(window: Interval, count: int) -> list[Real]:
     return [lo + span * Real.rational(2 * j + 1, 2 * count) for j in range(count)]
 
 
-def _relation_proofs(act: Action):
-    """(lhs, rhs, simplified lhs, simplified rhs, proved) per defining
-    relation: proved, exactly, when simplify makes both sides one expression."""
-    for lhs, rhs in act.presentation.relations():
-        hl, hr = simplify(realize(act, lhs)), simplify(realize(act, rhs))
-        yield lhs, rhs, hl, hr, hl == hr
+def _proved(act: Action, lhs: GroupElement, rhs: GroupElement) -> bool:
+    """Whether simplify takes the relator lhs rhs^-1 to the identity."""
+    return simplify(realize(act, multiply(lhs, rhs.inverse()))) == Identity()
 
 
 def relations_proved(act: Action) -> bool:
     """Whether simplify proves every relation: then a word acts by its element."""
-    return all(proof[-1] for proof in _relation_proofs(act))
+    return all(_proved(act, lhs, rhs) for lhs, rhs in act.presentation.relations())
 
 
 def check_relations(act: Action, points: Sequence[Real]) -> RelationReport:
-    """Residuals |lhs(x) - rhs(x)| over the sample for each defining relation.
-
-    A relation passes when simplify proves it (structural, residual exactly
-    0) or when every sampled residual is certainly zero, never when one is
-    only small.  Failure is a report outcome, never an exception.
+    """Each defining relation, passed exactly when simplify proves it, with
+    residual exactly 0.  An unproved relation fails, with the worst residual
+    |lhs(x) - rhs(x)| of its simplified sides over the sample: a sample can
+    refute a relation, never prove it.  Failure is a report outcome, never
+    an exception.
     """
     if not points:
         raise ValueError("need at least one sample point")
     checks = []
-    for lhs, rhs, hl, hr, proved in _relation_proofs(act):
-        if proved:
-            checks.append(RelationCheck(lhs, rhs, _ZERO, True, True))
+    for lhs, rhs in act.presentation.relations():
+        if _proved(act, lhs, rhs):
+            checks.append(RelationCheck(lhs, rhs, _ZERO, True))
             continue
+        hl, hr = simplify(realize(act, lhs)), simplify(realize(act, rhs))
         worst = _largest(abs(evaluate(hl, x) - evaluate(hr, x)) for x in points)
-        checks.append(RelationCheck(lhs, rhs, worst, worst.cmp(0) == 0))
+        checks.append(RelationCheck(lhs, rhs, worst, False))
     return RelationReport(checks, len(points))
 
 
@@ -300,21 +298,20 @@ class ExtensionSpec:
 
     ``conjugation_rule(j, w)`` must return the H-word representing the coset
     generator conjugate a^-j w a^j; it has to be the identity at j = 0 and a
-    homomorphism in w for each fixed j.  ``group`` is the presentation of G,
-    whose labels are the coset label plus the inner action's labels.
-    Specs compare by identity, so the cells of two specs never compare equal.
+    homomorphism in w for each fixed j; the default, w itself, makes the
+    coset generator central.  ``group`` is the presentation of G, whose
+    labels are the coset label plus the inner action's labels.  Specs compare
+    by identity, so the cells of two specs never compare equal.
     """
 
     inner_action: Action
     group: Presentation
     coset_label: str = "a"
-    conjugation_rule: Callable[[int, GroupElement], GroupElement] = None
+    conjugation_rule: Callable[[int, GroupElement], GroupElement] = lambda j, w: w
     horizon: int = 64
     _cell_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.conjugation_rule is None:
-            self.conjugation_rule = lambda j, w: w
         if self.horizon < 0:   # no cell would evaluate: each would be the identity
             raise BadParameter(f"horizon must be nonnegative, got {self.horizon}")
         if self.coset_label not in self.group.labels:
@@ -366,7 +363,7 @@ def direct_product_extension(inner: Action, coset_label: str = "t",
     if coset_label in H.labels:
         raise BadParameter("coset label collides with an inner label")
     G = Presentation.free_abelian(1 + H.rank, labels=(coset_label,) + H.labels)
-    return ExtensionSpec(inner, G, coset_label, lambda j, w: w, horizon)
+    return ExtensionSpec(inner, G, coset_label, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

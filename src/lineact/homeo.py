@@ -394,16 +394,20 @@ def power(h: HomeoExpr, n: int) -> HomeoExpr:
     return compose(*[h if n >= 0 else inverse(h)] * abs(n))
 
 
+def _cell_maps(h: ExtensionCell) -> list[HomeoExpr]:
+    """h's maps of cells -horizon .. horizon; evaluation refuses the rest."""
+    n = h.spec.horizon
+    return [h.spec.cell_expr(j, h.word) for j in range(-n, n + 1)]
+
+
 def _simplify_leaf(h: HomeoExpr) -> HomeoExpr:
     if isinstance(h, BoundedConjugate):
         inner = simplify(h.inner)
         if isinstance(inner, Identity):
             return Identity()
         return BoundedConjugate(inner)
-    if isinstance(h, ExtensionCell):
-        n = h.spec.horizon  # evaluation refuses every cell beyond it
-        if all(h.spec.cell_expr(j, h.word) == Identity() for j in range(-n, n + 1)):
-            return Identity()
+    if isinstance(h, ExtensionCell) and all(m == Identity() for m in _cell_maps(h)):
+        return Identity()
     if isinstance(h, Affine) and h.a == _ONE and h.b == _ZERO:
         return Identity()
     return h
@@ -418,13 +422,17 @@ def _rewrite_pair(cur: HomeoExpr, nxt: HomeoExpr) -> Optional[list[HomeoExpr]]:
     if isinstance(cur, ExtensionCell) and isinstance(nxt, ExtensionCell) \
             and cur.spec is nxt.spec:
         return [_simplify_leaf(ExtensionCell(cur.spec, multiply(cur.word, nxt.word)))]
+    d = cur.translation if isinstance(cur, Affine) else None  # cur is T_d
     if isinstance(nxt, UnitPowerLadder):
-        if isinstance(cur, Affine) and cur.translation is not None:  # cur is T_d
-            d = cur.translation
+        if d is not None:
             return [UnitPowerLadder(nxt.k, nxt.s * Fraction(-nxt.k) ** d), cur]
         if isinstance(cur, UnitPowerLadder) and cur.k == nxt.k:
             s = cur.s + nxt.s
             return [UnitPowerLadder(cur.k, s)] if s else []
+    if isinstance(nxt, ExtensionCell) and d is not None:
+        maps = _cell_maps(nxt)  # one pair of cells j, j + |d| at least, or vacuous
+        if maps[abs(d):] and all(f == g for f, g in zip(maps, maps[abs(d):])):
+            return [nxt, cur]
     return [] if nxt == inverse(cur) else None
 
 
@@ -438,7 +446,8 @@ def simplify(h: HomeoExpr) -> HomeoExpr:
     base merge, L^a o L^b = L^(a+b), which takes any run of both to L^C o T_D,
     the identity exactly when C = D = 0.  BC(f) o BC(g) = BC(f o g), and a cell
     is the identity when each of its cell maps within the horizon simplifies
-    to it.  Evaluation agrees with the input.
+    to it.  T_d o Cell(w) = Cell(w) o T_d when w's maps of cells j and j + d
+    agree within the horizon.  Where both evaluate, input and result agree.
     """
     items = [_simplify_leaf(x) for x in _factors(h)]
     items = [x for x in items if not isinstance(x, Identity)]

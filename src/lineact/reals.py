@@ -600,12 +600,6 @@ class Real:
         return ((to_int(lo, round_floor), to_int(lo, round_ceiling)),
                 (to_int(hi, round_floor), to_int(hi, round_ceiling)))
 
-    def err(self) -> Fraction:
-        if self._rat is not None or self._quad is not None:
-            return Fraction(0)
-        lo, hi = self.bounds()
-        return (hi - lo) / 2
-
     def mid(self) -> Fraction:
         if self._rat is not None:
             return self._rat

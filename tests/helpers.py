@@ -23,6 +23,12 @@ def upper(v) -> float:
     return float(abs(v).bounds()[1])
 
 
+def radius(v) -> Fraction:
+    """Half the width of v's enclosure: 0 for an exact value."""
+    lo, hi = v.bounds()
+    return (hi - lo) / 2
+
+
 def _tracked_sqrt(n: int) -> Real:
     p = current_precision().bits
     return Real(None, mpi_sqrt(_mpi_from_fraction(Fraction(n), p), p))

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from helpers import random_tree, rewriting_classes, upper
+from helpers import radius, random_tree, rewriting_classes, upper
 
 from lineact.actions import (
     check_relations,
@@ -68,7 +68,7 @@ def test_criterion_1_dilation_exactness():
             for x in xs:
                 v = evaluate(h, x)
                 assert v.kind == "exact-rational"
-                assert v.err() == 0
+                assert radius(v) == 0
                 assert v.as_fraction() == x.as_fraction() + Fraction(1, n**m)
     report(1, "conjugated translations exact", t0, 1.0)
 
@@ -393,5 +393,5 @@ def test_criterion_9_numeric_core_properties():
             factors.append(f if rng.random() < 0.7 else Inverse(f))
         h = compose(*factors)
         v = evaluate(h, R(rng.randint(-100, 100), rng.randint(1, 20)))
-        assert v.kind == "exact-rational" and v.err() == 0
+        assert v.kind == "exact-rational" and radius(v) == 0
     report(9, "numeric core properties", t0, 600.0)

@@ -3,8 +3,9 @@
 When ``simplify`` proves every defining relation, a certificate judges each
 group element once, at its shortlex-first spelling, and every other spelling
 reports that verdict.  Otherwise it judges every word on its own.  On the
-gallery the relations are proved, and forcing the per-word path must give
-the same verdict list, word for word.  A spec file whose relation fails
+gallery, and on the sqrt2 direct-product extension (``sqrt2_extension``),
+the relations are proved, and forcing the per-word path must give the same
+verdict list, word for word.  A spec file whose relation fails
 takes the per-word path: two spellings of one element get verdicts of
 their own.
 """
@@ -14,7 +15,13 @@ from fractions import Fraction as F
 import pytest
 
 import lineact.dynamics as dyn
-from lineact.actions import gallery, relations_proved
+from lineact.actions import (
+    conjugate_into_unit,
+    direct_product_extension,
+    extend_action,
+    gallery,
+    relations_proved,
+)
 from lineact.dynamics import wandering_certificate
 from lineact.parse import parse_action_file
 from lineact.reals import Interval
@@ -29,7 +36,15 @@ CASES = [
     ("ex_1_4", {"k": 2}, (F(1, 5), F(3, 10)), 6),
     ("ex_1_4", {"k": 3}, (F(1, 5), F(3, 10)), 5),
     ("free_transitive", {}, (F(1, 10), F(1, 5)), 5),
+    ("sqrt2_extension", {}, (F(1, 10), F(1, 5)), 4),
 ]
+
+
+def _action(name, params):
+    if name == "sqrt2_extension":
+        inner = conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2"))
+        return extend_action(direct_product_extension(inner, coset_label="t"))
+    return gallery(name, **params)
 
 
 def _listing(cert):
@@ -40,7 +55,7 @@ def _listing(cert):
                          ids=[c[0] + "".join(f"-k{k}" for k in c[1].values()) + f"-r{c[3]}"
                               for c in CASES])
 def test_per_element_verdicts_match_per_word_verdicts(monkeypatch, name, params, ends, radius):
-    act = gallery(name, **params)
+    act = _action(name, params)
     J = Interval.open(*ends)
     assert relations_proved(act)
     by_element = wandering_certificate(act, J, radius)

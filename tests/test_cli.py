@@ -184,6 +184,22 @@ class TestDispatch:
         assert doc["result"]["worst_residual"]["value"] == "1/1000"
         assert "tol" not in doc["config"] and "tolerance" not in doc["result"]
 
+    def test_sampled_zeros_are_not_a_proof(self, capsys, tmp_path):
+        # a b != b a (at 1/2, about 1.6125 against 1.25), yet both sides agree
+        # at the four odd integers of a 4-point grid on (-4, 4): exact zeros
+        # that prove nothing, and a fifth point refutes the relation
+        spec = tmp_path / "lucky.spec"
+        spec.write_text("group free_abelian 2\ngen a = unitpowerladder(2, 1)\n"
+                        "gen b = affine(1, 1)\n")
+        argv = ["relations", "--spec", str(spec), "--window", "-4", "4", "--points"]
+        code, doc = run_json(capsys, *argv, "4")
+        (rel,) = doc["result"]["relations"]
+        assert code == 1 and doc["result"]["passed"] is False
+        assert rel["passed"] is False and rel["structural"] is False
+        assert rel["residual"]["value"] == "0"
+        code, doc = run_json(capsys, *argv, "5")
+        assert code == 1 and doc["result"]["worst_residual"]["approx"] > 0.9
+
     def test_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "a.spec"
         spec.write_text(

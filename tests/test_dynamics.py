@@ -13,6 +13,7 @@ from lineact.actions import (
     extend_action,
     gallery,
     realize,
+    relations_proved,
 )
 from lineact.dynamics import (
     ConstructionFailed,
@@ -237,9 +238,11 @@ class TestWanderingCertificate:
 
     def test_horizon_stops_a_word_not_the_sweep(self):
         # the free word a t^3 reaches cell 3, beyond a horizon of 2: it is a
-        # violation that names the horizon, and both sweeps finish
+        # violation that names the horizon, and both sweeps finish; with pi,
+        # a b = b a is unproved, so every word is judged as its own
         act = extend_action(direct_product_extension(
-            conjugate_into_unit(gallery("ex_1_2")), "t", horizon=2))
+            conjugate_into_unit(gallery("ex_1_2", alpha="pi")), "t", horizon=2))
+        assert not relations_proved(act)
         J = Interval.open(Fraction(1, 10), Fraction(2, 10))
         cert = wandering_certificate(act, J, 4)
         stopped = {str(v.word): v for v in cert.verdicts if "horizon" in v.reason}

@@ -30,7 +30,7 @@ from lineact.reals import (
     Interval, PrecisionExhausted, Real, current_precision, precision, retry_precision,
 )
 
-from helpers import tracked_sqrt2
+from helpers import radius, tracked_sqrt2
 
 R = Real.rational
 
@@ -512,4 +512,4 @@ def test_all_affine_rational_pipeline_is_exact():
         x = R(rng.randint(-100, 100), rng.randint(1, 20))
         v = evaluate(h, x)
         assert v.kind == "exact-rational"
-        assert v.err() == 0
+        assert radius(v) == 0

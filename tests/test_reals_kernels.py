@@ -125,11 +125,6 @@ def ref_hull(a: "Real", b: "Real") -> "Real":
     ))
 
 
-def ref_err(self) -> Fraction:
-    lo, hi = self.bounds()
-    return (hi - lo) / 2
-
-
 def ref_mid(self) -> Fraction:
     lo, hi = self.bounds()
     return (lo + hi) / 2
@@ -244,7 +239,7 @@ def test_hull_matches_reference(a, b, prec, how_a, how_b):
 @given(fractions(), st.sampled_from(["exact", "tracked", "hull"]))
 def test_mid_err_match_reference(q, how):
     x = reals(q, how)
-    assert (x.mid(), x.err()) == (ref_mid(x), ref_err(x))
+    assert x.mid() == ref_mid(x)
 
 
 @st.composite
