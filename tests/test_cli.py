@@ -127,6 +127,19 @@ class TestDispatch:
         iv = doc["result"]["interval"]
         assert 0.0 < iv["lo_approx"] < iv["hi_approx"] < 1.0
 
+    def test_wander_find_ladder_pivot_needs_no_grid(self, capsys):
+        # g is a ladder node, whose fixed set (the integers) is read from the
+        # node: a two-point grid, which sees only the window's ends, still
+        # gives the gap (0, 1)
+        code, doc = run_json(
+            capsys, "wander-find", "--gallery", "klein_bottle",
+            "--window", "-4", "4", "--grid", "2",
+        )
+        assert code == 0
+        res = doc["result"]
+        assert (res["component"]["lo"], res["component"]["hi"]) == ("0", "1")
+        assert (res["interval"]["lo"], res["interval"]["hi"]) == ("7/16", "9/16")
+
     def test_classify(self, capsys):
         code, doc = run_json(
             capsys, "classify", "--gallery", "ex_1_1", "--point", "0",

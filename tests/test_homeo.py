@@ -94,6 +94,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Affine(R(-2), R(1))
 
+    def test_unit_slope_adds_without_a_multiply(self, monkeypatch):
+        # a translation by a non-integer b is x + b, with the endpoints of
+        # 1 * x + b: on an exact quadratic and on a tracked point
+        cases = [(Affine(R(1), Real.sqrt2()), Real.sqrt2() / R(3)),
+                 (Affine(R(1), Real.pi()), R(1, 3) + tracked_sqrt2())]
+        want = [h.a * x + h.b for h, x in cases]
+
+        def no_multiply(*args):
+            raise AssertionError("Real.__mul__ called")
+
+        monkeypatch.setattr(Real, "__mul__", no_multiply)
+        got = [evaluate(h, x) for h, x in cases]
+        assert [y.kind for y in got] == ["exact-quadratic", "tracked-real"]
+        assert [y.bounds() for y in got] == [y.bounds() for y in want]
+
 
 def reference_eval_ladder(node: UnitPowerLadder, x: Real, fine=None) -> Real:
     """The ladder evaluator as it was before its cell constants were cached,
@@ -336,6 +351,14 @@ class TestSimplify:
             assert a.is_rational and b.is_rational and a.as_fraction() == b.as_fraction()
 
 
+# 45 rational windows (every pair of ten ends inside (-4.5, 4.5)), an exact
+# quadratic end and two tracked ends
+_ENDS = [Fraction(-22, 5), -4, Fraction(-7, 2), -2, Fraction(-1, 3), 0,
+         Fraction(1, 2), 1, 3, Fraction(22, 5)]
+_WINDOWS = [(a, b) for i, a in enumerate(_ENDS) for b in _ENDS[i + 1:]] \
+    + [(Real.sqrt2(), 5), (-Real.pi(), Real.e())]
+
+
 class TestFixedPoints:
     def test_translation_has_none(self):
         # a translation by 10^-13 moves every point, however little
@@ -406,6 +429,59 @@ class TestFixedPoints:
         rep = fixed_points(OddPower(3, root=True), window, 2)
         assert tried == [(256, True), (512, False)]
         assert [(p.is_rational, p.as_fraction()) for p in rep.fixed_points] == [(True, 1)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, -1, Fraction(1, 2)])
+    def test_ladder_report_is_the_grid_report(self, k, s):
+        # wherever the grid spacing is under 1, the grid brackets each
+        # integer alone, and its report is the one read from the node
+        h = UnitPowerLadder(k, s)
+        for lo, hi in _WINDOWS:
+            window = Interval.open(lo, hi)
+            for grid_n in (256, 512):
+                assert fixed_points(h, window, grid_n) \
+                    == homeo._fixed_points_pass(h, window, grid_n), (lo, hi, grid_n)
+
+    def test_ladder_node_is_not_scanned(self, monkeypatch):
+        scanned = []
+        one_pass = homeo._fixed_points_pass
+
+        def spy(h, window, grid_n):
+            scanned.append(h)
+            return one_pass(h, window, grid_n)
+
+        monkeypatch.setattr(homeo, "_fixed_points_pass", spy)
+        window = Interval.open(-3, Real.pi())
+        for h in (UnitPowerLadder(1, 1), UnitPowerLadder(3, Fraction(-2, 3))):
+            assert fixed_points(h, window, 512).fixed_points == [R(n) for n in range(-3, 4)]
+        assert scanned == []
+        fixed_points(OddPower(3), window, 16)
+        assert scanned == [OddPower(3)]
+
+    def test_tracked_window_ends_holding_integers(self):
+        # the range runs between the inner bounds of the window's ends, so
+        # an integer inside an end's enclosure is not listed
+        window = Interval.open(Real.hull(R(-1, 100), R(1, 100)),
+                               Real.hull(R(299, 100), R(301, 100)))
+        h = UnitPowerLadder(2, 1)
+        rep = fixed_points(h, window, 64)
+        assert rep.fixed_points == [R(1), R(2)]
+        assert rep == homeo._fixed_points_pass(h, window, 64)
+
+    def test_coarse_grid_misses_no_integer(self):
+        # a two-point grid is the window's ends, both fixed: a scan on it
+        # lists those two alone
+        rep = fixed_points(UnitPowerLadder(1, 1), Interval.open(-4, 4), 2)
+        assert rep.fixed_points == [R(n) for n in range(-4, 5)]
+        assert [str(c) for c in rep.complement_intervals] \
+            == [f"({n}, {n + 1})" for n in range(-4, 4)]
+
+    def test_far_cells_need_no_power(self):
+        # the cells below -24 of base 2 have exponents 2**t with t > 2**24,
+        # out of the range a grid point there would need evaluated
+        rep = fixed_points(UnitPowerLadder(2, 1), Interval.open(-30, -20), 64)
+        assert rep.fixed_points == [R(n) for n in range(-30, -19)]
+        assert len(rep.complement_intervals) == 10
 
 
 class TestIsIdentityOn:
