@@ -267,8 +267,9 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
                 "construct a wandering interval from fixed-set geometry"):
         p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))
         p.add_argument("--grid", type=int, default=512,
-                       help="grid points of the fixed-point scan of a pivot "
-                            "that is not a ladder")
+                       help="grid points of the pivot's fixed-point scan, which "
+                            "a ladder pivot skips when the window holds at most "
+                            "this many integers")
 
     if p := cmd("cantor", _cmd_cantor, "run the nested-interval construction", csv=True):
         p.add_argument("--depth", type=int, required=True)

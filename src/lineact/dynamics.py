@@ -349,11 +349,12 @@ def find_wandering_interval(act: Action, window: Interval,
     """Construct a candidate wandering interval from the fixed-set geometry.
 
     Finds the innermost generator with fixed points missing somewhere in the
-    window (a ladder pivot's are read from its node, any other's from a scan
-    on ``grid_n`` points), takes the maximal complement component nearest
-    the window center, verifies the invariance and disjointness claims along
-    the generator chain, then shrinks a subinterval off itself under the
-    pivot generator.
+    window (a ladder pivot's are read from its node when the window holds at
+    most ``grid_n`` integers, else they come from a scan on ``grid_n``
+    points), takes the maximal complement component nearest the window
+    center, verifies the invariance and disjointness claims along the
+    generator chain, then shrinks a subinterval off itself under the pivot
+    generator.
     """
     chain = _wandering_chain(act)
 

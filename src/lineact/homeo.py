@@ -84,8 +84,6 @@ class Affine:
 
     a: Real
     b: Real
-    # whether a is exactly 1, so the map is the translation x -> x + b
-    unit_slope: bool = field(init=False, repr=False, compare=False)
     # d when the map is the integer translation T_d: x -> x + d, else None
     translation: Optional[int] = field(init=False, repr=False, compare=False)
 
@@ -94,8 +92,7 @@ class Affine:
         object.__setattr__(self, "b", Real.coerce(self.b))
         if self.a.cmp(_ZERO) != 1:
             raise ValueError("affine coefficient a must be certainly positive")
-        object.__setattr__(self, "unit_slope", self.a == 1)
-        d = self.b.as_fraction() if self.unit_slope and self.b.is_rational else None
+        d = self.b.as_fraction() if self.a == 1 and self.b.is_rational else None
         object.__setattr__(self, "translation",
                            d.numerator if d is not None and d.denominator == 1 else None)
 
@@ -294,9 +291,7 @@ def _eval_extension_cell(node: ExtensionCell, x: Real) -> Real:
 
 def _eval_affine(h: Affine, x: Real) -> Real:
     d = h.translation
-    if d is not None:
-        return x.shift(d)
-    return x + h.b if h.unit_slope else h.a * x + h.b
+    return h.a * x + h.b if d is None else x.shift(d)
 
 
 def _eval_odd_power(node: OddPower, x: Real) -> Real:
@@ -485,12 +480,13 @@ class FixReport:
     """Fixed-point structure of a map on a finite window.
 
     ``fixed_points`` are, left to right, exact rationals or enclosures: for
-    a ladder node, the integers of the grid's range, read from the node;
-    else the grid points h fixes exactly and one point per sign change of
-    h(x) - x between neighbours (an exact rational h fixes, or an
-    enclosure).  ``complement_intervals`` are the open gaps between
-    consecutive ones and the window's ends.  A gap between two adjacent
-    fixed grid points may itself be fixed pointwise.
+    a ladder node whose window holds at most as many integers as the grid
+    has points, those integers, read from the node; else the grid points h
+    fixes exactly and one point per sign change of h(x) - x between
+    neighbours (an exact rational h fixes, or an enclosure).
+    ``complement_intervals`` are the open gaps between consecutive ones and
+    the window's ends.  A gap between two adjacent fixed grid points may
+    itself be fixed pointwise.
     """
 
     fixed_points: list[Real]
@@ -502,21 +498,24 @@ def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256) -> FixReport
 
     The grid runs between the window's ends, or their inner dyadic bounds
     when they are tracked, so its points are exact rationals.  A ladder
-    node's fixed points are read from the node, without evaluating it: on a
-    cell, u**(2**t) = u for u in (0, 1) only at t = 0, and no cell exponent
-    is 0, so Fix(h) = Z, and the report lists the integers of the grid's
-    closed range.  Any other h is scanned on ``grid_n`` points plus
-    bisection: a grid point is fixed when h(x) - x is exactly 0, and only h
-    can leave a sign uncertain; then the scan retries at higher precision.
+    node fixes exactly the integers (on a cell, u**(2**t) = u for u in
+    (0, 1) only at t = 0, and no cell exponent is 0); when the grid's
+    closed range holds at most ``grid_n`` of them, the report lists them
+    without evaluating h.  Any other h, and a ladder over more integers, is
+    scanned on ``grid_n`` points plus bisection: a grid point is fixed when
+    h(x) - x is exactly 0, and only h can leave a sign uncertain; then the
+    scan retries at higher precision.
     """
     if window.diameter().cmp(_ZERO) != 1:
         raise WindowDegenerate("window may be a single point")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     if isinstance(h, UnitPowerLadder):
-        lo, hi = window.lo.bounds()[1], window.hi.bounds()[0]
-        fixed = [Real.rational(n) for n in range(math.ceil(lo), math.floor(hi) + 1)]
-        return FixReport(fixed, _complement(window, fixed))
+        lo = math.ceil(window.lo.bounds()[1])
+        hi = math.floor(window.hi.bounds()[0])
+        if hi - lo < grid_n:
+            fixed = [Real.rational(n) for n in range(lo, hi + 1)]
+            return FixReport(fixed, _complement(window, fixed))
     return retry_precision(lambda: _fixed_points_pass(h, window, grid_n))
 
 

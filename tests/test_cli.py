@@ -129,16 +129,16 @@ class TestDispatch:
 
     def test_wander_find_ladder_pivot_needs_no_grid(self, capsys):
         # g is a ladder node, whose fixed set (the integers) is read from the
-        # node: a two-point grid, which sees only the window's ends, still
-        # gives the gap (0, 1)
+        # node: a four-point grid on (-0.1, 3.1) skips 1 and 2, and its gap
+        # (0, 3) is not moved off itself by f
         code, doc = run_json(
             capsys, "wander-find", "--gallery", "klein_bottle",
-            "--window", "-4", "4", "--grid", "2",
+            "--window", "-0.1", "3.1", "--grid", "4",
         )
         assert code == 0
         res = doc["result"]
-        assert (res["component"]["lo"], res["component"]["hi"]) == ("0", "1")
-        assert (res["interval"]["lo"], res["interval"]["hi"]) == ("7/16", "9/16")
+        assert (res["component"]["lo"], res["component"]["hi"]) == ("1", "2")
+        assert (res["interval"]["lo"], res["interval"]["hi"]) == ("23/16", "25/16")
 
     def test_classify(self, capsys):
         code, doc = run_json(

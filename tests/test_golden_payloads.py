@@ -69,15 +69,6 @@ They are checked as well for a ``classify`` result that mixes its kinds: a
 certified one (``"heuristic": false``) carries a non-empty ``basis`` and
 no ``evidence``, a heuristic one ``evidence`` and no ``basis``.
 
-When a ladder node's fixed set came to be read from the node (the integers
-of the window), the old input of ``wander_find_failed``, klein_bottle with
-``--grid 2`` on (-4, 4), came to construct J = (7/16, 9/16): the two-point
-grid had seen only the window's ends as fixed.  Its input became the spec
-``tests/golden/wander_find_failed.spec`` (g = x^3, f = x + 1/10 in B(1,-1))
-on (-4, 4), which fails through the grid scan of g, and the golden was
-written anew; the spec path is relative to the repository root, where every
-case runs.  No other golden or demo output changed.
-
 To rewrite the files after an intended payload change::
 
     PYTHONPATH=src python tests/test_golden_payloads.py
@@ -94,8 +85,7 @@ import pytest
 
 from lineact.cli import main
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GOLDEN = os.path.join(ROOT, "tests", "golden")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 # file name -> (exit status, argv)
 CASES = {
@@ -143,26 +133,18 @@ CASES = {
                                "--depth", "3", "--radius", "5"]),
     "cantor_no_move.json": (1, ["cantor", "--gallery", "ex_1_1", "--depth", "2",
                                 "--radius", "5"]),
-    # g = x^3 fixes -1, 0 and 1, and f = x + 1/10 does not move the gap
-    # (0, 1) off itself; the spec path is relative to the repository root
-    "wander_find_failed.json": (1, ["wander-find", "--spec",
-                                    "tests/golden/wander_find_failed.spec",
-                                    "--window", "-4", "4"]),
+    # on a two-point grid only the window's ends show as fixed, and f does
+    # not move (-4, 4) off itself
+    "wander_find_failed.json": (1, ["wander-find", "--gallery", "klein_bottle",
+                                    "--window", "-4", "4", "--grid", "2"]),
 }
 
 
 @lru_cache(maxsize=None)
 def _run(argv: tuple[str, ...]) -> tuple[int, str]:
-    """Run one case from the repository root, which a spec path is relative
-    to, as the config echoes it."""
     buf = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
-    try:
-        with redirect_stdout(buf):
-            code = main(list(argv))
-    finally:
-        os.chdir(cwd)
+    with redirect_stdout(buf):
+        code = main(list(argv))
     return code, buf.getvalue()
 
 

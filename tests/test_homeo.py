@@ -94,21 +94,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Affine(R(-2), R(1))
 
-    def test_unit_slope_adds_without_a_multiply(self, monkeypatch):
-        # a translation by a non-integer b is x + b, with the endpoints of
-        # 1 * x + b: on an exact quadratic and on a tracked point
-        cases = [(Affine(R(1), Real.sqrt2()), Real.sqrt2() / R(3)),
-                 (Affine(R(1), Real.pi()), R(1, 3) + tracked_sqrt2())]
-        want = [h.a * x + h.b for h, x in cases]
-
-        def no_multiply(*args):
-            raise AssertionError("Real.__mul__ called")
-
-        monkeypatch.setattr(Real, "__mul__", no_multiply)
-        got = [evaluate(h, x) for h, x in cases]
-        assert [y.kind for y in got] == ["exact-quadratic", "tracked-real"]
-        assert [y.bounds() for y in got] == [y.bounds() for y in want]
-
 
 def reference_eval_ladder(node: UnitPowerLadder, x: Real, fine=None) -> Real:
     """The ladder evaluator as it was before its cell constants were cached,
@@ -442,21 +427,39 @@ class TestFixedPoints:
                 assert fixed_points(h, window, grid_n) \
                     == homeo._fixed_points_pass(h, window, grid_n), (lo, hi, grid_n)
 
-    def test_ladder_node_is_not_scanned(self, monkeypatch):
-        scanned = []
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        """The maps handed to the grid pass, in call order."""
+        maps = []
         one_pass = homeo._fixed_points_pass
 
         def spy(h, window, grid_n):
-            scanned.append(h)
+            maps.append(h)
             return one_pass(h, window, grid_n)
 
         monkeypatch.setattr(homeo, "_fixed_points_pass", spy)
+        return maps
+
+    def test_ladder_node_is_not_scanned(self, scanned):
         window = Interval.open(-3, Real.pi())
         for h in (UnitPowerLadder(1, 1), UnitPowerLadder(3, Fraction(-2, 3))):
             assert fixed_points(h, window, 512).fixed_points == [R(n) for n in range(-3, 4)]
         assert scanned == []
         fixed_points(OddPower(3), window, 16)
         assert scanned == [OddPower(3)]
+
+    def test_ladder_over_more_integers_than_grid_points_is_scanned(self, scanned):
+        # the report stays within the grid's size: (-4, 4) holds 9 integers,
+        # read from the node on 9 grid points and scanned on 8
+        h = UnitPowerLadder(1, 1)
+        assert len(fixed_points(h, Interval.open(-4, 4), 9).fixed_points) == 9
+        assert scanned == []
+        assert len(fixed_points(h, Interval.open(-4, 4), 8).fixed_points) < 9
+        assert scanned == [h]
+        # two billion integers cost no more than the grid
+        rep = fixed_points(h, Interval.open(-10**9, 10**9), 512)
+        assert scanned == [h, h]
+        assert len(rep.fixed_points) < 512
 
     def test_tracked_window_ends_holding_integers(self):
         # the range runs between the inner bounds of the window's ends, so
@@ -469,12 +472,16 @@ class TestFixedPoints:
         assert rep == homeo._fixed_points_pass(h, window, 64)
 
     def test_coarse_grid_misses_no_integer(self):
-        # a two-point grid is the window's ends, both fixed: a scan on it
-        # lists those two alone
-        rep = fixed_points(UnitPowerLadder(1, 1), Interval.open(-4, 4), 2)
-        assert rep.fixed_points == [R(n) for n in range(-4, 5)]
+        # four integers on the four grid points -1/10, 29/30, 61/30 and
+        # 31/10: 1 and 2 lie between two neighbours in cells of one sign,
+        # so a scan on that grid lists 0 and 3 alone
+        h = UnitPowerLadder(1, 1)
+        window = Interval.open(Fraction(-1, 10), Fraction(31, 10))
+        assert homeo._fixed_points_pass(h, window, 4).fixed_points == [R(0), R(3)]
+        rep = fixed_points(h, window, 4)
+        assert rep.fixed_points == [R(n) for n in range(4)]
         assert [str(c) for c in rep.complement_intervals] \
-            == [f"({n}, {n + 1})" for n in range(-4, 4)]
+            == ["(-1/10, 0)", "(0, 1)", "(1, 2)", "(2, 3)", "(3, 31/10)"]
 
     def test_far_cells_need_no_power(self):
         # the cells below -24 of base 2 have exponents 2**t with t > 2**24,
