@@ -26,7 +26,6 @@ from .homeo import (
     Inverse,
     OddPower,
     UnitPowerLadder,
-    WindowDegenerate,
     compose,
     eval_interval,
     evaluate,
@@ -68,7 +67,6 @@ from .dynamics import (
     CantorLadder,
     ConstructionFailed,
     LadderParams,
-    NoMovingPair,
     NotApplicable,
     OrbitClosureClass,
     OrbitPoint,

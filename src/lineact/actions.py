@@ -68,11 +68,11 @@ __all__ = [
 ]
 
 
-class UnknownGalleryName(Exception):
+class UnknownGalleryName(ValueError):
     pass
 
 
-class BadParameter(Exception):
+class BadParameter(ValueError):
     pass
 
 

@@ -51,7 +51,6 @@ from .words import GroupElement, Presentation, key_rule, multiply, normal_form_k
 
 __all__ = [
     "NotApplicable",
-    "NoMovingPair",
     "ConstructionFailed",
     "OrbitPoint",
     "orbit",
@@ -73,16 +72,13 @@ __all__ = [
 ]
 
 
-class NotApplicable(Exception):
+class NotApplicable(ValueError):
     """The operation's supported group family does not cover this action."""
 
 
-class NoMovingPair(Exception):
-    """No word in the search ball moves any sample point within the seed."""
-
-
 class ConstructionFailed(Exception):
-    """A construction invariant failed; carries a diagnosis and any partial result."""
+    """A construction invariant failed; carries a diagnosis and the partial
+    result, or None when the construction could not start."""
 
     def __init__(self, message: str, partial):
         super().__init__(message)
@@ -180,7 +176,8 @@ def coverage_gap(points: Sequence, window: Interval) -> Real:
     window diameter.
     """
     values = [p.value if isinstance(p, OrbitPoint) else Real.coerce(p) for p in points]
-    return _largest_gap(_in_window(values, window), window)
+    a, b = _widest_gap([window.lo, *_in_window(values, window), window.hi])
+    return b - a
 
 
 def _in_window(values: list[Real], window: Interval) -> list[Real]:
@@ -189,16 +186,10 @@ def _in_window(values: list[Real], window: Interval) -> list[Real]:
     return [v for v in values if lo <= v.mid() <= hi]
 
 
-def _largest_gap(values: list[Real], window: Interval) -> Real:
-    """coverage_gap of sorted values already known to lie in the window."""
-    best = _ZERO
-    prev = window.lo
-    for v in values + [window.hi]:
-        gap = v - prev
-        if gap.mid() > best.mid():
-            best = gap
-        prev = v
-    return best
+def _widest_gap(points: list[Real]) -> tuple[Real, Real]:
+    """The first consecutive pair of sorted points whose difference has the
+    largest midpoint."""
+    return max(zip(points, points[1:]), key=lambda ab: (ab[1] - ab[0]).mid())
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +572,10 @@ def cantor_ladder(act: Action, depth: int, radius: int,
 
     Each level finds a word moving a point rightward within the previous
     interval, shrinks a neighborhood until it separates from its image,
-    lays a unit grid fine enough for the level index, and takes a maximal
+    lays a unit grid fine enough for the level index, and takes the widest
     gap of the grid's depth-limited orbit as the next interval.  Raises
-    NoMovingPair when the seed admits no move at all, ConstructionFailed
-    (with the partial ladder attached) when a deeper level gets stuck.
+    ConstructionFailed when a level gets stuck: with no partial when the
+    seed admits no move at all, else with the ladder built so far.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -605,9 +596,8 @@ def cantor_ladder(act: Action, depth: int, radius: int,
         found = _movers(act, U_prev, radius)
         if found is None:
             if i == 1:
-                raise NoMovingPair(
-                    f"no word of length <= {radius} moves a point within {U_prev}"
-                )
+                raise ConstructionFailed(
+                    f"no word of length <= {radius} moves a point within {U_prev}", None)
             raise failed(f"no moving pair inside {U_prev} at radius {radius}")
         w, x, delta = found
         V = Interval.open(x - delta, x + delta)
@@ -616,13 +606,7 @@ def cantor_ladder(act: Action, depth: int, radius: int,
         S = _grid_orbit_in(act, _grid_fractions(ii), V, orbit_depth)
         if len(S) < 2:
             raise failed(f"grid orbit left fewer than two points in {V}")
-        gap_best = None
-        for a, b in zip(S, S[1:]):
-            width = (b - a).mid()
-            if gap_best is None or width > gap_best[2]:
-                gap_best = (a, b, width)
-        a, b, _ = gap_best
-        U_i = Interval.open(a, b)
+        U_i = Interval.open(*_widest_gap(S))
         levels.append(LadderLevel(i, w, x, V, ii, U_i))
         U_prev = U_i
 
@@ -885,7 +869,7 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     if len(inside) <= 1:
         return OrbitClosureClass("fixed-point", evidence)
 
-    gap = _largest_gap(inside, window)
+    gap = coverage_gap(inside, window)
     evidence["coverage_gap"] = approx_float(gap.mid())
     evidence["window_diameter"] = approx_float(diam.mid())
     if gap.mid() < _DENSE_FRACTION * diam.mid():

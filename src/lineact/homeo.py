@@ -48,7 +48,6 @@ __all__ = [
     "Compose",
     "Inverse",
     "HorizonExceeded",
-    "WindowDegenerate",
     "evaluate",
     "eval_interval",
     "inverse",
@@ -61,12 +60,8 @@ __all__ = [
 ]
 
 
-class HorizonExceeded(Exception):
+class HorizonExceeded(ValueError):
     """Evaluation requested in a cell beyond the configured horizon."""
-
-
-class WindowDegenerate(Exception):
-    """A search window may be a single point."""
 
 
 # Cells with |2^t| needing more than this many bits to scale are rejected.
@@ -493,7 +488,7 @@ class FixReport:
     complement_intervals: list[Interval]
 
 
-def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256) -> FixReport:
+def fixed_points(h: HomeoExpr, window: Interval, grid_n: int) -> FixReport:
     """Locate Fix(h) inside a window, exactly.
 
     The grid runs between the window's ends, or their inner dyadic bounds
@@ -504,10 +499,11 @@ def fixed_points(h: HomeoExpr, window: Interval, grid_n: int = 256) -> FixReport
     without evaluating h.  Any other h, and a ladder over more integers, is
     scanned on ``grid_n`` points plus bisection: a grid point is fixed when
     h(x) - x is exactly 0, and only h can leave a sign uncertain; then the
-    scan retries at higher precision.
+    scan retries at higher precision.  A window that may be a single point,
+    and a ``grid_n`` under 2, raise ValueError.
     """
     if window.diameter().cmp(_ZERO) != 1:
-        raise WindowDegenerate("window may be a single point")
+        raise ValueError("window may be a single point")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     if isinstance(h, UnitPowerLadder):

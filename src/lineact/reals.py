@@ -629,9 +629,6 @@ class Real:
             return (approx_float(_end_fraction(h)), _END_ORDER(h))
         return (to_float(h, rnd=round_nearest), _END_ORDER(h))
 
-    def __float__(self) -> float:
-        return float(self.mid())
-
     def _as_mpi(self, prec: int):
         q = self._rat
         if q is None and self._quad is None:

@@ -44,11 +44,11 @@ __all__ = [
 ]
 
 
-class UnknownGenerator(Exception):
+class UnknownGenerator(ValueError):
     pass
 
 
-class UnsupportedPresentation(Exception):
+class UnsupportedPresentation(ValueError):
     pass
 
 
@@ -366,10 +366,11 @@ def free_reduced_words(p: Presentation, radius: int,
 
 
 def parse_word(p: Presentation, text: str) -> GroupElement:
-    """Parse 'a^2 b^-1 a' style words over the presentation's labels."""
+    """Parse 'a^2 b^-1 a' style words over the presentation's labels;
+    '1', as the identity prints, is no letter."""
     letters: list[Letter] = []
     for tok in text.split():
-        if tok in ("1", "e"):
+        if tok == "1":
             continue
         if "^" in tok:
             lab, _, exp = tok.partition("^")

@@ -28,6 +28,7 @@ from lineact.actions import (
     gallery,
     homomorphism_residual,
     realize,
+    relations_proved,
     sample_points,
 )
 from lineact.dynamics import (
@@ -217,6 +218,9 @@ def test_criterion_5_extension_operator():
     pts = sample_points(Interval.closed(-3, 3), 50)
     residual = homomorphism_residual(act, 200, pts, 6, seed=0)
     assert upper(residual) <= 1e-20
+    # von Dyck: the images extend to the group since every relator is proved
+    # the identity
+    assert relations_proved(act)
 
     rng = random.Random(42)
     for U, V in _random_pairs(rng, 10):

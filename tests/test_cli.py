@@ -165,8 +165,8 @@ class TestDispatch:
         assert doc["result"]["homomorphism_ok"] is True
 
     def test_extend_with_tracked_alpha_is_not_proved(self, capsys):
-        # with pi as a tracked enclosure the residual is an enclosure around
-        # zero, never a certain zero, so the homomorphism is not proved
+        # with pi as a tracked enclosure a b = b a is not proved, so neither
+        # is the homomorphism, and the residual is an enclosure around zero
         code, doc = run_json(
             capsys, "extend", "--alpha", "pi", "--pairs", "4", "--points", "2",
         )
@@ -174,6 +174,18 @@ class TestDispatch:
         res = doc["result"]
         assert res["homomorphism_ok"] is False
         assert res["homomorphism_residual"]["kind"] == "tracked-real"
+
+    def test_extend_homomorphism_is_its_relations(self, capsys):
+        # every round trip in these five pairs stays exact, so the residual
+        # is exactly 0, yet with pi the relation a b = b a is not proved
+        code, doc = run_json(
+            capsys, "extend", "--alpha", "pi", "--pairs", "5", "--points", "3",
+        )
+        assert code == 1
+        res = doc["result"]
+        assert res["homomorphism_residual"]["value"] == "0"
+        assert res["relations"]["passed"] is False
+        assert res["homomorphism_ok"] is False
 
     def test_gallery_params_orbit(self, capsys):
         code, doc = run_json(

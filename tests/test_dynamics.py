@@ -18,7 +18,6 @@ from lineact.actions import (
 from lineact.dynamics import (
     ConstructionFailed,
     LadderParams,
-    NoMovingPair,
     NotApplicable,
     cantor_ladder,
     check_ladder,
@@ -309,9 +308,23 @@ class TestFindWanderingInterval:
 
 class TestCantorLadder:
     def test_wandering_seed_has_no_moving_pair(self):
-        with pytest.raises(NoMovingPair):
+        with pytest.raises(ConstructionFailed, match="no word of length <= 5") as exc:
             cantor_ladder(gallery("ex_1_1"), 2, 5,
                           Interval.open(0, Fraction(1, 2)))
+        assert exc.value.partial is None
+
+    def test_equal_gaps_take_the_first(self):
+        # with no orbit words the level's sample is the grid alone: 1/7, 2/7
+        # and 3/7 lie in V, and of the two equal gaps the first is U_1
+        lad = cantor_ladder(gallery("ex_1_4", k=2), 1, 3,
+                            Interval.open(Fraction(1, 10), Fraction(9, 10)),
+                            LadderParams(orbit_depth=0))
+        (lvl,) = lad.levels
+        V = lvl.v_interval
+        assert lvl.grid_size == 7
+        assert [j for j in range(8) if V.lo.cmp(R(j, 7)) == -1 and R(j, 7).cmp(V.hi) == -1] \
+            == [1, 2, 3]
+        assert (lvl.u_interval.lo, lvl.u_interval.hi) == (R(1, 7), R(2, 7))
 
     def test_depth_two_at_small_radius(self):
         act = gallery("ex_1_4", k=2)

@@ -16,7 +16,6 @@ from lineact.homeo import (
     Inverse,
     OddPower,
     UnitPowerLadder,
-    WindowDegenerate,
     compose,
     eval_interval,
     evaluate,
@@ -47,6 +46,11 @@ def upper(v):
 class TestEvaluate:
     def test_unit_translation(self):
         assert evaluate(affine(1, 1), R(0)).as_fraction() == 1
+
+    def test_int_and_fraction_points(self):
+        # a point may be any RealLike: 2x + 1 at 3 and at -1/4
+        assert evaluate(affine(2, 1), 3) == R(7)
+        assert evaluate(affine(2, 1), Fraction(-1, 4)) == R(1, 2)
 
     def test_ladder_even_cell_exact(self):
         # cell 0 of the k=2 ladder squares its argument
@@ -384,7 +388,7 @@ class TestFixedPoints:
         assert [str(c) for c in rep.complement_intervals] == [f"(-3, {p})", f"({p}, 3)"]
 
     def test_degenerate_window(self):
-        with pytest.raises(WindowDegenerate):
+        with pytest.raises(ValueError, match="single point"):
             fixed_points(affine(1, 1), Interval.closed(1, 1), 16)
 
     @pytest.mark.parametrize("b, fixed", [((-1, 4), Fraction(1, 4)),

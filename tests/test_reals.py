@@ -161,6 +161,25 @@ class TestRealArithmetic:
         assert big.kind == "exact-quadratic"
         assert str(big).endswith("[exact (a+b*sqrt2)/d: 25431/25430/1 bits]")
 
+    def test_reflected_division(self):
+        # a rational or an int over a Real: the field quotient, exactly
+        assert 3 / fr(4) == fr(3, 4)
+        q = Fraction(1, 3) / Real.sqrt2()
+        assert q.kind == "exact-quadratic"
+        assert q * q == fr(1, 18) and q.cmp(0) == 1
+
+    def test_hull_rounds_an_exact_quadratic_end_outward(self):
+        # (lo, hi) bounds of the hull of sqrt2 and a tracked value: the
+        # quadratic end is rounded outward, by at most a few ulps
+        below = Real.hull(Real.sqrt2(), Real.pi()).bounds()
+        above = Real.hull(Real.pi() - 3, Real.sqrt2()).bounds()
+        ulp = Fraction(1, 2 ** (current_precision().bits - 4))
+        assert below[0] ** 2 <= 2 < (below[0] + ulp) ** 2
+        assert (above[1] - ulp) ** 2 < 2 <= above[1] ** 2
+        with mpmath.workdps(100):
+            hi, lo = (mpmath.mpf(q.numerator) / q.denominator for q in (below[1], above[0]))
+            assert hi >= mpmath.pi and lo <= mpmath.pi - 3
+
     def test_tracked_equality_is_identity(self):
         # one enclosure does not prove one value
         p, q = Real.pi(), Real.pi()

@@ -238,6 +238,28 @@ class TestPresentation:
         with pytest.raises(UnknownGenerator):
             p.generator_index("z")
 
+    def test_default_labels_past_eight_generators(self):
+        assert Presentation.free(8).labels == tuple("abcdefgh")
+        p = Presentation.free(9)
+        assert p.labels == tuple(f"x{i}" for i in range(9))
+        assert parse_word(p, "x8^2 x0").word == ((8, 2), (0, 1))
+
+
+class TestParseWord:
+    def test_printed_words_parse_back(self):
+        for text in ("1", "a b^-1", "b^3 a^-2 b"):
+            w = parse_word(F2, text)
+            assert str(w) == text and parse_word(F2, str(w)) == w
+        assert parse_word(F2, "1").word == () == parse_word(F2, "").word
+
+    def test_a_generator_named_e_is_a_letter(self):
+        p = Presentation.free(2, labels=("e", "f"))
+        assert parse_word(p, "e f^-1").word == ((0, 1), (1, -1))
+
+    def test_repr_is_the_word(self):
+        assert repr(parse_word(F2, "a b^-1")) == "<a b^-1>"
+        assert repr(F2.identity()) == "<1>"
+
 
 letters_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=1),

@@ -3,10 +3,11 @@ coverage package.
 
 Runs pytest in this process under a ``sys.settrace`` line collector, takes
 the statements of ``src/lineact`` from ``ast`` (docstrings left out) and
-writes the statements no test reached, per function, as JSON.  A statement
-counts as reached when any line of its own (its lines, less those of the
-statements nested in it) runs.  An unreached ``raise`` is marked as an
-accepted guard: an argument check or a can't-happen refusal.
+writes the statements no test reached, per function, as JSON, with the
+run's outcome counts (passed, failed, xfailed and any other that occurs).
+A statement counts as reached when any line of its own (its lines, less
+those of the statements nested in it) runs.  An unreached ``raise`` is
+marked as an accepted guard: an argument check or a can't-happen refusal.
 
     python tools/linecov.py --out COVERAGE.json [pytest args ...]
 
@@ -102,6 +103,19 @@ class LineCollector:
         threading.settrace(None)
 
 
+class OutcomeCounts:
+    """A pytest plugin that keeps the summary line's outcome counts."""
+
+    OUTCOMES = ("passed", "failed", "xfailed", "xpassed", "skipped", "error")
+
+    def __init__(self):
+        self.counts = dict.fromkeys(self.OUTCOMES[:3], 0)
+
+    def pytest_terminal_summary(self, terminalreporter):
+        stats = terminalreporter.stats
+        self.counts.update({k: len(stats[k]) for k in self.OUTCOMES if stats.get(k)})
+
+
 def report(hits: set[tuple[str, int]], files: list[str]) -> dict:
     """Counts, and per file and function the unreached statements as
     "line: code", split into ``unreached`` and accepted ``guards``."""
@@ -138,10 +152,11 @@ def main(argv=None) -> int:
     import pytest
 
     collector = LineCollector(set(files))
+    outcomes = OutcomeCounts()
     t0 = time.perf_counter()
     collector.start()
     try:
-        status = pytest.main(pytest_args)
+        status = pytest.main(pytest_args, plugins=[outcomes])
     finally:
         collector.stop()
     elapsed = time.perf_counter() - t0
@@ -149,6 +164,7 @@ def main(argv=None) -> int:
     result = {"command": "python tools/linecov.py " + " ".join(
                   ["--out", args.out] + pytest_args),
               "pytest_exit": int(status), "traced_run_s": round(elapsed, 1),
+              "outcomes": outcomes.counts,
               **report(collector.hits, files)}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
