@@ -11,6 +11,7 @@ precision, or an unreadable or unwritable file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -193,27 +194,20 @@ def _cmd_extend(args):
     }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The line-act parser.  With ``only`` a subcommand's name, the top
-    level and that one subcommand's parser, which parse its argv as the
-    full parser does; with any other ``only``, the full parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The line-act parser."""
     ap = argparse.ArgumentParser(
         prog="line-act",
         description="group actions on the line: evaluation, orbits, "
                     "certificates, constructions",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    names = []
 
     # argparse reads only -3 and -0.5 as values; -1/2, -.5 and -sqrt2 are too
     negative = re.compile(r"^-(\d|\.\d|(%s)$)" % "|".join(_CONSTANTS), re.IGNORECASE)
 
     def cmd(name, fn, help_text, source=True, csv=False):
-        """The subcommand's parser with the shared options, or None when
-        another subcommand was asked for."""
-        names.append(name)
-        if only is not None and name != only:
-            return None
+        """The subcommand's parser with the shared options."""
         # no abbreviations: cantor's --seed-interval would take a stray --seed
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p._negative_number_matcher = negative
@@ -235,82 +229,77 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
     cmd("gallery-list", _cmd_gallery_list, "list catalog actions", source=False)
 
-    if p := cmd("eval", _cmd_eval, "evaluate an expression at a point or interval",
-                source=False):
-        p.add_argument("--expr", required=True)
-        at = p.add_mutually_exclusive_group(required=True)
-        at.add_argument("--point")
-        at.add_argument("--interval", nargs=2, metavar=("LO", "HI"))
+    p = cmd("eval", _cmd_eval, "evaluate an expression at a point or interval",
+            source=False)
+    p.add_argument("--expr", required=True)
+    at = p.add_mutually_exclusive_group(required=True)
+    at.add_argument("--point")
+    at.add_argument("--interval", nargs=2, metavar=("LO", "HI"))
 
-    if p := cmd("relations", _cmd_relations,
-                "check defining relations: proved, or exactly zero at every sample point"):
-        p.add_argument("--points", type=int, default=200)
-        p.add_argument("--window", nargs=2, default=("-5", "5"))
+    p = cmd("relations", _cmd_relations,
+            "check defining relations: proved, or exactly zero at every sample point")
+    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--window", nargs=2, default=("-5", "5"))
 
-    if p := cmd("orbit", _cmd_orbit, "enumerate an orbit sample", csv=True):
-        p.add_argument("--point", required=True)
-        p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--window", nargs=2)
+    p = cmd("orbit", _cmd_orbit, "enumerate an orbit sample", csv=True)
+    p.add_argument("--point", required=True)
+    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--window", nargs=2)
 
-    if p := cmd("transitive", _cmd_transitive, "search for a word moving U onto V"):
-        p.add_argument("--u", nargs=2, required=True, metavar=("LO", "HI"))
-        p.add_argument("--v", nargs=2, required=True, metavar=("LO", "HI"))
-        p.add_argument("--radius", type=int, required=True)
+    p = cmd("transitive", _cmd_transitive, "search for a word moving U onto V")
+    p.add_argument("--u", nargs=2, required=True, metavar=("LO", "HI"))
+    p.add_argument("--v", nargs=2, required=True, metavar=("LO", "HI"))
+    p.add_argument("--radius", type=int, required=True)
 
-    if p := cmd("wander-check", _cmd_wander_check, "certify a wandering interval"):
-        p.add_argument("--interval", nargs=2, required=True, metavar=("LO", "HI"))
-        p.add_argument("--radius", type=int, required=True)
+    p = cmd("wander-check", _cmd_wander_check, "certify a wandering interval")
+    p.add_argument("--interval", nargs=2, required=True, metavar=("LO", "HI"))
+    p.add_argument("--radius", type=int, required=True)
 
-    if p := cmd("wander-find", _cmd_wander_find,
-                "construct a wandering interval from fixed-set geometry"):
-        p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))
-        p.add_argument("--grid", type=int, default=512,
-                       help="grid points of the pivot's fixed-point scan, which "
-                            "a ladder pivot skips when the window holds at most "
-                            "this many integers")
+    p = cmd("wander-find", _cmd_wander_find,
+            "construct a wandering interval from fixed-set geometry")
+    p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))
+    p.add_argument("--grid", type=int, default=512,
+                   help="grid points of the pivot's fixed-point scan, which "
+                        "a ladder pivot skips when the window holds at most "
+                        "this many integers")
 
-    if p := cmd("cantor", _cmd_cantor, "run the nested-interval construction", csv=True):
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--orbit-depth", type=int)
-        p.add_argument("--seed-interval", nargs=2, default=("0", "1"),
-                       metavar=("LO", "HI"))
+    p = cmd("cantor", _cmd_cantor, "run the nested-interval construction", csv=True)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--orbit-depth", type=int)
+    p.add_argument("--seed-interval", nargs=2, default=("0", "1"),
+                   metavar=("LO", "HI"))
 
-    if p := cmd("classify", _cmd_classify,
-                "classify an orbit closure: exactly for exact affine actions, "
-                "else heuristically from an orbit sample"):
-        p.add_argument("--point", required=True)
-        p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))
+    p = cmd("classify", _cmd_classify,
+            "classify an orbit closure: exactly for exact affine actions, "
+            "else heuristically from an orbit sample")
+    p.add_argument("--point", required=True)
+    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))
 
-    if p := cmd("extend", _cmd_extend,
-                "build the cyclic extension of a unit-interval action and sweep it",
-                source=False):
-        p.add_argument("--alpha", default="sqrt2")
-        p.add_argument("--pairs", type=int, default=200)
-        p.add_argument("--points", type=int, default=50)
-        p.add_argument("--len", type=int, default=6)
-        p.add_argument("--horizon", type=int, default=64)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed of the residual's random word pairs (default 0)")
-        p.add_argument("--window", nargs=2, default=("-3", "3"))
+    p = cmd("extend", _cmd_extend,
+            "build the cyclic extension of a unit-interval action and sweep it",
+            source=False)
+    p.add_argument("--alpha", default="sqrt2")
+    p.add_argument("--pairs", type=int, default=200)
+    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--len", type=int, default=6)
+    p.add_argument("--horizon", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the residual's random word pairs (default 0)")
+    p.add_argument("--window", nargs=2, default=("-3", "3"))
 
-    if only is None:
-        return ap
-    if not sub.choices:
-        # an unknown command: the full parser names the choices in its error
-        return build_parser()
-    # the usage line an error prints names every subcommand, as the full
-    # parser's does; on the full parser the metavar would rename the
-    # command argument in its own errors, so it is set only here
-    sub.metavar = "{%s}" % ",".join(names)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first call and reused for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a known command builds only its own subparser; anything else, all
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with precision(args.precision, args.ceiling):
             status, result = args.fn(args)

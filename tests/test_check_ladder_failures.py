@@ -16,9 +16,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from lineact.actions import gallery
+from lineact.actions import gallery, realize
 from lineact.dynamics import LadderParams, cantor_ladder, check_ladder
-from lineact.reals import _DEFAULT_CEILING, Interval
+from lineact.homeo import eval_interval
+from lineact.reals import _DEFAULT_CEILING, Interval, PrecisionExhausted
 from lineact.words import parse_word
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -100,3 +101,20 @@ def test_level_two_image_diameter(act, ladder):
     with mpmath.workdps(oracles.DPS):
         # g squares offsets in cell 0: (1/100, 81/100), of diameter 4/5
         assert mpmath.almosteq(u_hi - u_lo, mpmath.mpf(4) / 5, 1e-60)
+
+
+def test_mover_image_not_evaluable(act, ladder):
+    # in cell -25 the mover's exponent is out of range, so its image of U
+    # cannot be evaluated; the separation check fails on it and the rest of
+    # the check goes on (radius 2 keeps the ball walk short)
+    U = Interval.open(Fraction(-49, 2), Fraction(-97, 4))
+    mover = ladder.levels[0].mover
+    with pytest.raises(PrecisionExhausted):
+        eval_interval(realize(act, mover), U.closure())
+    levels = [dataclasses.replace(ladder.levels[0], u_interval=U), *ladder.levels[1:]]
+    checks = check_ladder(act, dataclasses.replace(ladder, levels=levels, radius=2))
+    [check] = [c for c in checks if c.condition == "separation" and c.level == 1]
+    assert not check.passed
+    assert check.detail == (f"mover {mover} sends {U.closure()} to an image "
+                            "that cannot be evaluated")
+    assert len(checks) == len(check_ladder(act, ladder))

@@ -1,10 +1,14 @@
+import argparse
 import json
 import re
+import runpy
+import sys
 
 import pytest
 
-from lineact import report
-from lineact.cli import main
+from lineact import cli, report
+from lineact.cli import build_parser, main
+from test_golden_payloads import CASES
 
 
 def run(capsys, *argv):
@@ -579,3 +583,111 @@ class TestReproducibility:
         assert doc["result"]["value"]["value"] == "2"
         assert doc["config"] == {"expr": "identity", "point": "2",
                                  "precision": 256, "ceiling": 4096}
+
+
+# --------------------------------------------------------------------------
+# the parser: built once per process, at main's first call
+
+
+def _subcommands(ap: argparse.ArgumentParser) -> list[str]:
+    """The names of the subcommand parsers that ap holds."""
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+COMMANDS = _subcommands(build_parser())
+
+# argv that argparse answers itself, with help or an error, and exit
+_TEXT_ARGV = {
+    "help": ["--help"],
+    **{f"{c}-help": [c, "--help"] for c in COMMANDS},
+    "no-args": [],
+    "unknown-command": ["zzz"],
+    "eval-no-expr": ["eval", "--point", "0"],
+    "eval-point-and-interval": ["eval", "--expr", "identity", "--point", "0",
+                                "--interval", "0", "1"],
+    # an unrecognized argument prints the top-level usage line
+    "relations-format": ["relations", "--format", "csv"],
+}
+
+
+def _outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _TEXT_ARGV.values(), ids=_TEXT_ARGV.keys())
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _outcome(capsys, build_parser().parse_args, argv)
+    assert full[0] in (0, 2) and full[1] + full[2]
+    assert _outcome(capsys, main, argv) == full
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["zzz"], "argument command: invalid choice: 'zzz'"),
+], ids=["no-args", "unknown-command"])
+def test_full_parser_names_the_command_argument(capsys, argv, error):
+    # a subcommand list as the metavar of the subparsers action would name
+    # the argument "{gallery-list,...}" in these errors
+    code, out, err = _outcome(capsys, main, argv)
+    assert (code, out) == (2, "") and error in err
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+
+    def spy():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    for argv in (["gallery-list"], ["eval", "--expr", "identity", "--point", "0"],
+                 ["relations", "--gallery", "ex_1_2", "--points", "3"]):
+        assert main(argv) == 0
+    assert len(built) == 1
+
+
+def test_calls_in_a_row_get_fresh_namespaces(capsys):
+    _, doc = run_json(capsys, "eval", "--expr", "identity", "--point", "0")
+    assert doc["config"]["point"] == "0"
+    _, doc = run_json(capsys, "eval", "--expr", "identity", "--interval", "0", "1")
+    assert "point" not in doc["config"] and doc["config"]["interval"] == ["0", "1"]
+
+
+_PARSE_ARGV = [[c, *rest] for c, rest in _REQUIRED_ARGV.items()]
+_PARSE_ARGV += [argv for _, argv in CASES.values()]
+
+
+def test_parse_cases_cover_every_subcommand():
+    assert {argv[0] for argv in _PARSE_ARGV} == set(COMMANDS)
+
+
+def test_reused_parser_parses_as_a_new_one():
+    # the argv parsed in a row, each by the one parser main keeps, leave
+    # nothing behind for the next: equal namespaces give equal configs
+    for argv in _PARSE_ARGV:
+        assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _untimed(text: str) -> dict:
+    doc = json.loads(text)
+    doc.pop("timestamp")
+    return doc
+
+
+# the module is imported already, so runpy warns that it runs it again
+@pytest.mark.filterwarnings("ignore:'lineact.cli' found in sys.modules:RuntimeWarning")
+def test_module_entry_point_reads_sys_argv(capsys, monkeypatch):
+    _, argv = CASES["eval.json"]
+    assert main(argv) == 0
+    expected = _untimed(capsys.readouterr().out)
+    monkeypatch.setattr(sys, "argv", ["line-act", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("lineact.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert _untimed(capsys.readouterr().out) == expected

@@ -5,60 +5,7 @@ file of the same name under ``tests/golden``.  JSON payloads are compared
 after removing ``timestamp`` and re-serializing with sorted keys; CSV
 payloads are compared verbatim.
 
-The golden files were written from the code as it stood before the ball
-walk was unified, with ``timestamp`` and ``config.workers`` removed.  The
-``--workers`` flag was dropped at that change (it never did anything), so
-the missing ``config.workers`` key is the one intended difference; every
-other byte must match.  The three negative results (``cantor_failed``,
-``cantor_no_move`` and ``wander_find_failed``) were written later, from the
-code as it stood before the failure paths of ``dynamics`` and ``cli`` were
-folded into one step each.  ``wander_find_failed`` got a new input when the
-fixed-point scan became exact, because its old window, (-3.4, 3.2), now
-constructs; ``wander_find`` changed in its ``outer-permutes-fixed-set``
-detail alone.  ``--seed`` was later left to ``extend``, the one subcommand
-that reads it, and ``--format`` to ``orbit`` and ``cantor``, the two that
-print CSV; ``config.seed`` then left 15 JSON files and ``config.format`` 11,
-and no other byte changed.  When the config came to be worked out from the
-parsed options, listing only the options that are set,
-``cantor_failed`` and ``cantor_no_move`` lost their ``"orbit_depth": null``
-line, the unset ``--orbit-depth``, and no other byte changed.
-``cantor.csv``, the argv of ``cantor.json`` with ``--format csv``, was
-added later, written by the code as it stood before ``Real``'s rational
-powers became one method.  When ``sqrt2`` and ``sqrt3`` became exact
-values of their quadratic fields, ``extend.json`` changed on purpose: its
-homomorphism residual and its ``t b`` and ``a b`` relation residuals (so
-also ``worst_residual``) became the exact rational ``0``, where they had
-been 256-bit enclosures of about 1e-74 to 1e-77; no other golden changed.
-When a relation came to pass only on a proof or on residuals that are
-certainly zero, with no tolerance, ``relations.json`` and ``extend.json``
-lost ``config.tol`` and the report's ``tolerance`` (in ``extend.json``,
-``result.relations.tolerance``), and no other byte changed;
-``relations_tracked.json`` and ``extend_tracked.json`` were added then:
-ex_1_2 and its extension with ``--alpha pi``, whose residuals are tracked
-enclosures of 0, not proofs, so both exit 1.
-
-When ``classify`` came to decide exact affine actions exactly,
-``classify.json`` changed on purpose: ex_1_2 with ``--alpha sqrt2`` is
-``dense`` (the sample at radius 20 had read ``discrete-sequence``), with
-``"heuristic": false``, a ``basis`` and no ``evidence``; demo 09's output
-changed with it, and no other golden or demo output changed.
-
-When ``simplify`` came to merge adjacent bounded conjugates, BC(f) o BC(g)
-= BC(f o g), ``extend_tracked.json`` changed on purpose: the pi extension's
-``a b = b a`` residual, and so ``worst_residual``, went from 3.454e-77
-+- 6.91e-77 to 1.727e-77 +- 3.45e-77, since a two-letter cell map now
-rounds through one conjugate where it rounded through two.  Its exit status
-stays 1, and no other golden or demo output changed.
-
-When a relation came to pass only on a proof, the relator lhs rhs^-1
-simplifying to the identity, and ``simplify`` came to move an integer
-translation past a cell whose maps are periodic, ``extend.json`` changed
-on purpose: its three relations became ``"structural": true``, with no
-other byte changed.  ``extend_tracked.json`` changed with it: ``t a = a t``
-became structural, and ``t b = b t`` passes structurally, its residual
-going from 1.727e-77 +- 3.45e-77 to ``0``; ``a b = b a``,
-``worst_residual`` and the exit status 1 stayed as they were.  No other
-golden or demo output changed.
+Each intended golden change is recorded in ``CHANGES.md``.
 
 Every JSON golden, and the live payload of every case, is also checked for
 a verdict that could only rest on a tolerance or a sample: a relation

@@ -387,6 +387,17 @@ class TestFixedPoints:
         assert signs == [-1, 1]
         assert [str(c) for c in rep.complement_intervals] == [f"(-3, {p})", f"({p}, 3)"]
 
+    def test_undecided_midpoint_ends_the_bisection(self):
+        # x pi/3 + 1/7 = x at (1/7)/(1 - pi/3), about -3.0268: bisecting
+        # toward it reaches midpoints whose residual sign the tracked slope
+        # leaves undecided, and the bracket there is the report's enclosure
+        rep = fixed_points(Affine(Real.pi() / 3, Fraction(1, 7)), Interval.open(-4, 0), 4)
+        [p] = rep.fixed_points
+        with mpmath.workdps(100):
+            x = mpmath.mpf(1) / 7 / (1 - mpmath.pi / 3)
+            lo, hi = (mpmath.mpf(e.numerator) / e.denominator for e in p.bounds())
+            assert lo <= x <= hi
+
     def test_degenerate_window(self):
         with pytest.raises(ValueError, match="single point"):
             fixed_points(affine(1, 1), Interval.closed(1, 1), 16)
