@@ -1,18 +1,22 @@
 """Exact rational, exact real-quadratic and tracked-precision real numbers.
 
-Three kinds of scalar live here.  An exact rational is a ``fractions.Fraction``
-in lowest terms.  An exact quadratic is (a + b*sqrt(r))/d for integers a,
-b != 0, d > 0 with gcd(a, b, d) = 1 and r in {2, 3}: ``sqrt2``, ``sqrt3`` and
-every field operation on them and on rationals stays in Q(sqrt(r)).  A
-tracked real is a rigorous enclosure ``[lo, hi]`` of an unknown real, stored
-as a pair of dyadic endpoints (mpmath raw mpf values) that are always
-rounded outward.  Every arithmetic operation either stays exact (when the
-operation is closed over the operands' field: +, -, *, / and integer powers
-over Q or one Q(sqrt(r))) or degrades to a tracked enclosure whose error
-bound is never dropped; two radicands, a non-integer power, pi and e go
-tracked.  Exact values stay bounded: an integer power stays exact up to 8
-precision ceilings of bits, and :meth:`Real.shift` adds an integer to
-sub-ulp tracked ends exactly up to 2**21 bits, keeping tiny offsets.
+Three kinds of scalar live here.  An exact rational is a
+``fractions.Fraction`` in lowest terms.  Its +, -, *, / run Fraction's own
+gcd-split and cross-gcd algorithms on the two integers and build the result
+with ``_frac`` from a coprime numerator and a positive denominator, without
+Fraction's operator dispatch or its normalising constructor.  An exact
+quadratic is (a + b*sqrt(r))/d for integers a, b != 0, d > 0 with
+gcd(a, b, d) = 1 and r in {2, 3}: ``sqrt2``, ``sqrt3`` and every field
+operation on them and on rationals stays in Q(sqrt(r)).  A tracked real is a
+rigorous enclosure ``[lo, hi]`` of an unknown real, stored as a pair of
+dyadic endpoints (mpmath raw mpf values) that are always rounded outward.
+Every arithmetic operation either stays exact (when the operation is closed
+over the operands' field: +, -, *, / and integer powers over Q or one
+Q(sqrt(r))) or degrades to a tracked enclosure whose error bound is never
+dropped; two radicands, a non-integer power, pi and e go tracked.  Exact
+values stay bounded: an integer power stays exact up to 8 precision ceilings
+of bits, and :meth:`Real.shift` adds an integer to sub-ulp tracked ends
+exactly up to 2**21 bits, keeping tiny offsets.
 
 The certified order works on the raw endpoints: two mpf endpoints compare
 with ``mpf_cmp``, an mpf endpoint and a rational by sign and binary
@@ -241,15 +245,74 @@ def _mpi_from_fraction(q: Fraction, prec: int):
             _mpf_round(num, den, prec, round_ceiling))
 
 
-def _cmp_rational(a: Fraction, b: Fraction) -> int:
-    """-1, 0 or +1 as a <, = or > b: one numerator difference over a shared
-    denominator, one cross-multiplied difference otherwise."""
+def _cmp_rational(a: Union[Fraction, int], b: Union[Fraction, int]) -> int:
+    """-1, 0 or +1 as a <, = or > b, each a Fraction or an int (a sign test
+    passes 0): one numerator difference over a shared denominator, one
+    cross-multiplied difference otherwise."""
     ad, bd = a.denominator, b.denominator
     if ad == bd:
         d = a.numerator - b.numerator
     else:
         d = a.numerator * bd - b.numerator * ad
     return (d > 0) - (d < 0)
+
+
+# -- exact rationals: Fraction's own algorithms on its two integers --------
+
+_new = object.__new__
+
+
+def _frac(n: int, d: int) -> Fraction:
+    """n/d as a Fraction for coprime n and d > 0, with no gcd and no operator
+    dispatch: CPython's Fraction is its two slots."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _rat_add(a: Fraction, b: Fraction) -> Fraction:
+    """a + b by ``Fraction._add``'s gcd split: a prime of g = gcd(da, db)
+    can divide the numerator only through g, so the second gcd is with g."""
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    g = math.gcd(da, db)
+    if g == 1:
+        return _frac(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _frac(t, s * db)
+    return _frac(t // g2, s * (db // g2))
+
+
+def _rat_sub(a: Fraction, b: Fraction) -> Fraction:
+    """a - b, as :func:`_rat_add` (not a + (-b), which copies b's numerator)."""
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    g = math.gcd(da, db)
+    if g == 1:
+        return _frac(na * db - da * nb, da * db)
+    s = da // g
+    t = na * (db // g) - nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _frac(t, s * db)
+    return _frac(t // g2, s * (db // g2))
+
+
+def _rat_mul(a: Fraction, b: Fraction) -> Fraction:
+    """a * b by ``Fraction._mul``'s cross gcds, each numerator against the
+    other denominator."""
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _frac(na * nb, da * db)
 
 
 # -- exact quadratics: (a, b, d, r) stands for (a + b*sqrt(r))/d ---------
@@ -289,7 +352,10 @@ def _quad_sign(u: int, v: int, r: int) -> int:
 def _quadratic(a: int, b: int, d: int, r: int) -> "Real":
     """(a + b*sqrt(r))/d (d != 0) in canonical form; rational when b = 0."""
     if not b:
-        return Real(Fraction(a, d))
+        if d < 0:
+            a, d = -a, -d
+        g = math.gcd(a, d)
+        return Real(_frac(a // g, d // g))
     if d < 0:
         a, b, d = -a, -b, -d
     g = math.gcd(a, b, d)
@@ -306,12 +372,12 @@ def _common(x: "Real", y: "Real"):
         q = x._rat
         if q is None:
             return None
-        xq = (q.numerator, 0, q.denominator, yq[3])
+        xq = (q._numerator, 0, q._denominator, yq[3])
     elif yq is None:
         q = y._rat
         if q is None:
             return None
-        yq = (q.numerator, 0, q.denominator, xq[3])
+        yq = (q._numerator, 0, q._denominator, xq[3])
     elif xq[3] != yq[3]:
         return None
     return xq, yq
@@ -649,7 +715,7 @@ class Real:
         if type(other) is not Real:
             other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
-            return Real(self._rat + other._rat)
+            return Real(_rat_add(self._rat, other._rat))
         if self._quad is not None or other._quad is not None:
             qs = _common(self, other)
             if qs is not None:
@@ -668,8 +734,9 @@ class Real:
         below n's p-bit ulp (a mantissa wider than p, or a magnitude under
         it): then both are summed exactly while the sums fit the exact
         budget, so a cell offset far below 1 survives its move to cell n."""
-        if self._rat is not None:
-            return Real(self._rat + n)
+        q = self._rat
+        if q is not None:  # gcd(num + n*den, den) = gcd(num, den) = 1
+            return Real(_frac(q._numerator + n * q._denominator, q._denominator))
         if self._quad is not None:  # gcd(a + n*d, b, d) = gcd(a, b, d) = 1
             a, b, d, r = self._quad
             return Real(None, None, (a + n * d, b, d, r))
@@ -685,7 +752,7 @@ class Real:
         if type(other) is not Real:
             other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
-            return Real(self._rat - other._rat)
+            return Real(_rat_sub(self._rat, other._rat))
         if self._quad is not None or other._quad is not None:
             qs = _common(self, other)
             if qs is not None:
@@ -703,7 +770,7 @@ class Real:
         if type(other) is not Real:
             other = Real.coerce(other)
         if self._rat is not None and other._rat is not None:
-            return Real(self._rat * other._rat)
+            return Real(_rat_mul(self._rat, other._rat))
         if self._quad is not None or other._quad is not None:
             qs = _common(self, other)
             if qs is not None:
@@ -720,7 +787,10 @@ class Real:
         if other.contains_zero():
             raise ZeroDivisionError("division by a value that may be zero")
         if self._rat is not None and other._rat is not None:
-            return Real(self._rat / other._rat)
+            # times the reciprocal, its sign moved to the numerator: the
+            # cross gcds of Fraction._div
+            n, d = other._rat._numerator, other._rat._denominator
+            return Real(_rat_mul(self._rat, _frac(d, n) if n > 0 else _frac(-d, -n)))
         if self._quad is not None or other._quad is not None:
             qs = _common(self, other)
             if qs is not None:
@@ -735,16 +805,19 @@ class Real:
         return Real.coerce(other) / self
 
     def __neg__(self) -> "Real":
-        if self._rat is not None:
-            return Real(-self._rat)
+        q = self._rat
+        if q is not None:
+            return Real(_frac(-q._numerator, q._denominator))
         if self._quad is not None:
             a, b, d, r = self._quad
             return Real(None, None, (-a, -b, d, r))
         return Real(None, _mp.mpi_neg(self._mpi, _prec()))
 
     def __abs__(self) -> "Real":
-        if self._rat is not None:
-            return Real(abs(self._rat))
+        q = self._rat
+        if q is not None:
+            n = q._numerator
+            return self if n >= 0 else Real(_frac(-n, q._denominator))
         if self._quad is not None:
             a, b, _, r = self._quad
             return -self if _quad_sign(a, b, r) < 0 else self

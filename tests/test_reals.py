@@ -185,6 +185,17 @@ class TestRealArithmetic:
         p, q = Real.pi(), Real.pi()
         assert p == p and p != q and same_enclosure(p, q)
 
+    def test_tracked_values_are_keys_only_as_themselves(self):
+        # equal enclosures hash alike, but a dict still tells them apart,
+        # and a third enclosure of pi is no key
+        p, q = Real.pi(), Real.pi()
+        keys = {p: "p", q: "q"}
+        assert len(keys) == 2 and keys[p] == "p" and keys[q] == "q"
+        assert Real.pi() not in keys
+
+    def test_exact_rational_hashes_as_python_numbers(self):
+        assert hash(fr(1, 3) + fr(1, 6)) == hash(Fraction(1, 2)) == hash(0.5)
+
     def test_str_independent_of_ambient_precision(self):
         s = tracked_sqrt2()
         text = str(s)
@@ -287,6 +298,10 @@ class TestInterval:
         h = Interval.open(0, 2).intersection_hull(Interval.closed(1, 3))
         assert float(h.lo.mid()) == 1.0 and float(h.hi.mid()) == 2.0
         assert Interval.open(0, 1).intersection_hull(Interval.open(2, 3)) is None
+
+    def test_equality_with_a_non_interval_is_false(self):
+        assert (Interval.open(0, 1) == (0, 1)) is False
+        assert Interval.open(0, 1) != (0, 1)
 
     def test_diameter_midpoint(self):
         iv = Interval.open(Fraction(-1, 2), Fraction(3, 2))

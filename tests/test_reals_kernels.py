@@ -4,10 +4,13 @@ rational-power dispatch they replaced (the reference; the compare has since
 gained Real.cmp's rule that a provable point tie is 0): every result must be
 identical, mpf tuples included.  The exact quadratics are checked against an
 integer oracle of their own, and the paths that rely on them (the sqrt2
-extension's residual, an ex_1_2 orbit) must stay exact."""
+extension's residual, an ex_1_2 orbit) must stay exact.  The exact-rational
+kernels, which build each Fraction from its two integers, are checked
+against Fraction's own operators."""
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from typing import Optional
@@ -43,11 +46,13 @@ from lineact.reals import (
     PrecisionExhausted,
     Real,
     _fraction_root,
+    _frac,
     _iroot,
     _mpi_from_fraction,
     _mpi_from_quad,
     _prec,
     _precedes,
+    _quadratic,
     precision,
 )
 
@@ -595,3 +600,109 @@ def test_sqrt2_paths_stay_exact():
     assert res.kind == "exact-rational" and res.as_fraction() == 0
     kinds = {p.value.kind for p in orbit(gallery("ex_1_2", alpha="sqrt2"), 0, 3)}
     assert kinds == {"exact-rational", "exact-quadratic"}
+
+
+# -- exact rationals against Fraction's operators -----------------------------
+
+@st.composite
+def rational_pairs(draw):
+    """Two rationals of up to about 20,000 bits, either sign, whose
+    denominators share a factor g and each numerator a factor with the other
+    denominator (h, k), so every gcd branch of the kernels is taken; or a
+    pair with a zero, equal denominators, or opposite values."""
+    bits = draw(st.one_of(st.integers(1, 64), st.integers(65, 4096),
+                          st.integers(4097, 20_000)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def part(n_bits: int) -> int:
+        return rng.getrandbits(max(n_bits, 1)) | 1
+
+    g, h, k = (part(bits // 4) if draw(st.booleans()) else 1 for _ in range(3))
+    sa, sb = (draw(st.sampled_from([-1, 1])) for _ in range(2))
+    a = Fraction(sa * h * part(bits), g * k * part(bits))
+    b = Fraction(sb * k * part(bits), g * h * part(bits))
+    how = draw(st.sampled_from(["shared", "shared", "zero", "equal-den", "opposite"]))
+    if how == "zero":
+        a, b = draw(st.permutations([Fraction(0), b]))
+    elif how == "equal-den":
+        n = sb * part(bits)
+        while math.gcd(n, a.denominator) != 1:
+            n += 1
+        b = Fraction(n, a.denominator)
+    elif how == "opposite":
+        b = -a
+    return a, b
+
+
+def assert_same_fraction(got: Real, want: Fraction) -> None:
+    """got is exactly want: a Fraction in lowest terms, den > 0, with want's
+    integers, hash and text."""
+    q = got.as_fraction()
+    assert type(q) is Fraction
+    assert q == want
+    n, d = q.numerator, q.denominator
+    assert d > 0 and math.gcd(n, d) == 1
+    assert (n, d) == (want.numerator, want.denominator)
+    assert hash(q) == hash(want)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a 20,000-bit numerator has 6,021 digits
+    try:
+        assert str(q) == str(want)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_pairs())
+@example((Fraction(0), Fraction(0)))
+@example((Fraction(-3, 4), Fraction(5, 4)))
+@example((Fraction(1, 6), Fraction(1, 3)))
+@example((Fraction(3, 4), Fraction(-3, 4)))
+def test_rational_kernels_match_fraction_operators(ab):
+    a, b = ab
+    x, y = Real(a), Real(b)
+    assert_same_fraction(x + y, a + b)
+    assert_same_fraction(x - y, a - b)
+    assert_same_fraction(y - x, b - a)
+    assert_same_fraction(x * y, a * b)
+    if b:
+        assert_same_fraction(x / y, a / b)
+    if a:
+        assert_same_fraction(y / x, b / a)
+    assert_same_fraction(-x, -a)
+    assert_same_fraction(abs(x), abs(a))
+    if a >= 0:
+        assert abs(x) is x
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_pairs(), st.one_of(st.integers(-3, 3),
+                                   st.integers(-2**70, 2**70)))
+def test_shift_matches_fraction_plus_integer(ab, n):
+    a, _ = ab
+    assert_same_fraction(Real(a).shift(n), a + n)
+    assert_same_fraction(Real(a).shift(-abs(n)), a - abs(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_pairs(), st.sampled_from([2, 3]))
+def test_quadratic_rational_exit_matches_fraction(ab, r):
+    a, b = ab
+    num, den = a.numerator * b.denominator, a.denominator * (b.numerator or 1)
+    for n, d in ((num, den), (-num, den), (num, -den), (-num, -den)):
+        assert_same_fraction(_quadratic(n, 0, d, r), Fraction(n, d))
+    # (a + sqrt(r)) - (b + sqrt(r)) leaves the field through the same exit
+    root = Real.sqrt2() if r == 2 else Real.sqrt3()
+    assert_same_fraction((Real(a) + root) - (Real(b) + root), a - b)
+    c = b or Fraction(1)
+    assert_same_fraction((Real(a) * root) / (Real(c) * root), a / c)
+
+
+def test_fraction_is_its_two_slots():
+    # _frac fills exactly these slots; a Fraction with another layout (say a
+    # cached hash) would be left half built
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    q = _frac(-10**30 - 1, 3**40)
+    want = Fraction(-10**30 - 1, 3**40)
+    assert_same_fraction(Real(q), want)
+    assert q + 1 == want + 1 and q < 0 and float(q) == float(want)
