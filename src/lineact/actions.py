@@ -32,6 +32,7 @@ from .homeo import (
     Identity,
     OddPower,
     UnitPowerLadder,
+    _cell_pieces,
     compose,
     evaluate,
     inverse,
@@ -320,13 +321,24 @@ class ExtensionSpec:
             if lab not in self.group.labels:
                 raise BadParameter(f"group presentation lacks inner label {lab!r}")
 
-    def cell_expr(self, j: int, word: GroupElement) -> HomeoExpr:
+    def _entry(self, j: int, word: GroupElement) -> list:
         # a cell map depends on the conjugated word alone
         w = self.conjugation_rule(j, word)
-        expr = self._cell_cache.get(w.word)
-        if expr is None:
-            expr = self._cell_cache[w.word] = simplify(realize(self.inner_action, w))
-        return expr
+        entry = self._cell_cache.get(w.word)
+        if entry is None:
+            entry = self._cell_cache[w.word] = [simplify(realize(self.inner_action, w))]
+        return entry
+
+    def cell_expr(self, j: int, word: GroupElement) -> HomeoExpr:
+        return self._entry(j, word)[0]
+
+    def cell_map(self, j: int, word: GroupElement) -> list:
+        """[cell j's map, its pieces (``homeo._cell_pieces``)], the pieces
+        compiled at the first call: evaluation calls this, simplify never."""
+        entry = self._entry(j, word)
+        if len(entry) == 1:
+            entry.append(_cell_pieces(entry[0]))
+        return entry
 
 
 def extend_action(spec: ExtensionSpec) -> Action:

@@ -14,7 +14,11 @@ needed.
 Exactness policy: an evaluation path stays in exact rationals whenever each
 node is rational-closed at the input (affine maps, integer powers, perfect
 roots); anything else returns a tracked enclosure with a rigorous outward
-error bound.
+error bound.  An exact point inside one extension cell whose cell map is
+exact piecewise projective (identities, exact affine maps, bounded conjugates
+and composites of one radicand) takes one integer Moebius step on its piece
+of the compiled map, which gives the tree's canonical value; tracked points,
+enclosures across cells and every other cell map walk the tree.
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Union
 
 from .reals import (
     _ONE,
     _ZERO,
+    _quad_sign,
+    _quadratic,
     Interval,
     PrecisionExhausted,
     Real,
@@ -144,7 +150,8 @@ class ExtensionCell:
     """Cellwise map from an extension spec: on [j, j+1], conjugated inner word.
 
     ``spec`` is an ``actions.ExtensionSpec``, which compares by identity; its
-    ``horizon`` bounds the cells and ``cell_expr(j, word)`` is cell j's map.
+    ``horizon`` bounds the cells, ``cell_expr(j, word)`` is cell j's map and
+    ``cell_map(j, word)`` that map with its pieces (``_cell_pieces``).
     """
 
     spec: object
@@ -278,7 +285,11 @@ def _eval_extension_cell(node: ExtensionCell, x: Real) -> Real:
         return floor
 
     def in_cell(j: int, v: Real) -> Real:
-        inner = spec.cell_expr(j, node.word)
+        inner, pieces = spec.cell_map(j, node.word)
+        if v is x and pieces is not None:  # a point within one cell
+            y = _eval_pieces(pieces, x, j)
+            if y is not None:
+                return y
         return evaluate(inner, v - Real.rational(j)).shift(j)
 
     return _piecewise_eval(x, branch, in_cell)
@@ -339,6 +350,110 @@ def evaluate(h: HomeoExpr, x: RealLike) -> Real:
 def eval_interval(h: HomeoExpr, iv: Interval) -> Interval:
     """Image of a bounded interval: the interval between the endpoint images."""
     return Interval(evaluate(h, iv.lo), evaluate(h, iv.hi), iv.open_lo, iv.open_hi)
+
+
+# ---------------------------------------------------------------------------
+# exact cell maps as projective pieces
+#
+# psi and exact affine maps are projective on each side of 0 (N. Monod, PNAS
+# 110(12), 2013).  A piece (lo, hi, (a, b, c, d)) is x -> (a*x + b)/(c*x + d)
+# on (lo, hi), an end None when infinite; neighbours agree on a shared end.
+
+_UNIT = (_ONE, _ZERO, _ZERO, _ONE)
+_PSI = [(None, _ZERO, (_ONE, _ZERO, -_ONE, _ONE)), (_ZERO, None, (_ONE, _ZERO, _ONE, _ONE))]
+_PSI_INV = [(-_ONE, _ZERO, (_ONE, _ZERO, _ONE, _ONE)),
+            (_ZERO, _ONE, (_ONE, _ZERO, -_ONE, _ONE))]
+
+
+def _after(f: list, g: list) -> list:
+    """The pieces of f o g (g's image in f's domain): g's pieces cut where
+    they meet f's breaks (none at a pole), each taking f's piece there."""
+    out = []
+    for lo, hi, (a, b, c, d) in g:
+        ends = [lo]
+        for _, y, _ in f[:-1]:
+            den = a - c * y
+            x = (d * y - b) / den if den != _ZERO else None
+            if x is not None and (lo is None or lo.cmp(x) < 0) and (hi is None or x.cmp(hi) < 0):
+                ends.append(x)
+        ends.append(hi)
+        for l, h in zip(ends, ends[1:]):
+            t = (h - _ONE if h is not None else _ZERO) if l is None else \
+                (l + _ONE if h is None else (l + h) / 2)
+            y = (a * t + b) / (c * t + d)
+            fa, fb, fc, fd = next(m for _, top, m in f if top is None or y.cmp(top) < 0)
+            out.append((l, h, (fa * a + fb * c, fa * b + fb * d,
+                               fc * a + fd * c, fc * b + fd * d)))
+    return out
+
+
+def _projective(h: HomeoExpr, radicands: set) -> Optional[list]:
+    """h's pieces over the line; None for another node, a tracked
+    coefficient or a second radicand (seen at a leaf, before any product)."""
+    if isinstance(h, Identity):
+        return [(None, None, _UNIT)]
+    if isinstance(h, Affine):
+        radicands.update(v._quad[3] for v in (h.a, h.b) if v._quad is not None)
+        exact = all(v._rat is not None or v._quad is not None for v in (h.a, h.b))
+        return [(None, None, (h.a, h.b, _ZERO, _ONE))] if exact and len(radicands) < 2 else None
+    if isinstance(h, BoundedConjugate):
+        f = _projective(h.inner, radicands)
+        return None if f is None else [(None, -_ONE, _UNIT), *_after(
+            _PSI, _after(f, _PSI_INV)), (_ONE, None, _UNIT)]
+    if isinstance(h, Compose):
+        parts = [_projective(m, radicands) for m in h.maps]
+        return None if None in parts else reduce(_after, parts)
+    return None
+
+
+def _coords(v: Real) -> tuple[int, int, int]:
+    q = v._rat
+    return (q._numerator, 0, q._denominator) if q is not None else v._quad[:3]
+
+
+def _cell_pieces(h: HomeoExpr) -> Optional[tuple]:
+    """Cell map h on [0, 1) in integers, or None: (r, breaks, matrices), r = 0
+    for rational pieces, a break (p, q, s) for (p + q*sqrt r)/s, a piece's
+    (a, b, c, d) as pairs (u, v) for u + v*sqrt r, denominators cleared."""
+    radicands: set = set()
+    pieces = _projective(h, radicands)
+    if pieces is None:
+        return None
+    kept = [(lo, m) for lo, hi, m in pieces
+            if (hi is None or hi.cmp(_ZERO) > 0) and (lo is None or lo.cmp(_ONE) < 0)]
+    mats = []
+    for _, m in kept:
+        cs = [_coords(v) for v in m]
+        den = math.lcm(*(d for _, _, d in cs))
+        ints = [k * (den // d) for u, v, d in cs for k in (u, v)]
+        g = math.gcd(*ints)
+        mats.append(tuple(k // g for k in ints))
+    return (radicands.pop() if radicands else 0, [_coords(lo) for lo, _ in kept[1:]], mats)
+
+
+def _eval_pieces(pieces: tuple, x: Real, j: int) -> Optional[Real]:
+    """Cell j's map at an exact x in the cell by one integer Moebius step, the
+    tree's value (one canonical form); None for a tracked x or another r."""
+    r, breaks, mats = pieces
+    q, quad = x._rat, x._quad
+    if q is not None:
+        a, b, d = q._numerator, 0, q._denominator
+    elif quad is not None and quad[3] == (r or quad[3]):
+        a, b, d, r = quad
+    else:
+        return None
+    a -= j * d  # the cell-local coordinate
+    m = mats[-1]
+    for i, (p, e, f) in enumerate(breaks):
+        if _quad_sign(a * f - p * d, b * f - e * d, r) < 0:
+            m = mats[i]
+            break
+    a0, a1, b0, b1, c0, c1, d0, d1 = m
+    n0, n1 = a0 * a + r * a1 * b + b0 * d, a0 * b + a1 * a + b1 * d
+    m0, m1 = c0 * a + r * c1 * b + d0 * d, c0 * b + c1 * a + d1 * d
+    if m1:  # times the conjugate m0 - m1*sqrt r
+        n0, n1, m0 = n0 * m0 - r * n1 * m1, n1 * m0 - n0 * m1, m0 * m0 - r * m1 * m1
+    return _quadratic(n0 + j * m0, n1, m0, r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -30,13 +31,16 @@ from lineact.dynamics import (
 )
 from lineact.homeo import (
     Affine,
+    HorizonExceeded,
     Identity,
     UnitPowerLadder,
     eval_interval,
+    evaluate,
+    inverse,
 )
 from lineact.parse import parse_action_file
 from lineact.reals import Interval, Real, current_precision
-from lineact.words import Presentation, bs_pair, parse_word
+from lineact.words import Presentation, bs_pair, parse_word, walk
 
 R = Real.rational
 
@@ -338,6 +342,29 @@ class TestCantorLadder:
         # nesting of the level intervals
         u1, u2 = (lvl.u_interval for lvl in lad.levels)
         assert u2.certainly_subset_of(u1)
+
+    def test_grid_orbit_skips_words_whose_preimage_passes_the_horizon(self):
+        # t^-1 a, t^-1 a^-1, t^-1 b and t^-1 b^-1 pull V = (2.3, 2.7) back
+        # through t into cell 3, past the horizon 2: those words are skipped,
+        # and the sample is what a forward scan of every word gives (no
+        # forward image of the grid leaves the horizon)
+        ext = extend_action(direct_product_extension(
+            conjugate_into_unit(gallery("ex_1_2", alpha="sqrt2")), coset_label="t",
+            horizon=2))
+        V = Interval.open(Fraction(23, 10), Fraction(27, 10))
+        grid = dynamics._grid_fractions(4)
+        hits, skipped = [], []
+        for w, _ in islice(walk(ext.presentation, 2, True), 1, None):
+            hw = realize(ext, w)
+            try:
+                eval_interval(inverse(hw), V.closure())
+            except HorizonExceeded:
+                skipped.append(str(w))
+            images = [evaluate(hw, R(g)) for g in grid]
+            hits += [v for v in images if Fraction(23, 10) <= v.mid() <= Fraction(27, 10)]
+        assert skipped == ["t^-1 a", "t^-1 a^-1", "t^-1 b", "t^-1 b^-1"]
+        got = dynamics._grid_orbit_in(ext, grid, V, 2)
+        assert got == dynamics._merge_overlapping(hits) == [R(5, 2)]
 
     def test_depth_below_1_refused(self):
         # no level built means every ladder check would pass vacuously
