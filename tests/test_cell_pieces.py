@@ -168,8 +168,9 @@ def test_other_points_fall_back_to_the_tree(monkeypatch):
     # rational pieces take a sqrt3 point's radicand
     ex11 = _spec("ex_1_1")
     a = ex11.inner_action.presentation.generator(0)
-    assert homeo._eval_pieces(ex11.cell_map(2, a)[1], sqrt3_point + R(1), 2).kind \
-        == "exact-quadratic"
+    y = homeo._eval_pieces(ex11.cell_map(2, a)[1], sqrt3_point + R(1, 2), 2)
+    assert y.kind == "exact-quadratic"
+    _same(y, _tree(ex11, a, sqrt3_point + R(1, 2)))
     got = [evaluate(ExtensionCell(spec, w), x) for x in (tracked, sqrt3_point, across)]
     _without_pieces(monkeypatch)
     for x, y in zip((tracked, sqrt3_point, across), got):
