@@ -500,8 +500,9 @@ def _movers(act: Action, U: Interval, radius: int):
                                      + e (|lo.lo| + |x.lo| + |x.hi|)),
 
     whatever the word.  A point with cap(x) <= mid(best delta) cannot win (a
-    tie keeps the earlier pair), so it is not evaluated; a word is realized
-    only when some point survives, and the scan stops once none does.
+    tie keeps the earlier pair), so it is not evaluated.  Some point always
+    survives: room <= min(x - lo, (hi - x)/3) <= span/4, so a delta is at most
+    about 9/10 * span/4, below the 14th point's cap of about 9/10 * 27/82 * span.
     """
     lo, hi = U.lo, U.hi
     span = hi - lo
@@ -521,8 +522,6 @@ def _movers(act: Action, U: Interval, radius: int):
         if img is None or img.certainly_disjoint(U):
             continue
         live = [(cap, x) for cap, x in live if cap > floor]
-        if not live:
-            break
         hw = realize(act, w)
         for cap, x in live:
             if cap <= floor:

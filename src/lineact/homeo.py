@@ -70,10 +70,6 @@ class HorizonExceeded(ValueError):
     """Evaluation requested in a cell beyond the configured horizon."""
 
 
-# Cells with |2^t| needing more than this many bits to scale are rejected.
-_LADDER_EXPONENT_LIMIT = Fraction(1 << 24)
-
-
 @dataclass(frozen=True)
 class Identity:
     pass
@@ -130,12 +126,7 @@ class UnitPowerLadder:
 
     def cell_exponent(self, n: int) -> Fraction:
         sign = -1 if n % 2 else 1
-        t = Fraction(self.s * sign) * (Fraction(self.k) ** (-n))
-        if abs(t) > _LADDER_EXPONENT_LIMIT:
-            raise PrecisionExhausted(
-                f"ladder cell {n} exponent 2**{t} out of representable range"
-            )
-        return t
+        return Fraction(self.s * sign) * (Fraction(self.k) ** (-n))
 
 
 @dataclass(frozen=True)
@@ -233,25 +224,26 @@ def _conjugate_branch(floor: int, ceil: int) -> int:
 
 
 # Ladder cells whose constants stay cached, over all ladders and precisions;
-# bounded, because a far-negative cell's exact power can have 2**21 bits.
+# bounded, as a far cell's exact power can have 8 precision ceilings of bits.
 _LADDER_CELL_CACHE = 1024
 
 
 @lru_cache(maxsize=_LADDER_CELL_CACHE)
-def _ladder_cell(node: UnitPowerLadder, n: int, bits: int) -> tuple[Real, Real, bool]:
-    """Cell n's offset n, power e = 2**cell_exponent(n) at ``bits`` of working
-    precision, and whether e < 1 (a contracting root)."""
-    e = Real.two_to(node.cell_exponent(n))
-    return Real.rational(n), e, e.cmp(_ONE) == -1
+def _ladder_cell(node: UnitPowerLadder, n: int, bits: int,
+                 ceiling: int) -> tuple[Real, Real, bool]:
+    """Cell n's offset n, power e = 2**t for t = cell_exponent(n) under the
+    precision (bits, ceiling), and whether t < 0 (a contracting root)."""
+    t = node.cell_exponent(n)
+    return Real.rational(n), Real.rational(2).pow_real(t), t < 0
 
 
 def _eval_ladder(node: UnitPowerLadder, x: Real) -> Real:
     def in_cell(n: int, v: Real) -> Real:
         if v.is_rational and v.as_fraction() == n:
-            # the cell edge is fixed, even where cell n's exponent is out of
-            # range
+            # the cell edge is fixed, even where cell n's power is refused
             return v
-        rn, e, contracting = _ladder_cell(node, n, current_precision().bits)
+        ctx = current_precision()
+        rn, e, contracting = _ladder_cell(node, n, ctx.bits, ctx.ceiling)
         u = v - rn
         if contracting and not u.is_rational and u.cmp(_ZERO) != 1:
             # a tracked enclosure touching the cell edge cannot support a

@@ -14,9 +14,11 @@ Every arithmetic operation either stays exact (when the operation is closed
 over the operands' field: +, -, *, / and integer powers over Q or one
 Q(sqrt(r))) or degrades to a tracked enclosure whose error bound is never
 dropped; two radicands, a non-integer power, pi and e go tracked.  Exact
-values stay bounded: an integer power stays exact up to 8 precision ceilings
-of bits, and :meth:`Real.shift` adds an integer to sub-ulp tracked ends
-exactly up to 2**21 bits, keeping tiny offsets.
+values stay bounded by one rule for powers: an integer power stays exact up
+to 8 precision ceilings of bits, and :class:`PrecisionExhausted` refuses an
+integer exponent wider than the ceiling and an |e ln x| beyond 2**ceiling.
+:meth:`Real.shift` adds an integer to sub-ulp tracked ends exactly up to its
+own bound of 2**21 bits, keeping tiny offsets.
 
 The certified order works on the raw endpoints: two mpf endpoints compare
 with ``mpf_cmp``, an mpf endpoint and a rational by sign and binary
@@ -194,8 +196,7 @@ def _fraction_root(q: Fraction, p: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-# Size guard for the exact sums of :meth:`Real.shift` and the exact powers of
-# two of :meth:`Real.two_to`; beyond it they round or go tracked.
+# Size guard for the exact sums of :meth:`Real.shift`; beyond it they round.
 _EXACT_POW_BIT_BUDGET = 1 << 21
 # base**e stays exact while |e| * bits(base), about the bit length of the
 # result, is at most this many precision ceilings; beyond, it goes tracked.
@@ -826,7 +827,8 @@ class Real:
     def pow_int(self, e: int) -> "Real":
         if e < 0 and self.contains_zero():
             raise ZeroDivisionError("negative power of a value that may be zero")
-        budget = _EXACT_POW_CEILINGS * current_precision().ceiling
+        ceiling = current_precision().ceiling
+        budget = _EXACT_POW_CEILINGS * ceiling
         if self._rat is not None:
             cost = abs(e) * max(
                 self._rat.numerator.bit_length(),
@@ -839,6 +841,10 @@ class Real:
             cost = abs(e) * max(a.bit_length(), b.bit_length(), d.bit_length())
             if cost <= budget:
                 return _quad_pow(a, b, d, r, abs(e))
+        # squaring costs one step per bit of e, so, as pow_real's bound on
+        # |e ln x|, an exponent wider than the ceiling is refused
+        if e.bit_length() > ceiling:
+            raise PrecisionExhausted(f"x ** e with e beyond 2**{ceiling}")
         p = _prec()
         return Real(None, _mp.mpi_pow_int(self._as_mpi(p), e, p))
 
@@ -876,15 +882,6 @@ class Real:
         if any(end[2] + end[3] > ceiling for end in t):
             raise PrecisionExhausted(f"x ** e with |e ln x| beyond 2**{ceiling}")
         return Real(None, _mp.mpi_exp(t, p))
-
-    @staticmethod
-    def two_to(t: Fraction) -> "Real":
-        """2**t, exact for integer t, tracked enclosure otherwise."""
-        if t.denominator == 1:
-            n = t.numerator
-            if abs(n) <= _EXACT_POW_BIT_BUDGET:
-                return Real(Fraction(2) ** n)
-        return Real.rational(2).pow_real(t)
 
     # -- comparisons --------------------------------------------------
 

@@ -118,3 +118,32 @@ def test_mover_image_not_evaluable(act, ladder):
     assert check.detail == (f"mover {mover} sends {U.closure()} to an image "
                             "that cannot be evaluated")
     assert len(checks) == len(check_ladder(act, ladder))
+
+
+# check_ladder's result with U_1 in cell -8, as computed before exact powers
+# had one size rule, when it took 5 s
+CELL_MINUS_8 = [
+    ("nesting", 1, False, "U_1 = (-31/4, -15/2) inside U_0 = (0, 1)"),
+    ("separation", 1, False,
+     "mover g^-2 sends [-31/4, -15/2] to [-7.0±6.91e-77, -7.0±6.91e-77]"),
+    ("displacement-or-equality", 1, False, "g^-1 f^-2 g: image not evaluable"),
+    ("image-diameter", 1, True, ""),
+    ("nesting", 2, False, "U_2 = (7/31, 8/31) inside U_1 = (-31/4, -15/2)"),
+    ("separation", 2, False,
+     "mover f^-1 g f sends [7/31, 8/31] to "
+     "[0.3491584749745599070816302293048793304853±3.45e-77, "
+     "0.3837329451798289645555326803452643705777±3.45e-77]"),
+    ("displacement-or-equality", 2, True, ""),
+    ("image-diameter", 2, True, ""),
+    ("element-count", 1, True, "|G_1| = 2"),
+    ("element-count", 2, True, "|G_2| = 4"),
+    ("lambda-nesting", 2, True, "level 2 components inside level 1"),
+    ("lambda-disjoint", 2, True, "4 components pairwise disjoint"),
+]
+
+
+def test_far_cell_checks_unchanged(act, ladder):
+    U = Interval.open(Fraction(-31, 4), Fraction(-15, 2))
+    levels = [dataclasses.replace(ladder.levels[0], u_interval=U), *ladder.levels[1:]]
+    checks = check_ladder(act, dataclasses.replace(ladder, levels=levels))
+    assert [dataclasses.astuple(c) for c in checks] == CELL_MINUS_8

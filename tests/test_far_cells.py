@@ -121,18 +121,51 @@ print(len(ball), time.perf_counter() - start)
 """
 
 
-def test_far_cell_ball_ends_in_bounded_time():
-    # from cell -16 the walk met 2**t with t near 3**15, and exp of an
-    # argument of magnitude 2**14,348,908 ran for minutes; the walk runs in
-    # a child process, so that a relapse fails here instead of hanging
+def _run_child(source: str) -> str:
+    """The stdout of ``source`` run in a child process, so that a relapse
+    into a minutes-long computation fails here instead of hanging."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH", "")]))}
-    proc = subprocess.run([sys.executable, "-c", _FAR_BALL], env=env,
+    proc = subprocess.run([sys.executable, "-c", source], env=env,
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    words, seconds = proc.stdout.split()
+    return proc.stdout
+
+
+def test_far_cell_ball_ends_in_bounded_time():
+    # from cell -16 the walk met 2**t with t near 3**15, and exp of an
+    # argument of magnitude 2**14,348,908 ran for minutes
+    words, seconds = _run_child(_FAR_BALL).split()
     assert int(words) == 47 and float(seconds) < 5
+
+
+_FAR_LADDER = """
+import dataclasses, time
+from fractions import Fraction
+from lineact.actions import gallery
+from lineact.dynamics import LadderParams, cantor_ladder, check_ladder
+from lineact.reals import Interval
+act = gallery("ex_1_4", k=2)
+ladder = cantor_ladder(act, 2, 6, params=LadderParams(orbit_depth=0))
+for c in (-13, -20):
+    u = Interval.open(Fraction(4 * c + 1, 4), Fraction(2 * c + 1, 2))
+    levels = [dataclasses.replace(ladder.levels[0], u_interval=u), *ladder.levels[1:]]
+    start = time.perf_counter()
+    checks = check_ladder(act, dataclasses.replace(ladder, levels=levels))
+    print(len(checks), time.perf_counter() - start)
+"""
+
+
+def test_far_cell_ladder_check_ends_in_bounded_time():
+    # with U_1 in ladder cell -13 or -20, the ball's words met exact
+    # exponents 2**t of thousands of bits, and pow_int squared once per bit
+    # of them (cell -13 ran for more than 90 s); an exponent wider than the
+    # ceiling is refused at once
+    runs = [line.split() for line in _run_child(_FAR_LADDER).splitlines()]
+    assert len(runs) == 2
+    for count, seconds in runs:
+        assert int(count) == 12 and float(seconds) < 5
 
 
 def test_far_cell_certificate_reports_undecidable_words():

@@ -108,7 +108,7 @@ def reference_eval_ladder(node: UnitPowerLadder, x: Real, fine=None) -> Real:
         u = v - rn
         if u.is_rational and u.as_fraction() == 0:
             return rn
-        e = Real.two_to(node.cell_exponent(n))
+        e = R(2).pow_real(node.cell_exponent(n))
         if not u.is_rational and u.cmp(R(0)) != 1 and e.cmp(R(1)) == -1:
             # a tracked enclosure touching the cell edge cannot support a
             # contracting-root exponent: the image enclosure would span the
@@ -178,14 +178,31 @@ class TestLadderCellCache:
                                 assert mpf_cmp(lo, glo) <= 0 <= mpf_cmp(hi, ghi), where
         assert raised > 0 and finer > 0
 
+    def test_cell_power_follows_the_ceiling(self):
+        # cell -14's power 2**16384 is exact within 8 ceilings of 4096 bits,
+        # which pow_int refuses to raise to, and tracked past 8 of 1024,
+        # which exp refuses; a cell evaluated under one ceiling is not
+        # reused under the other
+        node, x = UnitPowerLadder(2, 1), R(-55, 4)
+        assert ladder_outcome(evaluate, node, x) == (
+            "PrecisionExhausted", "x ** e with e beyond 2**4096")
+        with precision(256, 1024):
+            assert ladder_outcome(evaluate, node, x) == (
+                "PrecisionExhausted", "x ** e with |e ln x| beyond 2**1024")
+
     def test_exact_edge_ahead_of_out_of_range_cell(self):
-        # cell -25's exponent 2**(2**25) is out of range, but its left edge
-        # is a fixed point
+        # cell -25 takes the 2**(2**25)-th root, which rounds to the cell's
+        # right end; cell -26's power 2**(2**26) is refused, but its left
+        # edge is a fixed point
         node = UnitPowerLadder(2, 1)
         y = evaluate(node, R(-25))
         assert y.is_rational and y.as_fraction() == -25
-        with pytest.raises(PrecisionExhausted, match="ladder cell -25 exponent"):
-            evaluate(node, R(-49, 2))
+        lo, hi = evaluate(node, R(-49, 2)).bounds()
+        assert -25 < lo <= hi <= -24
+        y = evaluate(node, R(-26))
+        assert y.is_rational and y.as_fraction() == -26
+        with pytest.raises(PrecisionExhausted, match="beyond 2\\*\\*4096"):
+            evaluate(node, R(-51, 2))
 
 
 def test_far_offset_survives_integer_shifts():

@@ -25,8 +25,9 @@ from lineact.dynamics import (
     _movers,
     _or_none,
 )
-from lineact.homeo import HomeoExpr, evaluate
+from lineact.homeo import Affine, HomeoExpr, evaluate
 from lineact.reals import Interval, Real, precision
+from lineact.words import Presentation
 
 PRECISIONS = (16, 24, 64, 256)
 
@@ -143,6 +144,18 @@ def test_random_subintervals(name, bits, radius, ends, tracked):
     with precision(bits):
         U = Interval.open(*(_endpoint(q, t) for q, t in zip(ends, tracked)))
     assert_same_scan(ACTIONS[name](), U, radius, bits)
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+def test_steep_mover_runs_out_of_halvings(bits):
+    # a: x -> q + 2**70 (x - q) sends the candidate 14/41, 2**-72 above its
+    # fixed point q, to 14/41 + 1/4; every radius that _MAX_HALVINGS halvings
+    # reach contains q, left of which a falls far below U, so the search
+    # gives up; a^-1 wins at 5/41
+    q = Fraction(14, 41) - Fraction(1, 2**72)
+    act = Action(Presentation.free(1), {"a": Affine(2**70, q * (1 - 2**70))})
+    w, x, _ = assert_same_scan(act, UNIT, 1, bits)
+    assert str(w) == "a^-1" and x.as_fraction() == Fraction(5, 41)
 
 
 def test_bench_ladder_evaluates_at_most_half(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -111,15 +112,34 @@ class TestRealArithmetic:
         assert 0 < lo < hi < 1
 
     def test_two_to(self):
-        assert Real.two_to(Fraction(3)).as_fraction() == 8
-        assert Real.two_to(Fraction(-3)).as_fraction() == Fraction(1, 8)
-        v = Real.two_to(Fraction(-1, 2))
+        # 2**t as pow_real takes it: exact for an integer t within pow_int's
+        # budget of 8 ceilings, tracked past it and for a fractional t
+        assert fr(2).pow_real(Fraction(3)).as_fraction() == 8
+        assert fr(2).pow_real(Fraction(-3)).as_fraction() == Fraction(1, 8)
+        v = fr(2).pow_real(Fraction(-1, 2))
         lo, hi = v.bounds()
         assert float(lo) <= 2 ** -0.5 <= float(hi)
+        big = fr(2).pow_real(Fraction(32768))
+        assert big.kind == "tracked-real"
+        assert big.bounds()[0] <= 2 ** 32768 <= big.bounds()[1]
+
+    def test_pow_int_refuses_an_exponent_wider_than_the_ceiling(self):
+        # squaring once per bit of 2**8192 took 4.8 s; 2**16384, with 16385
+        # bits, is refused before any squaring
+        start = time.perf_counter()
+        with pytest.raises(PrecisionExhausted, match="e beyond 2\\*\\*4096"):
+            fr(3, 7).pow_int(2**16384)
+        with pytest.raises(PrecisionExhausted):
+            fr(3, 7).pow_int(-(2**4096))
+        assert time.perf_counter() - start < 0.5
+        # 4096 bits is not past the ceiling
+        assert fr(1, 2).pow_int(2**4095 + 1).kind == "tracked-real"
+        with precision(256, 8192):
+            assert fr(1, 2).pow_int(2**4096).kind == "tracked-real"
 
     def test_pow_real_zero_touching_base(self):
         s = Real.hull(fr(0), fr(1, 100))
-        v = s.pow_real(Real.two_to(Fraction(-1, 2)))
+        v = s.pow_real(fr(2).pow_real(Fraction(-1, 2)))
         lo, hi = v.bounds()
         assert lo == 0 and hi > 0
 
