@@ -6,7 +6,9 @@ a declared radius L; every verdict produced here records the radius it was
 computed at.  Disjointness and containment tests use rigorous interval
 images (monotone endpoint evaluation with outward error bounds); a test that
 cannot be decided at the precision ceiling is reported as a violation rather
-than silently passed.  A word is pointwise-fixed only when ``simplify``
+than silently passed; the ladder decides disjointness in exact (cell, tau)
+coordinates first for power ladders and integer translations, where B(1,-k)
+acts affinely (Abel's equation).  A word is pointwise-fixed only when ``simplify``
 proves it the identity: no sample of points or tolerance stands in for that.
 
 Certificate sweeps report a verdict for every freely reduced *word*.  When
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -29,6 +32,7 @@ from .homeo import (
     HomeoExpr,
     HorizonExceeded,
     Identity,
+    UnitPowerLadder,
     eval_interval,
     evaluate,
     fixed_points,
@@ -39,6 +43,7 @@ from .reals import (
     _ZERO,
     _precedes,
     _quad_coords,
+    _rat_add,
     Interval,
     PrecisionExhausted,
     Real,
@@ -474,13 +479,83 @@ def _grid_fractions(n: int) -> list[Fraction]:
     return [Fraction(j, n) for j in range(n + 1)]
 
 
+class _Cells:
+    """Exact (cell, tau) coordinates of a cellwise action's ball over U in one
+    cell n0: on cell n a ladder adds cell_exponent(n) to tau(u) = log2(-log2 u)
+    of u = x - n, T_d adds d to n, so a word carries one pair (n, q) for all
+    of U's open cell.  A point (n, v, q) is n + u, tau(u) = tau(v - floor(v))
+    + q, or n for v = None; one start v orders by n, then q (u falls as tau
+    grows), two by ``Real.cmp`` of ``Real.double_log``, a tie undecided."""
+
+    def __init__(self, p: Presentation, steps: dict, lo, hi, touch_misses: bool):
+        self.p, self.steps, self.lo, self.hi, self.n0, self.taus = p, steps, lo, hi, lo[0], {}
+        self.below, self.above = ((-1, 0), (0, 1)) if touch_misses else ((-1,), (1,))
+
+    @staticmethod
+    def of(act: Action, U: Interval) -> Optional["_Cells"]:
+        """U's coordinates, or None unless every letter is cellwise and U lies in one cell."""
+        steps = {letter: h if isinstance(h, UnitPowerLadder) else getattr(h, "translation", None)
+                 for letter, h in act.letter_maps.items()}
+        lo, hi = _Cells.point(U.lo), _Cells.point(U.hi)
+        ok = None not in steps.values() and lo and hi and hi[0] - lo[0] == (hi[1] is None)
+        return _Cells(act.presentation, steps, lo, hi, U.open_lo or U.open_hi) if ok else None
+
+    @staticmethod
+    def point(v: Real):
+        """v's point, or None when its enclosure meets an integer it is not."""
+        lo, hi = v.floor_ceil()
+        return None if lo != hi else (lo[0], None if lo[0] == lo[1] else v, Fraction(0))
+
+    def image(self, p, carry: tuple[int, Fraction]):
+        """The image of a point p of U's closed cell under a word's carry."""
+        return p[0] + carry[0] - self.n0, p[1], carry[1]
+
+    def cmp(self, a, b) -> Optional[int]:
+        """-1, 0 or +1 as point a is below, at or above point b, or None."""
+        (n, v, q), (m, w, r) = a, b
+        if n != m or v is None or w is None:
+            return (n > m) - (n < m) or (v is not None) - (w is not None)
+        if v == w:
+            return (r > q) - (r < q)
+        ta, tb = (self.taus[x] if x in self.taus else self.taus.setdefault(
+            x, (x - x.floor_ceil()[0][0]).double_log()) for x in (v, w))
+        return None if ta is None or tb is None else tb.cmp(ta + Real(q - r)) or None
+
+    def walk(self, radius: int):
+        """(word, (n, q)) over the ball, in ``walk``'s order."""
+        exponent = lru_cache(None)(lambda letter, n: self.steps[letter].cell_exponent(n))
+
+        def step(letter, carry):
+            (n, q), d = carry, self.steps[letter]
+            return (n + d, q) if type(d) is int else (n, _rat_add(q, exponent(letter, n)))
+
+        return walk(self.p, radius, True, (self.n0, Fraction(0)), step)
+
+    def misses(self, carry) -> bool:
+        """Whether the word's image of U certainly misses U, touching it only at an open end."""
+        return (self.cmp(self.image(self.hi, carry), self.lo) in self.below
+                or self.cmp(self.image(self.lo, carry), self.hi) in self.above)
+
+    def narrow(self, carry, bound: Real) -> bool:
+        """Whether the word's image of U lies outside cell 0 or below bound <= 1."""
+        return carry[0] != 0 or self.cmp(self.image(self.hi, carry), self.point(bound)) == -1
+
+    def stuck(self, x: Real, carry) -> bool:
+        """Whether x < y < hi certainly fails for the word's image y of x."""
+        px = self.point(x)
+        y = px and self.image(px, carry)
+        return bool(px) and (self.cmp(px, y) in (0, 1) or self.cmp(y, self.hi) in (0, 1))
+
+
 def _movers(act: Action, U: Interval, radius: int):
     """Deterministic mover scan: (word, x, delta) with the largest safe V radius.
 
     The first (word, x) pair in walk order whose ``_max_separation`` has the
     largest midpoint wins.  The scan is a branch and bound that skips only
     pairs which cannot displace the best so far, so it returns what the
-    exhaustive scan over every moving word and point returns.
+    exhaustive scan over every moving word and point returns.  Over U in one
+    cell, a cellwise action's exact coordinates (:class:`_Cells`) skip a word
+    whose image misses U and a pair with x < y < hi false.
 
     The bound: for a pair the scan can accept, lo < x < y < hi hold for
     certain, and ``_max_separation`` returns d/2^k (k >= 0) with d = room *
@@ -488,21 +563,20 @@ def _movers(act: Action, U: Interval, radius: int):
     certainly positive, or no d is).  So mid(delta) <= mid(d) <= 9/10 *
     mid(room) (1 + e)^2 with e = 2^(1-p) at working precision p (the outward
     roundings of 9/10 and of the product; halving a p-bit enclosure is
-    exact), and mid(room) is at most the upper end of x - lo and of
-    (y - x)/2 as computed.  With y.hi < hi.lo, and an
-    exact operand rounded to p bits when it meets a tracked one (an absolute
-    error of at most e |value|), those ends are below
-    (1 + e)(x.hi - lo.lo + e (|x.hi| + |lo.lo|)) and
-    (1 + e)(hi.lo - x.lo + e |x.lo|)/2.  As (1 + e)^3 <= 1 + 2^(4-p), every
-    delta the scan could take at x has a midpoint of at most
+    exact).  An exact operand meeting a tracked one is rounded to p bits
+    (an absolute error of at most e |value|), and a rounded upper end is at
+    most (1 + e) times the exact one, so mid(room) <= mid(x - lo) <
+    (1 + e)(x.hi - lo.lo + e (|x.hi| + |lo.lo|)); and, as min(a, b) <=
+    (a + 2b)/3 and y's ends cancel up to e (y.hi - y.lo) < e (hi.lo - x.hi),
+    3 mid(room) <= mid(hi - y) + mid(y - x) < (1 + e)(hi.hi - x.lo +
+    e (|hi.hi| + |x.lo|)).  As (1 + e)^3 <= 1 + 2^(4-p), every delta the
+    scan could take at x has a midpoint of at most
 
-        cap(x) = 9/10 (1 + 2^(4-p)) (min(x.hi - lo.lo, (hi.lo - x.lo)/2)
-                                     + e (|lo.lo| + |x.lo| + |x.hi|)),
+        cap(x) = 9/10 (1 + 2^(4-p)) (min(x.hi - lo.lo, (hi.hi - x.lo)/3)
+                                     + e (|lo.lo| + |hi.hi| + |x.lo| + |x.hi|)),
 
     whatever the word.  A point with cap(x) <= mid(best delta) cannot win (a
-    tie keeps the earlier pair), so it is not evaluated.  Some point always
-    survives: room <= min(x - lo, (hi - x)/3) <= span/4, so a delta is at most
-    about 9/10 * span/4, below the 14th point's cap of about 9/10 * 27/82 * span.
+    tie keeps the earlier pair), so it is not evaluated.
     """
     lo, hi = U.lo, U.hi
     span = hi - lo
@@ -511,20 +585,25 @@ def _movers(act: Action, U: Interval, radius: int):
     p = current_precision().bits
     e = Fraction(1, 1 << (p - 1))
     scale = Fraction(9, 10) * (1 + 8 * e)
-    lo_lo, hi_lo = lo.bounds()[0], hi.bounds()[0]
-    live = []
+    lo_lo, hi_hi = lo.bounds()[0], hi.bounds()[1]
+    caps = []
     for x in xs:
         x_lo, x_hi = x.bounds()
-        room = min(x_hi - lo_lo, (hi_lo - x_lo) / 2)
-        live.append((scale * (room + e * (abs(lo_lo) + abs(x_lo) + abs(x_hi))), x))
+        room = min(x_hi - lo_lo, (hi_hi - x_lo) / 3)
+        slack = e * (abs(lo_lo) + abs(hi_hi) + abs(x_lo) + abs(x_hi))
+        caps.append((scale * (room + slack), x))
     best, floor = None, Fraction(0)   # an accepted delta is certainly positive
-    for w, img in islice(_ball_images(act, U, radius), 1, None):
+    cells = _Cells.of(act, U)
+    ball = _ball_images(act, U, radius) if cells is None else cells.walk(radius)
+    for w, carry in islice(ball, 1, None):
+        if cells is not None and cells.misses(carry):
+            continue
+        img = carry if cells is None else _image_or_none(hw := realize(act, w), U)
         if img is None or img.certainly_disjoint(U):
             continue
-        live = [(cap, x) for cap, x in live if cap > floor]
-        hw = realize(act, w)
-        for cap, x in live:
-            if cap <= floor:
+        hw = realize(act, w) if cells is None else hw
+        for cap, x in caps:
+            if cap <= floor or cells is not None and cells.stuck(x, carry):
                 continue
             y = _or_none(evaluate, hw, x)
             if y is None or not (x.cmp(y) == -1 and y.cmp(hi) == -1
@@ -672,7 +751,8 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
     (1) nesting and (4) separation are endpoint-exact interval comparisons;
     (2) displacement-or-equality and (3) small image diameter are verified
     for every element of the radius-L ball.  Equality in (2) is relative to
-    the level tolerance (the construction's resolution, diam U_i).
+    the level tolerance (the construction's resolution, diam U_i).  Exact
+    coordinates (:class:`_Cells`) decide (2) and (3) where they can.
     """
     checks: list[LadderCheck] = []
     unit = Interval.closed(0, 1)
@@ -695,18 +775,27 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
             + ("an image that cannot be evaluated" if gU is None else str(gU)),
         ))
         tol = ladder.level_tolerance(i)
-        bad = None
-        small_bad = None
+        bad = small_bad = None
         bound = Real.rational(1, i)
-        for w, img in islice(_ball_images(act, U, ladder.radius), 1, None):
-            if img is None:
-                bad = bad or (w, "image not evaluable")
+        cells = _Cells.of(act, U)
+        ball = _ball_images(act, U, ladder.radius) if cells is None else cells.walk(ladder.radius)
+        for w, carry in islice(ball, 1, None):
+            apart = cells is not None and cells.misses(carry)
+            small = cells is not None and cells.narrow(carry, bound)
+            if apart and small:
                 continue
-            if not (img.certainly_disjoint(U) or _endpoints_fixed(img, U, tol)):
+            img = carry if cells is None else _image_or_none(realize(act, w), U)
+            if img is None:
+                if apart:   # so (3) is undecided
+                    small_bad = small_bad or (w, "image not evaluable")
+                else:
+                    bad = bad or (w, "image not evaluable")
+                continue
+            if not (apart or img.certainly_disjoint(U) or _endpoints_fixed(img, U, tol)):
                 bad = bad or (w, f"image {img} partially overlaps")
             clipped = img.intersection_hull(unit)
             d = _ZERO if clipped is None else clipped.diameter()
-            if d.cmp(bound) != -1:
+            if not small and d.cmp(bound) != -1:
                 small_bad = small_bad or (w, f"diam {d} in [0,1] not < 1/{i}")
         checks.append(LadderCheck(
             "displacement-or-equality", i, bad is None,

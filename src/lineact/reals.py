@@ -883,6 +883,17 @@ class Real:
             raise PrecisionExhausted(f"x ** e with |e ln x| beyond 2**{ceiling}")
         return Real(None, _mp.mpi_exp(t, p))
 
+    def double_log(self) -> Optional["Real"]:
+        """tau(u) = log2(-log2 u), outward rounded, for u certainly inside
+        (0, 1), else None: tau(u**(2**t)) = tau(u) + t."""
+        p = _prec()
+        u = self._as_mpi(p)
+        if mpf_sign(u[0]) <= 0 or mpf_cmp(u[1], _mp.fone) >= 0:
+            return None
+        ln2 = (_mp.mpf_ln2(p, round_floor), _mp.mpf_ln2(p, round_ceiling))
+        minus_log2 = _mp.mpi_div(_mp.mpi_neg(_mp.mpi_log(u, p)), ln2, p)
+        return Real(None, _mp.mpi_div(_mp.mpi_log(minus_log2, p), ln2, p))
+
     # -- comparisons --------------------------------------------------
 
     def contains_zero(self) -> bool:

@@ -2,25 +2,40 @@
 
 Each test starts from the benchmark ladder (ex_1_4 with k = 2, depth 2,
 radius 6, orbit depth 0), swaps one level's U for an interval that breaks
-one condition, and checks the condition's verdict and the word it names.
-The named word's endpoint images come from ``perfbench/oracles.ladder_point``,
-the ladder's closed form in cell-local mpmath coordinates, which shares no
-code with lineact.
+one condition, and checks the condition's verdict and the word it names;
+two U's whose images only exact (cell, tau) coordinates can place pass.
+The endpoint images come from ``perfbench/oracles.ladder_point``, the
+ladder's closed form in cell-local mpmath coordinates, which shares no
+code with lineact.  Some tests build a ladder of their own: to reach an
+image that only the tree could bound, and to compare the exact coordinates
+with the tree alone for a translation by two cells and a closed U.  The last tests pin ROADMAP item 2: six
+level-1 words pass condition (2) only by the level tolerance.
 """
 
 import dataclasses
+import math
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
 
-from lineact.actions import gallery, realize
-from lineact.dynamics import LadderParams, cantor_ladder, check_ladder
-from lineact.homeo import eval_interval
-from lineact.reals import _DEFAULT_CEILING, Interval, PrecisionExhausted
-from lineact.words import parse_word
+from lineact.actions import Action, gallery, realize
+from lineact.dynamics import (
+    CantorLadder,
+    LadderLevel,
+    LadderParams,
+    _ball_images,
+    _Cells,
+    _endpoints_fixed,
+    cantor_ladder,
+    check_ladder,
+)
+from lineact.homeo import Affine, UnitPowerLadder, eval_interval, evaluate
+from lineact.reals import Interval, PrecisionExhausted, Real
+from lineact.words import Presentation, ball, parse_word
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -58,20 +73,51 @@ def test_ladder_as_built_passes(act, ladder):
 
 
 def test_image_not_evaluable(act, ladder):
-    # in cell -3, g^-1 raises the offset to the 256th power, so g^-3 takes
-    # 1/4 .. 1/2 to 2^-33554432 .. 2^-16777216; f^2 moves them to cell -1,
-    # where g takes their fourth root
-    lo, hi = Fraction(-11, 4), Fraction(-5, 2)
+    # U straddles -25, so no exact coordinates hold for it and every word's
+    # image is evaluated: g takes the offset 3/4 in cell -26 to the power
+    # 2**(2**26), which pow_real refuses, so U's image under g is None
+    lo, hi = Fraction(-101, 4), Fraction(-99, 4)
+    assert math.floor(lo) == -26 and math.floor(hi) == -25
     w, reason = _failure(act, ladder, 1, lo, hi, "displacement-or-equality")
-    assert str(w) == "g f^2 g^-3"
+    assert str(w) == "g"
     assert reason == "image not evaluable"
-    tiny = mpmath.mpf(2) ** -_DEFAULT_CEILING
-    for x in (lo, hi):
-        cell, u = oracles.ladder_point(K, w.word, x)
-        # the image is a point of cell -1 nearer its edge than any enclosure
-        # at the precision ceiling can tell apart from the edge
-        assert cell == -1
-        assert 0 < u < tiny
+    with pytest.raises(PrecisionExhausted):
+        evaluate(realize(act, w), Real.from_fraction(lo))
+
+
+def _closed_form(word, x: Fraction):
+    """w(x) from the closed form, as (cell, offset) with an offset of 1 read
+    as the next cell's edge (the closed form rounds offsets within 10**-80
+    of 1 to 1)."""
+    n, u = oracles.ladder_point(K, word, x)
+    return (n + 1, mpmath.mpf(0)) if u == 1 else (n, u)
+
+
+def _assert_every_image_misses(act, radius: int, lo: Fraction, hi: Fraction):
+    """Every ball word sends (lo, hi) off itself, by the closed form."""
+    U = Interval.open(lo, hi)
+    a, b = _closed_form((), lo), _closed_form((), hi)
+    words = ball(act.presentation, radius)[1:]
+    for w in words:
+        img_lo, img_hi = (_closed_form(w.word, x) for x in (lo, hi))
+        assert img_hi <= a or img_lo >= b, (str(w), U)
+    return words
+
+
+# U_1 in cell -3 (the image of g f^2 g^-3 lies in cell -1) and in cell -8
+# (g^-1 f^-2 g): images the tree cannot evaluate at the precision ceiling,
+# which exact cell and tau coordinates certify as missing U
+@pytest.mark.parametrize("lo, hi", [(Fraction(-11, 4), Fraction(-5, 2)),
+                                    (Fraction(-31, 4), Fraction(-15, 2))])
+def test_exact_coordinates_certify_images_the_tree_cannot_evaluate(act, ladder, lo, hi):
+    levels = [dataclasses.replace(ladder.levels[0], u_interval=Interval.open(lo, hi)),
+              *ladder.levels[1:]]
+    checks = check_ladder(act, dataclasses.replace(ladder, levels=levels))
+    [check] = [c for c in checks if c.condition == "displacement-or-equality" and c.level == 1]
+    assert (check.passed, check.detail) == (True, "")
+    words = _assert_every_image_misses(act, ladder.radius, lo, hi)
+    named = {"g f^2 g^-3", "g^-1 f^-2 g"}
+    assert named & {str(w) for w in words}
 
 
 def test_image_partially_overlaps(act, ladder):
@@ -121,12 +167,14 @@ def test_mover_image_not_evaluable(act, ladder):
 
 
 # check_ladder's result with U_1 in cell -8, as computed before exact powers
-# had one size rule, when it took 5 s
+# had one size rule, when it took 5 s, apart from condition (2) at level 1:
+# g^-1 f^-2 g's image could not be evaluated, and exact coordinates now
+# certify that every image misses U_1 (the test above)
 CELL_MINUS_8 = [
     ("nesting", 1, False, "U_1 = (-31/4, -15/2) inside U_0 = (0, 1)"),
     ("separation", 1, False,
      "mover g^-2 sends [-31/4, -15/2] to [-7.0±6.91e-77, -7.0±6.91e-77]"),
-    ("displacement-or-equality", 1, False, "g^-1 f^-2 g: image not evaluable"),
+    ("displacement-or-equality", 1, True, ""),
     ("image-diameter", 1, True, ""),
     ("nesting", 2, False, "U_2 = (7/31, 8/31) inside U_1 = (-31/4, -15/2)"),
     ("separation", 2, False,
@@ -147,3 +195,114 @@ def test_far_cell_checks_unchanged(act, ladder):
     levels = [dataclasses.replace(ladder.levels[0], u_interval=U), *ladder.levels[1:]]
     checks = check_ladder(act, dataclasses.replace(ladder, levels=levels))
     assert [dataclasses.astuple(c) for c in checks] == CELL_MINUS_8
+
+
+def test_image_diameter_not_evaluable_where_only_the_tree_can_bound_it():
+    # on cell 0, c takes the offset u to u**(2**-16384) and a to u**(2**8192),
+    # so the word a c sends U_2 = (1/4, 1/2) to offsets u**(2**-8192), just
+    # below 1: exact coordinates show that the image misses U_2 but not that
+    # its diameter is below 1/2, and the tree cannot raise c's image, an
+    # enclosure touching 1, to the power 2**8192
+    p = Presentation.free(3)
+    act = Action(p, {"a": UnitPowerLadder(1, 2**13), "b": Affine(1, 1),
+                     "c": UnitPowerLadder(1, -2**14)})
+    mover = parse_word(p, "b")
+    us = [Interval.open(Fraction(1, 8), Fraction(7, 8)),
+          Interval.open(Fraction(1, 4), Fraction(1, 2))]
+    levels = [LadderLevel(i, mover, U.midpoint(), U, 2, U) for i, U in enumerate(us, start=1)]
+    ladder = CantorLadder(2, 2, Interval.open(0, 1), LadderParams(), levels, [], [])
+    checks = check_ladder(act, ladder)
+    got = {c.condition: (c.passed, c.detail) for c in checks if c.level == 2}
+    assert got["displacement-or-equality"] == (True, "")
+    assert got["image-diameter"] == (False, "a c: image not evaluable")
+    with mpmath.workdps(2500):
+        for x in (Fraction(1, 4), Fraction(1, 2)):
+            img = (mpmath.mpf(x.numerator) / x.denominator) ** (mpmath.mpf(2) ** -8192)
+            assert mpmath.mpf(1) / 2 < img < 1
+
+
+def _tree_only(monkeypatch):
+    monkeypatch.setattr(_Cells, "of", staticmethod(lambda act, U: None))
+
+
+def test_translation_by_two_cells_builds_and_checks_as_on_the_tree(monkeypatch):
+    # T_2 crosses two cells a step, so radius-3 words reach cells 0 +- 6 and
+    # the ladder's exponent is needed on cells the radius alone does not name
+    act = Action(Presentation.free(2), {"a": UnitPowerLadder(2, 1), "b": Affine(1, 2)})
+    params = LadderParams(orbit_depth=0)
+    ladder = cantor_ladder(act, 2, 3, params=params)
+    got = [dataclasses.astuple(c) for c in check_ladder(act, ladder)]
+    assert all(c[2] for c in got)
+    _tree_only(monkeypatch)
+    assert repr(cantor_ladder(act, 2, 3, params=params)) == repr(ladder)
+    assert [dataclasses.astuple(c) for c in check_ladder(act, ladder)] == got
+
+
+@pytest.mark.parametrize("closed", (False, True))
+def test_an_image_touching_u_misses_it_only_at_an_open_end(act, ladder, closed, monkeypatch):
+    # f^-1 = T_-1 sends U = [0, 1] to [-1, 0], which meets U at 0; the open
+    # U = (0, 1) goes to (-1, 0), which misses it.  Either way the image's
+    # ends lie within the level tolerance diam U = 1 of U's, so condition (2)
+    # passes as it does on the tree
+    U = Interval.closed(0, 1) if closed else Interval.open(0, 1)
+    cells = _Cells.of(act, U)
+    carries = {str(w): carry for w, carry in cells.walk(1)}
+    assert cells.misses(carries["f^-1"]) is not closed
+    assert cells.misses(carries["f"]) is not closed
+    levels = [dataclasses.replace(ladder.levels[0], u_interval=U), *ladder.levels[1:]]
+    bent = dataclasses.replace(ladder, levels=levels)
+    got = [dataclasses.astuple(c) for c in check_ladder(act, bent)]
+    assert ("displacement-or-equality", 1, True, "") in got
+    _tree_only(monkeypatch)
+    assert [dataclasses.astuple(c) for c in check_ladder(act, bent)] == got
+
+
+# The level-1 words of the benchmark ladder that pass condition (2) only by
+# the level tolerance (ROADMAP item 2), with their exact tau shifts: on U_1's
+# cell each one multiplies -log2 of the offset by 2**shift
+BY_TOLERANCE = {
+    "f^-1 g f": Fraction(-1, 2),
+    "f^-1 g^-1 f": Fraction(1, 2),
+    "f^-2 g f^2": Fraction(1, 4),
+    "f^-2 g^-1 f^2": Fraction(-1, 4),
+    "g f^-2 g^-1 f^2": Fraction(3, 4),
+    "g^-1 f^-2 g f^2": Fraction(-3, 4),
+}
+
+
+def _passing_by_tolerance(act, ladder) -> list[str]:
+    U = ladder.levels[0].u_interval
+    tol = ladder.level_tolerance(1)
+    return [str(w) for w, img in islice(_ball_images(act, U, ladder.radius), 1, None)
+            if img is not None and not img.certainly_disjoint(U)
+            and _endpoints_fixed(img, U, tol)]
+
+
+def test_six_words_overlap_u1_by_exact_tau_shifts(act, ladder):
+    U = ladder.levels[0].u_interval
+    lo, hi = U.lo.as_fraction(), U.hi.as_fraction()
+    assert (lo, hi) == (Fraction(1, 5), Fraction(2, 5))
+    assert sorted(_passing_by_tolerance(act, ladder)) == sorted(BY_TOLERANCE)
+    cells = _Cells.of(act, U)
+    carries = {str(w): carry for w, carry in cells.walk(ladder.radius) if str(w) in BY_TOLERANCE}
+    assert carries == {w: (0, q) for w, q in BY_TOLERANCE.items()}
+    with mpmath.workdps(oracles.DPS):
+        tau = [mpmath.log(-mpmath.log(mpmath.mpf(x.numerator) / x.denominator, 2), 2)
+               for x in (lo, hi)]
+        width = tau[0] - tau[1]   # about 0.81: every shift above moves U by less
+        assert mpmath.almosteq(width, 0.8127, 1e-3)
+        for w, q in BY_TOLERANCE.items():
+            assert mpmath.mpf(abs(q).numerator) / abs(q).denominator < width
+            word = parse_word(act.presentation, w).word
+            (n_lo, img_lo), (n_hi, img_hi) = (oracles.ladder_point(K, word, x) for x in (lo, hi))
+            assert n_lo == n_hi == 0
+            a, b = (mpmath.mpf(x.numerator) / x.denominator for x in (lo, hi))
+            # the image overlaps U and is not U: no tolerance-free rule passes it
+            assert img_lo < b and img_hi > a
+            assert abs(img_lo - a) > mpmath.mpf(10) ** -3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: six level-1 words of the "
+                   "benchmark ladder pass condition (2) only by the level tolerance")
+def test_no_word_passes_condition_two_by_tolerance(act, ladder):
+    assert _passing_by_tolerance(act, ladder) == []

@@ -25,7 +25,7 @@ from lineact.dynamics import (
     _movers,
     _or_none,
 )
-from lineact.homeo import Affine, HomeoExpr, evaluate
+from lineact.homeo import Affine, HomeoExpr, UnitPowerLadder, evaluate
 from lineact.reals import Interval, Real, precision
 from lineact.words import Presentation
 
@@ -129,6 +129,33 @@ def test_ladder_levels(radius, levels, bits):
         assert_same_scan(act, Interval.open(lo, hi), radius, bits)
 
 
+# exact (cell, tau) coordinates in a far cell and in an odd one, and a U
+# across a cell edge, which every word takes on the tree
+CELL_CASES = {
+    "ex_1_4 k=3 cell -2": ("ex_1_4 k=3", Fraction(-1999, 1000), Fraction(-1001, 1000)),
+    "klein_bottle cell 1": ("klein_bottle", Fraction(9, 8), Fraction(7, 4)),
+    "ex_1_4 k=2 across 0": ("ex_1_4 k=2", Fraction(-1, 4), Fraction(1, 4)),
+}
+
+
+@pytest.mark.parametrize("bits", (24, 256))
+@pytest.mark.parametrize("case", sorted(CELL_CASES))
+def test_cells_and_an_edge(case, bits):
+    name, lo, hi = CELL_CASES[case]
+    assert assert_same_scan(ACTIONS[name](), Interval.open(lo, hi), 4, bits) is not None
+
+
+def _ladder_and_long_translation() -> Action:
+    # T_2 crosses two cells a step, so a word of length r reaches 2r cells away
+    return Action(Presentation.free(2), {"a": UnitPowerLadder(2, 1), "b": Affine(1, 2)})
+
+
+@pytest.mark.parametrize("radius", (3, 4))
+@pytest.mark.parametrize("lo, hi", [(Fraction(0), Fraction(1)), (Fraction(1, 5), Fraction(2, 5))])
+def test_translation_by_two_cells(lo, hi, radius):
+    assert_same_scan(_ladder_and_long_translation(), Interval.open(lo, hi), radius, 64)
+
+
 def _endpoint(q: Fraction, tracked: bool) -> Real:
     return Real.tracked_from_fraction(q) if tracked else Real.from_fraction(q)
 
@@ -156,6 +183,19 @@ def test_steep_mover_runs_out_of_halvings(bits):
     act = Action(Presentation.free(1), {"a": Affine(2**70, q * (1 - 2**70))})
     w, x, _ = assert_same_scan(act, UNIT, 1, bits)
     assert str(w) == "a^-1" and x.as_fraction() == Fraction(5, 41)
+
+
+def test_cap_margin_keeps_a_rounded_up_winner():
+    # a: x -> x + 20/41 gives 10/41 the radius 9/10 * 10/41, which is both
+    # candidates' cap without rounding; b translates by a 16-bit enclosure
+    # of a value just below 20/41, and outward rounding lifts its radius's
+    # midpoint above a's, so b wins only if the cap keeps its margin
+    q = Fraction(20, 41) - Fraction(16, 2**22)
+    with precision(16):
+        act = Action(Presentation.free(2), {"a": Affine(1, Fraction(20, 41)),
+                                            "b": Affine(1, Real.tracked_from_fraction(q))})
+    w, x, _ = assert_same_scan(act, UNIT, 1, 16)
+    assert str(w) == "b" and x.as_fraction() == Fraction(10, 41)
 
 
 def test_bench_ladder_evaluates_at_most_half(monkeypatch):
