@@ -38,8 +38,6 @@ from .homeo import (
 from .words import (
     GroupElement,
     Presentation,
-    UnknownGenerator,
-    UnsupportedPresentation,
     ball,
     free_reduced_words,
     multiply,
@@ -49,10 +47,8 @@ from .words import (
 )
 from .actions import (
     Action,
-    BadParameter,
     ExtensionSpec,
     RelationReport,
-    UnknownGalleryName,
     check_relations,
     conjugate_into_unit,
     direct_product_extension,
@@ -67,7 +63,6 @@ from .dynamics import (
     CantorLadder,
     ConstructionFailed,
     LadderParams,
-    NotApplicable,
     OrbitClosureClass,
     OrbitPoint,
     WanderingCertificate,

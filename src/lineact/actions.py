@@ -43,14 +43,11 @@ from .words import (
     GroupElement,
     Letter,
     Presentation,
-    UnknownGenerator,
     multiply,
     reduce_letters,
 )
 
 __all__ = [
-    "UnknownGalleryName",
-    "BadParameter",
     "Action",
     "realize",
     "RelationCheck",
@@ -69,14 +66,6 @@ __all__ = [
 ]
 
 
-class UnknownGalleryName(ValueError):
-    pass
-
-
-class BadParameter(ValueError):
-    pass
-
-
 @dataclass
 class Action:
     """Generator images for a presentation; ``letter_maps[(i, 1)]`` is
@@ -89,7 +78,7 @@ class Action:
         self.letter_maps: dict[Letter, HomeoExpr] = {}
         for i, lab in enumerate(self.presentation.labels):
             if lab not in self.images:
-                raise UnknownGenerator(f"no image bound for generator {lab!r}")
+                raise ValueError(f"no image bound for generator {lab!r}")
             self.letter_maps[(i, 1)] = self.images[lab]
             self.letter_maps[(i, -1)] = inverse(self.images[lab])
 
@@ -97,13 +86,13 @@ class Action:
         try:
             return self.images[label]
         except KeyError:
-            raise UnknownGenerator(f"no generator named {label!r}") from None
+            raise ValueError(f"no generator named {label!r}") from None
 
 
 def realize(act: Action, w: GroupElement) -> HomeoExpr:
     """The homeomorphism of a word: leftmost letter outermost."""
     if w.presentation != act.presentation:
-        raise UnknownGenerator("word is over a different presentation")
+        raise ValueError("word is over a different presentation")
     return compose(*[act.letter_maps[letter] for letter in w.letters()])
 
 
@@ -196,7 +185,7 @@ def _alpha_param(alpha) -> Real:
             return parse_real(alpha)
         except ValueError:
             pass
-    raise BadParameter(f"cannot parse alpha {alpha!r}")
+    raise ValueError(f"cannot parse alpha {alpha!r}")
 
 
 def _gallery_integer_translation() -> Action:
@@ -215,7 +204,7 @@ def _gallery_two_translations(alpha="sqrt2") -> Action:
 def _gallery_affine_dilation(n=2) -> Action:
     n = int(n)
     if n < 2:
-        raise BadParameter("the dilation catalog entry needs n >= 2")
+        raise ValueError("the dilation catalog entry needs n >= 2")
     p = Presentation.baumslag_solitar(n, labels=("a", "b"))
     return Action(p, {
         "a": Affine(_ONE, _ONE),
@@ -226,7 +215,7 @@ def _gallery_affine_dilation(n=2) -> Action:
 def _gallery_power_ladder(k=2) -> Action:
     k = int(k)
     if k < 2:
-        raise BadParameter("the alternating ladder catalog entry needs k >= 2")
+        raise ValueError("the alternating ladder catalog entry needs k >= 2")
     p = Presentation.baumslag_solitar(-k, labels=("g", "f"))
     return Action(p, {
         "g": UnitPowerLadder(k, 1),
@@ -277,12 +266,12 @@ def gallery(name: str, **params) -> Action:
     """Build a catalog action by id or alias."""
     key = _ALIASES.get(name, name)
     if key not in _GALLERY:
-        raise UnknownGalleryName(f"no catalog action named {name!r}")
+        raise ValueError(f"no catalog action named {name!r}")
     builder, _ = _GALLERY[key]
     try:
         return builder(**params)
     except TypeError as exc:
-        raise BadParameter(str(exc)) from None
+        raise ValueError(str(exc)) from None
 
 
 def gallery_entries() -> list[tuple[str, str]]:
@@ -314,12 +303,12 @@ class ExtensionSpec:
 
     def __post_init__(self):
         if self.horizon < 0:   # no cell would evaluate: each would be the identity
-            raise BadParameter(f"horizon must be nonnegative, got {self.horizon}")
+            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
         if self.coset_label not in self.group.labels:
-            raise BadParameter("group presentation lacks the coset label")
+            raise ValueError("group presentation lacks the coset label")
         for lab in self.inner_action.presentation.labels:
             if lab not in self.group.labels:
-                raise BadParameter(f"group presentation lacks inner label {lab!r}")
+                raise ValueError(f"group presentation lacks inner label {lab!r}")
 
     def _entry(self, j: int, word: GroupElement) -> list:
         # a cell map depends on the conjugated word alone
@@ -369,11 +358,11 @@ def direct_product_extension(inner: Action, coset_label: str = "t",
     """Z x H with the trivial conjugation rule (coset generator central)."""
     H = inner.presentation
     if H.kind != "free_abelian":
-        raise BadParameter(
+        raise ValueError(
             "direct product spec shorthand needs a free abelian inner group"
         )
     if coset_label in H.labels:
-        raise BadParameter("coset label collides with an inner label")
+        raise ValueError("coset label collides with an inner label")
     G = Presentation.free_abelian(1 + H.rank, labels=(coset_label,) + H.labels)
     return ExtensionSpec(inner, G, coset_label, horizon=horizon)
 

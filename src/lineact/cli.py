@@ -19,7 +19,6 @@ import time
 
 from . import report
 from .actions import (
-    BadParameter,
     check_relations,
     conjugate_into_unit,
     direct_product_extension,
@@ -70,7 +69,7 @@ def _resolve_action(args):
         with open(args.spec, "r", encoding="utf-8") as fh:
             return parse_action_file(fh.read())
     if not args.gallery:
-        raise BadParameter("choose an action: --gallery or --spec")
+        raise ValueError("choose an action: --gallery or --spec")
     return gallery(args.gallery, **src["params"])
 
 

@@ -55,7 +55,6 @@ from .reals import (
 from .words import GroupElement, Presentation, key_rule, multiply, normal_form_key, walk
 
 __all__ = [
-    "NotApplicable",
     "ConstructionFailed",
     "OrbitPoint",
     "orbit",
@@ -75,10 +74,6 @@ __all__ = [
     "OrbitClosureClass",
     "classify_orbit_closure",
 ]
-
-
-class NotApplicable(ValueError):
-    """The operation's supported group family does not cover this action."""
 
 
 class ConstructionFailed(Exception):
@@ -335,7 +330,7 @@ def _wandering_chain(act: Action) -> list[str]:
         return [p.labels[0], p.labels[1]]
     if p.kind == "ladder" and all(s == -1 for s in p.name):
         return list(reversed(p.labels))
-    raise NotApplicable(
+    raise ValueError(
         "wandering construction supports B(1,-1) and all-(-1) ladder actions"
     )
 
@@ -752,7 +747,8 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
     (2) displacement-or-equality and (3) small image diameter are verified
     for every element of the radius-L ball.  Equality in (2) is relative to
     the level tolerance (the construction's resolution, diam U_i).  Exact
-    coordinates (:class:`_Cells`) decide (2) and (3) where they can.
+    coordinates (:class:`_Cells`) decide (2) and (3) where they can; an
+    image that cannot be evaluated fails each of them that they leave open.
     """
     checks: list[LadderCheck] = []
     unit = Interval.closed(0, 1)
@@ -785,11 +781,11 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
             if apart and small:
                 continue
             img = carry if cells is None else _image_or_none(realize(act, w), U)
-            if img is None:
-                if apart:   # so (3) is undecided
-                    small_bad = small_bad or (w, "image not evaluable")
-                else:
+            if img is None:   # fails each condition it leaves undecided
+                if not apart:
                     bad = bad or (w, "image not evaluable")
+                if not small:
+                    small_bad = small_bad or (w, "image not evaluable")
                 continue
             if not (apart or img.certainly_disjoint(U) or _endpoints_fixed(img, U, tol)):
                 bad = bad or (w, f"image {img} partially overlaps")

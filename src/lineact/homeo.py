@@ -550,27 +550,24 @@ def simplify(h: HomeoExpr) -> HomeoExpr:
     is the identity when each of its cell maps within the horizon simplifies
     to it.  T_d o Cell(w) = Cell(w) o T_d when w's maps of cells j and j + d
     agree within the horizon.  Where both evaluate, input and result agree.
+
+    One stack pass: when the output's top and the next factor rewrite, the
+    top is popped and the rewritten factors are read next, so no adjacent
+    pair of the result rewrites and simplify is idempotent.
     """
-    items = [_simplify_leaf(x) for x in _factors(h)]
-    items = [x for x in items if not isinstance(x, Identity)]
-
-    changed = True
-    while changed:
-        changed = False
-        out: list[HomeoExpr] = []
-        i = 0
-        while i < len(items):
-            rewritten = _rewrite_pair(*items[i:i + 2]) if i + 1 < len(items) else None
-            if rewritten is None:
-                out.append(items[i])
-                i += 1
-            else:
-                out += rewritten
-                i += 2
-                changed = True
-        items = [x for x in out if not isinstance(x, Identity)]
-
-    return compose(*items)
+    todo = [_simplify_leaf(x) for x in reversed(_factors(h))]
+    out: list[HomeoExpr] = []
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Identity):
+            continue
+        rewritten = _rewrite_pair(out[-1], x) if out else None
+        if rewritten is None:
+            out.append(x)
+        else:  # the rewritten factors meet the new top
+            out.pop()
+            todo += reversed(rewritten)
+    return compose(*out)
 
 
 # ---------------------------------------------------------------------------

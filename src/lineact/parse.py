@@ -47,7 +47,7 @@ from .homeo import (
 )
 from . import reals
 from .reals import Real
-from .words import Presentation, UnsupportedPresentation
+from .words import Presentation
 from .actions import Action
 
 __all__ = ["ParseError", "parse_real", "parse_expr", "parse_action_file"]
@@ -265,7 +265,7 @@ def _build_presentation(head: _Token, params: list[_Token],
             name = tuple(arg_int(i) for i in range(len(args)))
             _check_rank(len(name) + 1, labels, head)
             return Presentation.ladder(name, labels)
-    except UnsupportedPresentation as exc:
+    except ValueError as exc:
         raise ParseError(str(exc), head.line, head.column) from None
     raise ParseError(f"unknown group family {family!r}",
                      params[0].line, params[0].column)

@@ -29,8 +29,6 @@ from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 __all__ = [
-    "UnknownGenerator",
-    "UnsupportedPresentation",
     "Presentation",
     "GroupElement",
     "reduce_letters",
@@ -42,14 +40,6 @@ __all__ = [
     "free_reduced_words",
     "parse_word",
 ]
-
-
-class UnknownGenerator(ValueError):
-    pass
-
-
-class UnsupportedPresentation(ValueError):
-    pass
 
 
 Letter = tuple[int, int]  # (generator index, nonzero exponent)
@@ -93,17 +83,17 @@ class Presentation:
     @staticmethod
     def baumslag_solitar(n: int, labels: Optional[Sequence[str]] = None) -> "Presentation":
         if n == 0:
-            raise UnsupportedPresentation("B(1,0) is not a valid twist")
+            raise ValueError("B(1,0) is not a valid twist")
         return Presentation("bs", 2, n=n, labels=_mk_labels(2, labels))
 
     @staticmethod
     def ladder(name: Sequence[int], labels: Optional[Sequence[str]] = None) -> "Presentation":
         name = tuple(name)
         if any(s not in (1, -1) for s in name):
-            raise UnsupportedPresentation("ladder name entries must be +-1")
+            raise ValueError("ladder name entries must be +-1")
         k = len(name) + 1
         if k > 3:
-            raise UnsupportedPresentation(
+            raise ValueError(
                 "ladder presentations beyond three generators are not "
                 "determined by their name; refusing to guess"
             )
@@ -121,14 +111,14 @@ class Presentation:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise UnknownGenerator(f"no generator named {label!r}") from None
+            raise ValueError(f"no generator named {label!r}") from None
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, ())
 
     def generator(self, i: int, e: int = 1) -> "GroupElement":
         if not 0 <= i < self.rank:
-            raise UnknownGenerator(f"generator index {i} out of range")
+            raise ValueError(f"generator index {i} out of range")
         return GroupElement(self, ((i, e),) if e else ())
 
     def relations(self) -> list[tuple["GroupElement", "GroupElement"]]:
@@ -157,7 +147,7 @@ class Presentation:
                 f0, f2 = self.generator(0), self.generator(2)
                 rels.append((multiply(f0, f2), multiply(f2, f0)))
             return rels
-        raise UnsupportedPresentation(self.kind)
+        raise ValueError(self.kind)
 
     def describe(self) -> str:
         if self.kind == "free":
@@ -188,7 +178,7 @@ class GroupElement:
     def __post_init__(self):
         for g, e in self.word:
             if not 0 <= g < self.presentation.rank:
-                raise UnknownGenerator(f"generator index {g} out of range")
+                raise ValueError(f"generator index {g} out of range")
             if e == 0:
                 raise ValueError("zero exponent in a reduced word")
 
@@ -232,7 +222,7 @@ def reduce_letters(p: Presentation, letters: Sequence[Letter]) -> GroupElement:
     """Freely reduce a raw letter sequence; applies no relations."""
     for g, _ in letters:
         if not 0 <= g < p.rank:
-            raise UnknownGenerator(f"generator index {g} out of range")
+            raise ValueError(f"generator index {g} out of range")
     return GroupElement(p, _reduce(letters))
 
 
@@ -272,7 +262,7 @@ def key_rule(p: Presentation) -> tuple[str, Any, Callable[[Letter, Any], Any]]:
                 e *= name[g - 1]
             return k[:g] + (k[g] + e,) + k[g + 1:]
         return "fa" if p.kind == "free_abelian" else "ladder", (0,) * p.rank, ladder
-    raise UnsupportedPresentation(p.kind)
+    raise ValueError(p.kind)
 
 
 def normal_form_key(p: Presentation, w: GroupElement):
@@ -287,7 +277,7 @@ def normal_form_key(p: Presentation, w: GroupElement):
 def bs_pair(w: GroupElement) -> tuple[int, Fraction]:
     """The affine pair (m, t) of a Baumslag-Solitar word."""
     if w.presentation.kind != "bs":
-        raise UnsupportedPresentation("affine pairs exist only for B(1,n)")
+        raise ValueError("affine pairs exist only for B(1,n)")
     m, t = normal_form_key(w.presentation, w)[1]
     return m, Fraction(t)
 

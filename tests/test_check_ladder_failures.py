@@ -85,6 +85,15 @@ def test_image_not_evaluable(act, ladder):
         evaluate(realize(act, w), Real.from_fraction(lo))
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_an_unevaluable_image_fails_the_image_diameter_too(act, ladder, level):
+    # the same U and word: an image that cannot be bounded gives no evidence
+    # that its diameter is small, so condition (3) fails on it as (2) does
+    lo, hi = Fraction(-101, 4), Fraction(-99, 4)
+    w, reason = _failure(act, ladder, level, lo, hi, "image-diameter")
+    assert (str(w), reason) == ("g", "image not evaluable")
+
+
 def _closed_form(word, x: Fraction):
     """w(x) from the closed form, as (cell, offset) with an offset of 1 read
     as the next cell's edge (the closed form rounds offsets within 10**-80

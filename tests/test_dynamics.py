@@ -19,7 +19,6 @@ from lineact.actions import (
 from lineact.dynamics import (
     ConstructionFailed,
     LadderParams,
-    NotApplicable,
     cantor_ladder,
     check_ladder,
     classify_orbit_closure,
@@ -292,7 +291,8 @@ class TestFindWanderingInterval:
         assert float(rep.interval.lo.mid()) == -2.0
 
     def test_unsupported_family(self):
-        with pytest.raises(NotApplicable):
+        with pytest.raises(ValueError, match=r"^wandering construction supports "
+                           r"B\(1,-1\) and all-\(-1\) ladder actions$"):
             find_wandering_interval(gallery("ex_1_4", k=2),
                                     Interval.open(-4, 4))
 
