@@ -202,7 +202,8 @@ def _gallery_two_translations(alpha="sqrt2") -> Action:
 
 
 def _gallery_affine_dilation(n=2) -> Action:
-    n = int(n)
+    if not isinstance(n, int):  # int(n) would build B(1,2) from n = 2.9
+        raise ValueError(f"the dilation catalog entry needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError("the dilation catalog entry needs n >= 2")
     p = Presentation.baumslag_solitar(n, labels=("a", "b"))
@@ -213,7 +214,8 @@ def _gallery_affine_dilation(n=2) -> Action:
 
 
 def _gallery_power_ladder(k=2) -> Action:
-    k = int(k)
+    if not isinstance(k, int):  # int(k) would build B(1,-2) from k = 2.5
+        raise ValueError(f"the alternating ladder catalog entry needs an integer k, got {k!r}")
     if k < 2:
         raise ValueError("the alternating ladder catalog entry needs k >= 2")
     p = Presentation.baumslag_solitar(-k, labels=("g", "f"))

@@ -28,11 +28,12 @@ endpoint: against a rational or a value of its field it compares by the
 exact sign of one u + v*sqrt(r), and against an mpf through its enclosure,
 exactly when the mpf falls inside.  :meth:`Real.cmp` is the one three-way
 order, and it reads two enclosures of one and the same point as a tie.  No
-``Fraction`` is built to compare or sort a tracked value
-(:meth:`Real.mid_key`); :meth:`Real.bounds` turns endpoints into fractions
-for reporting, oracles and the exact path.  Equality is exact too: two
-tracked values are equal only when they are one object, since equal
-enclosures do not prove equal values.
+``Fraction`` is built to compare or sort a tracked value, or to print an
+exact quadratic's float (:meth:`Real.mid_key`, :meth:`Real.mid_float`);
+:meth:`Real.bounds` turns endpoints into fractions for reporting, oracles
+and the exact path.  Equality is exact too: two tracked values are equal
+only when they are one object, since equal enclosures do not prove equal
+values.
 
 Precision of tracked arithmetic is controlled by :class:`PrecisionContext`.
 The default working precision is 256 bits.  An undecided comparison answers
@@ -396,12 +397,12 @@ def _quad_pow(a: int, b: int, d: int, r: int, n: int) -> "Real":
     return _quadratic(x, y, den, r)
 
 
-def _quad_mid(quad) -> Fraction:
-    """The exact midpoint of the quadratic's bracket at the print precision,
-    so an approximation does not depend on the working precision."""
+def _quad_mid(quad) -> tuple[int, int]:
+    """The exact midpoint n/m, m > 0, of the quadratic's bracket at the print
+    precision, so an approximation does not depend on the working precision."""
     a, b, d, r = quad
     p = _DEFAULT_BITS
-    return Fraction((a << (p + 1)) + b * (2 * _sqrt_floor(r, p) + 1), d << (p + 1))
+    return (a << (p + 1)) + b * (2 * _sqrt_floor(r, p) + 1), d << (p + 1)
 
 
 def _quad_coords(x: "Real") -> Optional[tuple[Fraction, Fraction, Fraction]]:
@@ -532,6 +533,13 @@ def _finer(e, p: int, nbits: int) -> bool:
 
 def _end_fraction(e) -> Fraction:
     return e if type(e) is not tuple else Fraction(*to_rational(e))
+
+
+def _mpf_float(h) -> float:
+    """The float nearest the finite mpf h."""
+    if h[2] + h[3] < -1021:  # to_float rounds twice below 2**-1022
+        return approx_float(_end_fraction(h))
+    return to_float(h, rnd=round_nearest)
 
 
 def _round_end(e, prec: int, rnd):
@@ -671,8 +679,22 @@ class Real:
         if self._rat is not None:
             return self._rat
         if self._quad is not None:
-            return _quad_mid(self._quad)
+            return Fraction(*_quad_mid(self._quad))
         return _end_fraction(self._half_sum())
+
+    def mid_float(self) -> float:
+        """``approx_float(self.mid())`` from the value's own data: the float
+        nearest the exact midpoint, or +-inf beyond float range."""
+        q = self._rat
+        if q is not None:
+            return approx_float(q)
+        if self._quad is not None:
+            n, m = _quad_mid(self._quad)
+            try:
+                return n / m  # int true division rounds once, as float(Fraction(n, m))
+            except OverflowError:
+                return math.inf if n > 0 else -math.inf
+        return _mpf_float(self._half_sum())
 
     def _half_sum(self):
         """A tracked value's exact midpoint: its ends' exact sum, halved."""
@@ -687,14 +709,10 @@ class Real:
         """Sorts values as their exact midpoints, building no Fraction: the
         midpoint's nearest float, then the midpoint as an exact endpoint."""
         q = self._rat
-        if q is not None:
-            return (approx_float(q), _END_ORDER(q))
-        if self._quad is not None:
-            return (approx_float(self.mid()), _END_ORDER(self))
-        h = self._half_sum()
-        if h[2] + h[3] < -1021:  # to_float rounds twice below 2**-1022
-            return (approx_float(_end_fraction(h)), _END_ORDER(h))
-        return (to_float(h, rnd=round_nearest), _END_ORDER(h))
+        if q is None and self._quad is None:
+            h = self._half_sum()
+            return (_mpf_float(h), _END_ORDER(h))
+        return (self.mid_float(), _END_ORDER(self if q is None else q))
 
     def _as_mpi(self, prec: int):
         q = self._rat

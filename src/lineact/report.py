@@ -6,15 +6,14 @@ sorted keys by the CLI, scalars print through the canonical Real formatter
 (exact rationals as ``p/q``, exact quadratics as ``p+q*sqrt2`` or
 ``p+q*sqrt3``, tracked values as decimal with an error suffix), and a
 float approximation is attached where downstream plotting tools want
-plain numbers.  Every such float goes through
-``reals.approx_float``: a value beyond float range prints as ``null`` in
+plain numbers.  Every such float is ``Real.mid_float``, the float nearest
+the value's exact midpoint: a value beyond float range prints as ``null`` in
 JSON and as ``inf``/``-inf`` in CSV, next to its exact text.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional
 
 from .dynamics import (
@@ -26,7 +25,7 @@ from .dynamics import (
     WanderingCertificate,
 )
 from .actions import RelationReport
-from .reals import Interval, Real, approx_float
+from .reals import Interval, Real
 
 SCHEMA = "line-act/1"
 
@@ -46,14 +45,13 @@ __all__ = [
 ]
 
 
-def _approx(q: Fraction | float) -> Optional[float]:
-    """q as a JSON number: null beyond float range, where JSON has no inf."""
-    f = approx_float(q)
+def _approx(f: float) -> Optional[float]:
+    """f as a JSON number: null beyond float range, where JSON has no inf."""
     return None if math.isinf(f) else f
 
 
 def real_json(r: Real) -> dict:
-    return {"value": str(r), "approx": _approx(r.mid()), "kind": r.kind}
+    return {"value": str(r), "approx": _approx(r.mid_float()), "kind": r.kind}
 
 
 def interval_json(iv: Optional[Interval]) -> Optional[dict]:
@@ -62,8 +60,8 @@ def interval_json(iv: Optional[Interval]) -> Optional[dict]:
     return {
         "lo": str(iv.lo),
         "hi": str(iv.hi),
-        "lo_approx": _approx(iv.lo.mid()),
-        "hi_approx": _approx(iv.hi.mid()),
+        "lo_approx": _approx(iv.lo.mid_float()),
+        "hi_approx": _approx(iv.hi.mid_float()),
         "open_lo": iv.open_lo,
         "open_hi": iv.open_hi,
     }
@@ -81,7 +79,7 @@ def orbit_json(points: list[OrbitPoint]) -> dict:
 def orbit_csv(points: list[OrbitPoint]) -> str:
     lines = ["x,word"]
     for p in points:
-        lines.append(f"{approx_float(p.value.mid())!r},{p.word}")
+        lines.append(f"{p.value.mid_float()!r},{p.word}")
     return "\n".join(lines) + "\n"
 
 
@@ -160,10 +158,7 @@ def ladder_csv(lad: CantorLadder) -> str:
     lines = ["level,component_index,lo,hi"]
     for i, lam in enumerate(lad.lambda_sets, start=1):
         for j, iv in enumerate(lam):
-            lines.append(
-                f"{i},{j},{approx_float(iv.lo.mid())!r},"
-                f"{approx_float(iv.hi.mid())!r}"
-            )
+            lines.append(f"{i},{j},{iv.lo.mid_float()!r},{iv.hi.mid_float()!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -147,6 +147,15 @@ class TestGallery:
             gallery("ex_1_4", k=0)
         with pytest.raises(ValueError, match=r"^the dilation catalog entry needs n >= 2$"):
             gallery("ex_1_3", n=1)
+        # int() would truncate these to k = 2 and n = 2 and build B(1,-2), B(1,2)
+        for k in (2.5, 2.0, "2", Fraction(5, 2)):
+            message = re.escape(f"the alternating ladder catalog entry needs an integer k, got {k!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                gallery("ex_1_4", k=k)
+        for n in (2.9, 2.0, "2"):
+            message = re.escape(f"the dilation catalog entry needs an integer n, got {n!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                gallery("ex_1_3", n=n)
 
     def test_alpha_literals_and_values(self):
         def shift(alpha):

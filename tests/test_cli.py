@@ -1,8 +1,10 @@
 import argparse
 import json
+import math
 import re
 import runpy
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +80,35 @@ class TestDispatch:
         lines = out.strip().splitlines()
         assert lines[0] == "x,word"
         assert len(lines) == 26  # 25 lattice points + header
+
+    def test_orbit_csv_at_benchmark_size(self, capsys):
+        """Each row of the radius-40 orbit of 3/7 under x+1 and x+sqrt2 is
+        the float nearest the 256-bit bracket midpoint of 3/7 + m + n*sqrt2,
+        for its word a^m b^n, and the rows are in the order of those
+        midpoints; every word of the ball appears once."""
+        code, out = run(capsys, "orbit", "--gallery", "ex_1_2", "--alpha", "sqrt2",
+                        "--point", "3/7", "--radius", "40", "--format", "csv")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "x,word"
+        # sqrt2 lies in [R, R + 1]/2**256, so the bracket of 3/7 + m + n*sqrt2
+        # has the midpoint 3/7 + m + n*(2R + 1)/2**257, for n of either sign
+        sqrt2_mid = Fraction(2 * math.isqrt(2 << 512) + 1, 1 << 257)
+        mids, coords = [], set()
+        for row in rows:
+            x, word = row.split(",")
+            exps = {"a": 0, "b": 0}
+            for token in word.split(" ") if word != "1" else ():
+                letter, _, e = token.partition("^")
+                exps[letter] += int(e or 1)
+            coords.add((exps["a"], exps["b"]))
+            mid = Fraction(3, 7) + exps["a"] + exps["b"] * sqrt2_mid
+            assert float(x) == float(mid), row
+            mids.append(mid)
+        assert len(rows) == 3281 == len(coords)
+        assert coords == {(m, n) for m in range(-40, 41) for n in range(-40, 41)
+                          if abs(m) + abs(n) <= 40}
+        assert mids == sorted(mids)
 
     def test_orbit_json_coverage(self, capsys):
         code, doc = run_json(

@@ -7,8 +7,9 @@ included.  Real.cmp also decides a provable point tie (both enclosures one
 and the same point) as 0, so against a rational it is the retired
 cmp_fraction.  The operands include far-cell ends with mantissas of up to
 10**6 bits and values at and around powers of two; a path test checks which
-branch of the mpf-against-rational compare runs, and the sort key's float is
-checked against the nearest float of the exact midpoint."""
+branch of the mpf-against-rational compare runs, and the printed float and
+the sort key's float are checked against the nearest float of the exact
+midpoint, exact quadratics included."""
 
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from lineact.reals import (
     _mpi_from_fraction,
     _prec,
     _precedes,
+    _quadratic,
     approx_float,
     precision,
 )
@@ -409,12 +411,42 @@ def _just_above_half_least_subnormal() -> Real:
         return Real.tracked_from_fraction(Fraction(1, 1 << 1075) * (1 + Fraction(1, 1 << 300)))
 
 
+@st.composite
+def quadratics(draw) -> Real:
+    """Exact (a + b*sqrt(r))/d, r = 2 or 3, b of either sign: moderate, beyond
+    float range, below the least subnormal, or with its 256-bit bracket
+    midpoint within about 2**-s ulp of a tie between two floats."""
+    kind = draw(st.sampled_from(["plain", "huge", "tiny", "near-tie"]))
+    r = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sign = draw(st.sampled_from([1, -1]))
+    b = draw(st.sampled_from([1, -1])) * (rng.getrandbits(40) | 1)
+    if kind == "plain":
+        return _quadratic(sign * rng.getrandbits(64), b, rng.getrandbits(64) | 1, r)
+    if kind == "huge":  # |x| > 2**1100
+        return _quadratic(sign * (rng.getrandbits(60) | 1) << 1140, b, rng.getrandbits(20) | 1, r)
+    if kind == "tiny":  # |x| < 2**-1100
+        return _quadratic(sign * rng.getrandbits(60), b, (rng.getrandbits(60) | 1) << 1200, r)
+    # The bracket midpoint is (a + b*c)/d, c = (2R + 1)/2**(p + 1).  With the
+    # tie t = T/2**s (T odd, 54 bits) and N = round(b*c*2**s), choose d with
+    # T*d = N mod 2**s and a = (T*d - N)/2**s: the midpoint is then within
+    # 1/(2*d*2**s) of t, and the ulp at t is 2**(1 - s).
+    p, s = reals._DEFAULT_BITS, draw(st.sampled_from([64, 100, 200]))
+    bc = b * (2 * reals._sqrt_floor(r, p) + 1)
+    big_t = (1 << 53) | rng.getrandbits(53) | 1
+    n = ((bc << s) + (1 << p)) >> (p + 1)
+    d = n * pow(big_t, -1, 1 << s) % (1 << s) or 1 << s
+    return _quadratic(sign * ((big_t * d - n) >> s), sign * b, d, r)
+
+
 @settings(max_examples=300, deadline=None)
-@given(pairs())
+@given(st.one_of(pairs(), st.tuples(quadratics())))
 @example((_just_above_half_least_subnormal(), Real.tracked_from_fraction(Fraction(0))))
 def test_mid_key_float_is_the_nearest_float(xy):
+    """The printed float and the sort key's float are the float nearest the
+    exact midpoint, for rationals, exact quadratics and tracked values."""
     for x in xy:
-        assert x.mid_key()[0] == approx_float(x.mid())
+        assert x.mid_float() == approx_float(x.mid()) == x.mid_key()[0]
 
 
 @settings(max_examples=300, deadline=None)
