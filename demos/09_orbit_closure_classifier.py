@@ -1,12 +1,11 @@
 """Classification of orbit-closure shapes.
 
-An orbit closure falls in one of four classes: a fixed point, a discrete
-sequence, a dense fill, or the best-effort residual class for uneven
-accumulation.  For an action by exact affine maps whose relations are
-proved, the class is decided exactly and printed with its basis: the Q-rank
-of the translation lengths, or a dilation that shrinks a translation.
-Every other action is classified from a finite orbit sample, as a
-deterministic function of the sample and the declared thresholds.
+For an action by exact affine maps whose relations are proved, the orbit
+closure's class (a fixed point, a discrete sequence or a dense fill) is
+decided exactly and printed with its basis: the Q-rank of the translation
+lengths, or a dilation that shrinks a translation.  No finite orbit sample
+proves a class, so every other action reads undecided, printed with its
+sample's figures.
 """
 
 from lineact import (

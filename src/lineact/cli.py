@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("classify", _cmd_classify,
             "classify an orbit closure: exactly for exact affine actions, "
-            "else heuristically from an orbit sample")
+            "else undecided, with an orbit sample's figures")
     p.add_argument("--point", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--window", nargs=2, required=True, metavar=("LO", "HI"))

@@ -833,21 +833,13 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
 # orbit-closure classification
 
 
-# Classification thresholds, heuristics fixed on the gallery actions.  Dense:
-# the largest gap is under 1/20 of the window.  Discrete: the smallest gap is
-# over 1/5 of the median gap (evenly spread points) and doubling the radius
-# grows the in-window sample at most 5/2-fold (a discrete orbit meets a
-# bounded window in boundedly many points).
-_DENSE_FRACTION = Fraction(1, 20)
-_DISCRETE_SPACING = Fraction(1, 5)
-_GROWTH_RATIO = Fraction(5, 2)
-
-
 @dataclass
 class OrbitClosureClass:
-    kind: str    # 'fixed-point' | 'discrete-sequence' | 'cantor-like' | 'dense'
+    """A certified class ('fixed-point', 'discrete-sequence' or 'dense') with
+    its ``basis``, or 'undecided' with the orbit sample's ``evidence``."""
+    kind: str
     evidence: Optional[dict] = None   # the sample's figures; None when certified
-    basis: Optional[str] = None       # why a certified class holds; None when heuristic
+    basis: Optional[str] = None       # why a certified class holds; None when sampled
 
 
 def _independent(vectors: list) -> list[int]:
@@ -921,21 +913,20 @@ def _certified_class(act: Action) -> Optional[tuple[str, str]]:
 def classify_orbit_closure(act: Action, x: RealLike, radius: int,
                            window: Interval) -> OrbitClosureClass:
     """Orbit-closure class: certified for exact affine actions, else
-    read off a finite sample.
+    'undecided'.
 
     When :func:`_certified_class` decides, the class carries its ``basis``
-    and no sample is drawn.  Otherwise the verdict is a heuristic, a
-    deterministic function of the orbit sample and the module's fixed
-    thresholds, reported with its ``evidence``.  'cantor-like' is
-    best-effort: no finite sample can witness a Cantor structure, so it is
-    the residual class.
+    and no sample is drawn.  Otherwise no finite sample proves a class, so
+    the answer is 'undecided' with the sample's figures as ``evidence``:
+    the in-window counts at the radius and at half of it and, when two or
+    more points fall in the window, its coverage gap and diameter, the
+    least and median gaps and the growth ratio of the two counts.
     """
     if radius < 2:
         raise ValueError(f"radius must be at least 2, got {radius}")
     certified = _certified_class(act)
     if certified is not None:
         return OrbitClosureClass(certified[0], basis=certified[1])
-    diam = window.diameter()
     # one walk serves both samples: the half-radius ball is its first layers
     sample = _orbit_sample(act, x, radius)
 
@@ -951,23 +942,13 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
         "count": len(inside),
         "count_half_radius": len(inside_half),
     }
-    if len(inside) <= 1:
-        return OrbitClosureClass("fixed-point", evidence)
-
-    gap = coverage_gap(inside, window)
-    evidence["coverage_gap"] = approx_float(gap.mid())
-    evidence["window_diameter"] = approx_float(diam.mid())
-    if gap.mid() < _DENSE_FRACTION * diam.mid():
-        return OrbitClosureClass("dense", evidence)
-
-    mids = [v.mid() for v in inside]
-    gaps = sorted(b - a for a, b in zip(mids, mids[1:]))
-    min_gap = gaps[0]
-    median_gap = gaps[len(gaps) // 2]
-    growth = Fraction(len(inside), max(len(inside_half), 1))
-    evidence["min_gap"] = approx_float(min_gap)
-    evidence["median_gap"] = approx_float(median_gap)
-    evidence["growth_ratio"] = approx_float(growth)
-    if min_gap > _DISCRETE_SPACING * median_gap and growth <= _GROWTH_RATIO:
-        return OrbitClosureClass("discrete-sequence", evidence)
-    return OrbitClosureClass("cantor-like", evidence)
+    if len(inside) >= 2:
+        mids = [v.mid() for v in inside]
+        gaps = sorted(b - a for a, b in zip(mids, mids[1:]))
+        evidence["coverage_gap"] = approx_float(coverage_gap(inside, window).mid())
+        evidence["window_diameter"] = approx_float(window.diameter().mid())
+        evidence["min_gap"] = approx_float(gaps[0])
+        evidence["median_gap"] = approx_float(gaps[len(gaps) // 2])
+        evidence["growth_ratio"] = approx_float(
+            Fraction(len(inside), max(len(inside_half), 1)))
+    return OrbitClosureClass("undecided", evidence)

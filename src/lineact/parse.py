@@ -161,11 +161,8 @@ class _Parser:
 
     def integer(self) -> int:
         tok = self.next("an integer")
-        text = tok.text
-        if text.startswith("+"):
-            text = text[1:]
         try:
-            return int(text)
+            return int(tok.text)
         except ValueError:
             raise ParseError(f"expected an integer, found {tok.text!r}",
                              tok.line, tok.column) from None

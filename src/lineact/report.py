@@ -177,7 +177,7 @@ def classification_json(cls: OrbitClosureClass) -> dict:
     if cls.basis is not None:
         # decided exactly from the generators, with no sample drawn
         return {"class": cls.kind, "heuristic": False, "basis": cls.basis}
-    # otherwise read off a finite sample by fixed thresholds: no proof
+    # otherwise undecided: the finite sample's figures, which prove no class
     return {"class": cls.kind, "heuristic": True, "evidence": {
         k: _approx(v) if isinstance(v, float) else v
         for k, v in cls.evidence.items()}}

@@ -102,7 +102,7 @@ def _ex_1_2(alpha: str):
 @example(case=(_ex_1_2("3/2"), "discrete-sequence"), radius=10)
 @example(case=(_ex_1_2("3/2"), "discrete-sequence"), radius=20)
 @example(case=(_ex_1_2("3/2"), "discrete-sequence"), radius=60)
-# None: the class must stay heuristic
+# None: the class must stay undecided
 @example(case=(_ex_1_2("pi"), None), radius=4)
 @example(case=(parse_action_file(UNPROVED), None), radius=4)
 @example(case=(parse_action_file(MIXED), None), radius=4)
@@ -110,7 +110,7 @@ def test_class_known_by_construction(case, radius):
     act, expected = case
     cls = classify_orbit_closure(act, Real.rational(1, 3), radius, WINDOW)
     if expected is None:
-        assert cls.basis is None
+        assert (cls.kind, cls.basis) == ("undecided", None)
         assert cls.evidence["radius"] == radius
     else:
         assert (cls.kind, cls.evidence) == (expected, None)

@@ -337,12 +337,13 @@ class TestVerdictBranches:
         assert "dilations a and b fix 0 and -1" in res["basis"]
 
     def test_sampled_fixed_point(self, capsys, tmp_path):
-        # 2x and 3x both fix 0, so the orbit of 0 is {0}
+        # 2x and 3x both fix 0, so the orbit of 0 is {0}; a common fixed
+        # point is not certified, so the sample's answer is undecided
         code, doc = self.run_spec(
             capsys, tmp_path, "group free 2\ngen a = affine(2, 0)\ngen b = affine(3, 0)\n",
             "classify", "--point", "0", "--radius", "4", "--window", "-1", "1")
         res = doc["result"]
-        assert code == 0 and (res["class"], res["heuristic"]) == ("fixed-point", True)
+        assert code == 0 and (res["class"], res["heuristic"]) == ("undecided", True)
         assert res["evidence"] == {"count": 1, "count_half_radius": 1, "radius": 4}
 
     def test_sampled_dense(self, capsys, tmp_path):
@@ -352,9 +353,27 @@ class TestVerdictBranches:
             capsys, tmp_path, "group free 2\ngen a = affine(1, pi)\ngen b = affine(2, 0)\n",
             "classify", "--point", "1/3", "--radius", "8", "--window", "0", "1")
         res = doc["result"]
-        assert code == 0 and (res["class"], res["heuristic"]) == ("dense", True)
+        assert code == 0 and (res["class"], res["heuristic"]) == ("undecided", True)
         assert (res["evidence"]["count"], res["evidence"]["count_half_radius"]) == (69, 10)
         assert res["evidence"]["coverage_gap"] < res["evidence"]["window_diameter"] / 20
+
+    @pytest.mark.parametrize("spec, source, radius", [
+        # pi and 2 are Q-independent, so the orbit of 0 is dense
+        ("group free 2\ngen a = affine(1, pi)\ngen b = affine(1, 2)\n", [], 4),
+        # Z + pi Z is dense, yet the points n pi mod 1 have at most three
+        # distinct gaps (the three-gap theorem): even spacing proves nothing
+        (None, ["--gallery", "ex_1_2", "--alpha", "pi"], 40),
+    ], ids=["pi_spec", "ex_1_2_pi"])
+    def test_uncertified_class_is_undecided(self, capsys, tmp_path, spec, source, radius):
+        argv = ["classify", *source, "--point", "0", "--radius", str(radius),
+                "--window", "0", "1"]
+        if spec is None:
+            code, doc = run_json(capsys, *argv)
+        else:
+            code, doc = self.run_spec(capsys, tmp_path, spec, *argv)
+        res = doc["result"]
+        assert code == 0 and (res["class"], res["heuristic"]) == ("undecided", True)
+        assert res["evidence"]["radius"] == radius
 
     def test_trivial_action_wander_find(self, capsys, tmp_path):
         # every generator is the identity, so the whole window wanders

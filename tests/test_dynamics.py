@@ -415,10 +415,10 @@ class TestClassifier:
 
     def test_residual_class_for_edge_accumulating_orbit(self):
         # power-map orbits pile up at the cell edges: neither dense nor
-        # evenly spaced, landing in the best-effort class
+        # evenly spaced, and no sample decides the class
         cls = classify_orbit_closure(gallery("klein_bottle"), R(1, 3), 8,
                                      Interval.closed(0, 1))
-        assert cls.kind == "cantor-like"
+        assert cls.kind == "undecided" and cls.basis is None
         assert cls.evidence["min_gap"] < 0.2 * cls.evidence["median_gap"]
         assert cls.evidence["coverage_gap"] > 0.05
 

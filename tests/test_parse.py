@@ -187,6 +187,8 @@ BAD_EXPRS = [
     ('unitpowerladder(0,+1)', 'ladder base k must be a positive integer', 1, 1),
     ('unitpowerladder(1,2)', 'ladder direction s must be +1 or -1', 1, 1),
     ('unitpowerladder(1,+x)', "expected an integer, found '+x'", 1, 19),
+    ('unitpowerladder(2,+-1)', "expected an integer, found '+-1'", 1, 19),
+    ('unitpowerladder(2,++1)', "expected an integer, found '++1'", 1, 19),
     ('unitpowerladder(1 +1)', "expected ',', found '+1'", 1, 19),
     ('unitpowerladder(+,1)', "expected an integer, found '+'", 1, 17),
     ('unitpowerladder(1,-1', "expected ')', found end of input", 1, 19),
