@@ -1,15 +1,17 @@
 """Orbit exploration, transitivity search, wandering certificates, and the
 nested-interval constructions.
 
-Universal quantifiers over an infinite group are truncated to word balls of
-a declared radius L; every verdict produced here records the radius it was
-computed at.  Disjointness and containment tests use rigorous interval
-images (monotone endpoint evaluation with outward error bounds); a test that
-cannot be decided at the precision ceiling is reported as a violation rather
-than silently passed; the ladder decides disjointness in exact (cell, tau)
+Universal quantifiers over an infinite group are truncated to word balls of a
+declared radius L; every verdict produced here records the radius it was
+computed at.  Disjointness and containment tests use rigorous interval images
+(monotone endpoint evaluation with outward error bounds); a test that cannot be
+decided at the precision ceiling is reported as a violation rather than
+silently passed; the ladder decides disjointness in exact (cell, tau)
 coordinates first for power ladders and integer translations, where B(1,-k)
-acts affinely (Abel's equation).  A word is pointwise-fixed only when ``simplify``
-proves it the identity: no sample of points or tolerance stands in for that.
+acts affinely (Abel's equation), walking one word per (cell, tau) pair; other
+sweeps walk one per element, trusting the presentation's relations.  A word is
+pointwise-fixed only when ``simplify`` proves it the identity: no sample of
+points or tolerance stands in for that.
 
 Certificate sweeps report a verdict for every freely reduced *word*.  When
 ``simplify`` proves every defining relation, w(J) depends only on w's group
@@ -19,6 +21,7 @@ verdict: only as sound as the normal form, which property tests guard.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,7 +55,7 @@ from .reals import (
     current_precision,
     retry_precision,
 )
-from .words import GroupElement, Presentation, key_rule, multiply, normal_form_key, walk
+from .words import GroupElement, Presentation, ball, key_rule, multiply, normal_form_key, walk
 
 __all__ = [
     "ConstructionFailed",
@@ -115,7 +118,8 @@ def _ball_images(act: Action, iv: Interval, radius: int):
     A word whose image cannot be evaluated (cell exponent out of range)
     carries ``None``, and so do all its extensions.
     """
-    return walk(act.presentation, radius, True, iv, _letter_step(act, _image_or_none))
+    p = act.presentation
+    return walk(p, radius, key_rule(p), iv, _letter_step(act, _image_or_none))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +148,9 @@ def orbit(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
 def _orbit_sample(act: Action, x: RealLike, radius: int) -> list[OrbitPoint]:
     """{w(x)} over the radius-L ball in the walk's shortlex order, one point
     per group element; the words of length <= r come first, for every r."""
+    p = act.presentation
     return [OrbitPoint(v, w) for w, v in walk(
-        act.presentation, radius, True, Real.coerce(x), _letter_step(act, evaluate))]
+        p, radius, key_rule(p), Real.coerce(x), _letter_step(act, evaluate))]
 
 
 _point_value = attrgetter("value")
@@ -232,10 +237,7 @@ class WanderingCertificate:
     witness: Optional[GroupElement] = None
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for v in self.verdicts:
-            out[v.verdict] = out.get(v.verdict, 0) + 1
-        return out
+        return dict(Counter(v.verdict for v in self.verdicts))
 
 
 def wandering_certificate(act: Action, J: Interval, radius: int) -> WanderingCertificate:
@@ -253,7 +255,7 @@ def wandering_certificate(act: Action, J: Interval, radius: int) -> WanderingCer
         raise ValueError(f"radius must be at least 1, got {radius}")
     p = act.presentation
     group = p if relations_proved(act) else Presentation.free(p.rank, p.labels)
-    _, key, rule = key_rule(group)
+    key, rule = key_rule(group)
     images, by_element, verdicts = {key: J}, {}, []
 
     def step(letter, carry):
@@ -263,7 +265,7 @@ def wandering_certificate(act: Action, J: Interval, radius: int) -> WanderingCer
             images[k] = _image_or_none(act.letter_maps[letter], carry[1])
         return k, images[k]
 
-    for w, (k, img) in islice(walk(p, radius, False, (key, J), step), 1, None):
+    for w, (k, img) in islice(walk(p, radius, None, (key, J), step), 1, None):
         v = by_element.get(k)
         if v is None:
             v = by_element[k] = _word_verdict(act, w, img, J)
@@ -477,10 +479,11 @@ def _grid_fractions(n: int) -> list[Fraction]:
 class _Cells:
     """Exact (cell, tau) coordinates of a cellwise action's ball over U in one
     cell n0: on cell n a ladder adds cell_exponent(n) to tau(u) = log2(-log2 u)
-    of u = x - n, T_d adds d to n, so a word carries one pair (n, q) for all
-    of U's open cell.  A point (n, v, q) is n + u, tau(u) = tau(v - floor(v))
-    + q, or n for v = None; one start v orders by n, then q (u falls as tau
-    grows), two by ``Real.cmp`` of ``Real.double_log``, a tie undecided."""
+    of u = x - n, T_d adds d to n, so a word carries one pair (n, q) for all of
+    U's open cell, and words with one pair act alike on U's closed cell.  A
+    point (n, v, q) is n + u, tau(u) = tau(v - floor(v)) + q, or n for v =
+    None; one start v orders by n, then q (u falls as tau grows), two by
+    ``Real.cmp`` of ``Real.double_log``, a tie undecided."""
 
     def __init__(self, p: Presentation, steps: dict, lo, hi, touch_misses: bool):
         self.p, self.steps, self.lo, self.hi, self.n0, self.taus = p, steps, lo, hi, lo[0], {}
@@ -517,14 +520,14 @@ class _Cells:
         return None if ta is None or tb is None else tb.cmp(ta + Real(q - r)) or None
 
     def walk(self, radius: int):
-        """(word, (n, q)) over the ball, in ``walk``'s order."""
+        """(word, (n, q)) over the ball, in ``walk``'s order, one word per pair."""
         exponent = lru_cache(None)(lambda letter, n: self.steps[letter].cell_exponent(n))
 
         def step(letter, carry):
             (n, q), d = carry, self.steps[letter]
             return (n + d, q) if type(d) is int else (n, _rat_add(q, exponent(letter, n)))
 
-        return walk(self.p, radius, True, (self.n0, Fraction(0)), step)
+        return walk(self.p, radius, ((self.n0, Fraction(0)), step))
 
     def misses(self, carry) -> bool:
         """Whether the word's image of U certainly misses U, touching it only at an open end."""
@@ -589,8 +592,8 @@ def _movers(act: Action, U: Interval, radius: int):
         caps.append((scale * (room + slack), x))
     best, floor = None, Fraction(0)   # an accepted delta is certainly positive
     cells = _Cells.of(act, U)
-    ball = _ball_images(act, U, radius) if cells is None else cells.walk(radius)
-    for w, carry in islice(ball, 1, None):
+    scan = _ball_images(act, U, radius) if cells is None else cells.walk(radius)
+    for w, carry in islice(scan, 1, None):
         if cells is not None and cells.misses(carry):
             continue
         img = carry if cells is None else _image_or_none(hw := realize(act, w), U)
@@ -697,7 +700,7 @@ def _grid_orbit_in(act: Action, grid: list[Fraction], V: Interval,
     Vc = V.closure()
     vlo, vhi = Vc.lo.bounds()[0], Vc.hi.bounds()[1]
     hits = [Real.from_fraction(g) for g in grid if vlo <= g <= vhi]
-    for w, _ in islice(walk(act.presentation, orbit_depth, True), 1, None):
+    for w in ball(act.presentation, orbit_depth)[1:]:
         hw = realize(act, w)
         pre = _or_none(eval_interval, inverse(hw), Vc)
         if pre is None:
@@ -774,8 +777,8 @@ def check_ladder(act: Action, ladder: CantorLadder) -> list[LadderCheck]:
         bad = small_bad = None
         bound = Real.rational(1, i)
         cells = _Cells.of(act, U)
-        ball = _ball_images(act, U, ladder.radius) if cells is None else cells.walk(ladder.radius)
-        for w, carry in islice(ball, 1, None):
+        scan = _ball_images(act, U, ladder.radius) if cells is None else cells.walk(ladder.radius)
+        for w, carry in islice(scan, 1, None):
             apart = cells is not None and cells.misses(carry)
             small = cells is not None and cells.narrow(carry, bound)
             if apart and small:
@@ -920,7 +923,8 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     the answer is 'undecided' with the sample's figures as ``evidence``:
     the in-window counts at the radius and at half of it and, when two or
     more points fall in the window, its coverage gap and diameter, the
-    least and median gaps and the growth ratio of the two counts.
+    least and median gaps and, when the half-radius count is not 0, the
+    growth ratio of the two counts.
     """
     if radius < 2:
         raise ValueError(f"radius must be at least 2, got {radius}")
@@ -931,8 +935,7 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
     sample = _orbit_sample(act, x, radius)
 
     def in_window(points: list[OrbitPoint]) -> list[Real]:
-        merged = _merge_overlapping(points, _point_value)
-        return _in_window([p.value for p in merged], window)
+        return _in_window([p.value for p in _merge_overlapping(points, _point_value)], window)
 
     inside = in_window(sample)
     inside_half = in_window([p for p in sample if p.word.length() <= radius // 2])
@@ -949,6 +952,6 @@ def classify_orbit_closure(act: Action, x: RealLike, radius: int,
         evidence["window_diameter"] = approx_float(window.diameter().mid())
         evidence["min_gap"] = approx_float(gaps[0])
         evidence["median_gap"] = approx_float(gaps[len(gaps) // 2])
-        evidence["growth_ratio"] = approx_float(
-            Fraction(len(inside), max(len(inside_half), 1)))
+        if inside_half:
+            evidence["growth_ratio"] = approx_float(Fraction(len(inside), len(inside_half)))
     return OrbitClosureClass("undecided", evidence)

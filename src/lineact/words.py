@@ -15,10 +15,10 @@ left-multiplication rule (key(l . w) from key(w), l = (g, e)) right to left:
 * ladder: the exponents of the normal ordering f_0^a f_1^b (f_2^c); f_g^e
   adds e n_{g-1} to coordinate g if coordinate g-1 is odd, else e.
 
-Word balls enumerate all distinct group elements of word length <= L in
-shortlex order (letter order: first generator, its inverse, second
-generator, ...), keeping the shortlex-first representative word, whose key
-the walk carries.
+Walks list words of length <= L in shortlex order (letter order: first
+generator, its inverse, ...), one per key of their rule: the normal form keeps
+each element's first word (``ball``), no rule keeps every freely reduced word,
+and an action's own rule (a cell carry) one word per map it tells apart.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
 
 
 Letter = tuple[int, int]  # (generator index, nonzero exponent)
+Rule = Callable[[Letter, Any], Any]  # (letter l, value of w) -> value of l . w
 
 
 def _reduce(pairs: Sequence[Letter]) -> tuple[Letter, ...]:
@@ -237,12 +238,11 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
 
 
 @lru_cache(maxsize=64)
-def key_rule(p: Presentation) -> tuple[str, Any, Callable[[Letter, Any], Any]]:
-    """(tag, identity key, rule) of p's family: rule(l, k) is the key of
-    l . w for a letter l = (g, e) and the key k of w, and a word's
-    normal_form_key is (tag, its key)."""
+def key_rule(p: Presentation) -> tuple[Any, Rule]:
+    """(identity key, rule) of p's family: rule(l, k) is the key of l . w
+    for a letter l = (g, e) and the key k of w."""
     if p.kind == "free":
-        return "free", (), _prepend
+        return (), _prepend
     if p.kind == "bs":
         n, q = p.n, Fraction(p.n)
         # n^e stays an int for n = +-1, where Fraction arithmetic and hashing
@@ -252,7 +252,7 @@ def key_rule(p: Presentation) -> tuple[str, Any, Callable[[Letter, Any], Any]]:
         def bs(letter, k):
             (g, e), (m, t) = letter, k
             return (m, t + e) if g == 0 else (m + e, t * twist(e))
-        return "bs", (0, 0), bs
+        return (0, 0), bs
     if p.kind in ("free_abelian", "ladder"):
         name = p.name or (1,) * p.rank   # free abelian: every twist is +1
 
@@ -261,17 +261,17 @@ def key_rule(p: Presentation) -> tuple[str, Any, Callable[[Letter, Any], Any]]:
             if g and k[g - 1] % 2:
                 e *= name[g - 1]
             return k[:g] + (k[g] + e,) + k[g + 1:]
-        return "fa" if p.kind == "free_abelian" else "ladder", (0,) * p.rank, ladder
+        return (0,) * p.rank, ladder
     raise ValueError(p.kind)
 
 
 def normal_form_key(p: Presentation, w: GroupElement):
     """A hashable canonical form; equal keys iff equal group elements: the
-    fold of :func:`key_rule` over w's letters, right to left."""
-    tag, key, rule = key_rule(p)
+    family's tag and the fold of :func:`key_rule` over w's letters, leftward."""
+    key, rule = key_rule(p)
     for letter in reversed(w.word):
         key = rule(letter, key)
-    return tag, key
+    return ("fa" if p.kind == "free_abelian" else p.kind), key
 
 
 def bs_pair(w: GroupElement) -> tuple[int, Fraction]:
@@ -286,27 +286,24 @@ def bs_pair(w: GroupElement) -> tuple[int, Fraction]:
 # enumeration
 
 
-def walk(p: Presentation, radius: int, dedup: bool, carry: Any = None,
-         step: Optional[Callable[[Letter, Any], Any]] = None
-         ) -> Iterator[tuple[GroupElement, Any]]:
-    """Yield (word, carry) over the radius-L ball in shortlex order.
-
-    The identity comes first, carrying ``carry``.  Words grow on the left and
-    ``letter * w`` carries ``step(letter, carry of w)`` (or ``carry`` itself
-    when there is no step).  With ``dedup`` on, only the shortlex-first word
-    of each group element is kept and extended: each frontier word carries
-    its normal-form key, and ``letter * w`` takes its key from w's by
-    :func:`key_rule`.  With it off, every freely reduced word is, which is
-    what dedup keeps in a free group.
+def walk(p: Presentation, radius: int, keys: Optional[tuple[Any, Rule]], carry: Any = None,
+         step: Optional[Rule] = None) -> Iterator[tuple[GroupElement, Any]]:
+    """Yield (word, carry) over the radius-L ball in shortlex order, words
+    growing on the left, one word per key of ``keys``: None keeps every freely
+    reduced word; (key, rule) gives the identity ``key`` and ``letter * w`` the
+    key rule(letter, key of w), so :func:`key_rule` keeps one word per group
+    element.  The identity carries ``carry`` and ``letter * w`` carries
+    step(letter, carry of w), or with no step its key (None with no rule), so
+    a caller's own rule is the one value the walk computes per word.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    ident = p.identity()
-    yield ident, carry
-    _, key, rule = key_rule(p)
-    dedup = dedup and p.kind != "free"
+    key, rule = keys or (None, None)
+    if rule is _prepend:   # a free group's normal form is free reduction: no key needed
+        key = rule = None
+    yield p.identity(), key if step is None else carry
     seen = {key}
-    frontier = [(ident.word, key, carry)]   # keys are tracked with dedup on
+    frontier = [((), key, carry)]
     letters = [(i, s) for i in range(p.rank) for s in (1, -1)]
     for _ in range(radius):
         nxt = []
@@ -316,13 +313,13 @@ def walk(p: Presentation, radius: int, dedup: bool, carry: Any = None,
                 # left extension keeps words freely reduced and shortlex sorted
                 if word and word[0][0] == lg and (word[0][1] > 0) != (le > 0):
                     continue
-                if dedup:
+                if rule is not None:
                     k = rule(letter, k)
                     if k in seen:
                         continue
                     seen.add(k)
                 word2 = _prepend(letter, word)
-                c2 = c if step is None else step(letter, c)
+                c2 = k if step is None else step(letter, c)
                 nxt.append((word2, k, c2))
                 yield GroupElement(p, word2), c2
         # words generated above are lex within this length by construction
@@ -332,7 +329,7 @@ def walk(p: Presentation, radius: int, dedup: bool, carry: Any = None,
 def ball(p: Presentation, radius: int) -> list[GroupElement]:
     """All distinct elements of word length <= radius, in shortlex order,
     each as its shortlex-first word (normal-form dedup)."""
-    return [w for w, _ in walk(p, radius, True)]
+    return [w for w, _ in walk(p, radius, key_rule(p))]
 
 
 def free_reduced_words(p: Presentation, radius: int,
@@ -344,7 +341,7 @@ def free_reduced_words(p: Presentation, radius: int,
     words its element's verdict when the relations are proved, which is only
     as sound as the normal form that property tests check.
     """
-    words = walk(p, radius, False)
+    words = walk(p, radius, None)
     if not include_identity:
         next(words)
     for w, _ in words:

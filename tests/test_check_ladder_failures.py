@@ -206,28 +206,41 @@ def test_far_cell_checks_unchanged(act, ladder):
     assert [dataclasses.astuple(c) for c in checks] == CELL_MINUS_8
 
 
-def test_image_diameter_not_evaluable_where_only_the_tree_can_bound_it():
-    # on cell 0, c takes the offset u to u**(2**-16384) and a to u**(2**8192),
-    # so the word a c sends U_2 = (1/4, 1/2) to offsets u**(2**-8192), just
-    # below 1: exact coordinates show that the image misses U_2 but not that
-    # its diameter is below 1/2, and the tree cannot raise c's image, an
-    # enclosure touching 1, to the power 2**8192
+def _unevaluable_ladder(c_exponent: int):
+    """Free(3) with a and c ladders on every cell and b = T_1, and a ladder
+    whose two levels (1/8, 7/8) and (1/4, 1/2) U_2 checks at radius 2."""
     p = Presentation.free(3)
     act = Action(p, {"a": UnitPowerLadder(1, 2**13), "b": Affine(1, 1),
-                     "c": UnitPowerLadder(1, -2**14)})
+                     "c": UnitPowerLadder(1, c_exponent)})
     mover = parse_word(p, "b")
     us = [Interval.open(Fraction(1, 8), Fraction(7, 8)),
           Interval.open(Fraction(1, 4), Fraction(1, 2))]
     levels = [LadderLevel(i, mover, U.midpoint(), U, 2, U) for i, U in enumerate(us, start=1)]
     ladder = CantorLadder(2, 2, Interval.open(0, 1), LadderParams(), levels, [], [])
-    checks = check_ladder(act, ladder)
-    got = {c.condition: (c.passed, c.detail) for c in checks if c.level == 2}
+    return {c.condition: (c.passed, c.detail) for c in check_ladder(act, ladder) if c.level == 2}
+
+
+def test_image_diameter_not_evaluable_where_only_the_tree_can_bound_it():
+    # on cell 0, c takes the offset u to u**(2**-16385) and a to u**(2**8192),
+    # so the word a c sends U_2 = (1/4, 1/2) to offsets u**(2**-8193), just
+    # below 1: exact coordinates show that the image misses U_2 but not that
+    # its diameter is below 1/2, and the tree cannot raise c's image, an
+    # enclosure touching 1, to the power 2**8192.  No shorter word has a c's
+    # tau shift -8193, so the walk checks a c itself
+    got = _unevaluable_ladder(-2**14 - 1)
     assert got["displacement-or-equality"] == (True, "")
     assert got["image-diameter"] == (False, "a c: image not evaluable")
     with mpmath.workdps(2500):
         for x in (Fraction(1, 4), Fraction(1, 2)):
-            img = (mpmath.mpf(x.numerator) / x.denominator) ** (mpmath.mpf(2) ** -8192)
+            img = (mpmath.mpf(x.numerator) / x.denominator) ** (mpmath.mpf(2) ** -8193)
             assert mpmath.mpf(1) / 2 < img < 1
+
+
+def test_a_word_with_an_earlier_carry_is_judged_by_the_earlier_word():
+    # with c = a^-2 on every cell, a c has a^-1's tau shift -8192: the walk
+    # keeps a^-1, whose image the tree bounds, and drops a c, so the
+    # unevaluable spelling of one map fails nothing
+    assert _unevaluable_ladder(-2**14)["image-diameter"] == (True, "")
 
 
 def _tree_only(monkeypatch):

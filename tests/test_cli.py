@@ -375,6 +375,17 @@ class TestVerdictBranches:
         assert code == 0 and (res["class"], res["heuristic"]) == ("undecided", True)
         assert res["evidence"]["radius"] == radius
 
+    def test_empty_half_radius_sample_has_no_growth_ratio(self, capsys, tmp_path):
+        # from 10, no word of length <= 2 over x + pi and x + 2 lands in
+        # [0, 1], while 10 - 3 pi and 10 - pi - 6 do: two counts, and no
+        # ratio of them to report
+        code, doc = self.run_spec(
+            capsys, tmp_path, "group free 2\ngen a = affine(1, pi)\ngen b = affine(1, 2)\n",
+            "classify", "--point", "10", "--radius", "4", "--window", "0", "1")
+        ev = doc["result"]["evidence"]
+        assert code == 0 and (ev["count"], ev["count_half_radius"]) == (2, 0)
+        assert "coverage_gap" in ev and "growth_ratio" not in ev
+
     def test_trivial_action_wander_find(self, capsys, tmp_path):
         # every generator is the identity, so the whole window wanders
         code, doc = self.run_spec(

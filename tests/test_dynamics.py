@@ -39,7 +39,7 @@ from lineact.homeo import (
 )
 from lineact.parse import parse_action_file
 from lineact.reals import Interval, Real, current_precision
-from lineact.words import Presentation, bs_pair, parse_word, walk
+from lineact.words import Presentation, bs_pair, key_rule, parse_word, walk
 
 R = Real.rational
 
@@ -354,7 +354,7 @@ class TestCantorLadder:
         V = Interval.open(Fraction(23, 10), Fraction(27, 10))
         grid = dynamics._grid_fractions(4)
         hits, skipped = [], []
-        for w, _ in islice(walk(ext.presentation, 2, True), 1, None):
+        for w, _ in islice(walk(ext.presentation, 2, key_rule(ext.presentation)), 1, None):
             hw = realize(ext, w)
             try:
                 eval_interval(inverse(hw), V.closure())

@@ -80,9 +80,10 @@ def test_normal_form_key_matches_oracle(pw):
 @pytest.mark.parametrize("p", PRESENTATIONS, ids=Presentation.describe)
 def test_walk_carried_keys_match_oracle(p):
     # the rule carried along every freely reduced word, as certificates do
-    tag, key, rule = key_rule(p)
+    tag = normal_form_key(p, p.identity())[0]
+    key, rule = key_rule(p)
     radius = 5 if p.rank < 3 else 4
-    for w, k in walk(p, radius, False, key, rule):
+    for w, k in walk(p, radius, None, key, rule):
         assert (tag, k) == _oracle_key(p, w), str(w)
 
 
@@ -193,5 +194,5 @@ def test_ball_matches_reference_walk(p):
 @pytest.mark.parametrize("p", PRESENTATIONS[:6], ids=Presentation.describe)
 def test_free_reduced_walk_matches_reference_walk(p):
     radius = 5 if p.rank < 3 else 3
-    assert ([w for w, _ in walk(p, radius, False)]
+    assert ([w for w, _ in walk(p, radius, None)]
             == [w for w, _ in _reference_walk(p, radius, False)])

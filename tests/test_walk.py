@@ -22,7 +22,7 @@ from lineact.actions import (
 from lineact.dynamics import _ball_images, _image_or_none, _letter_step
 from lineact.homeo import Affine, UnitPowerLadder, eval_interval, evaluate
 from lineact.reals import Interval, PrecisionExhausted, Real
-from lineact.words import Presentation, normal_form_key, reduce_letters, walk
+from lineact.words import Presentation, key_rule, normal_form_key, reduce_letters, walk
 
 RADIUS = 4
 
@@ -51,7 +51,7 @@ def _images(act, iv, radius, dedup):
     """``_ball_images``, or the same walk over every reduced word."""
     if dedup:
         return _ball_images(act, iv, radius)
-    return walk(act.presentation, radius, False, iv, _letter_step(act, _image_or_none))
+    return walk(act.presentation, radius, None, iv, _letter_step(act, _image_or_none))
 
 
 def _shortlex_reduced_words(p, radius):
@@ -86,7 +86,8 @@ def test_carried_images_match_rebuilt_images(name, dedup):
         assert img.hi.bounds() == ref.hi.bounds(), str(w)
         assert (img.open_lo, img.open_hi) == (ref.open_lo, ref.open_hi)
     assert evaluable > 1
-    for w, v in walk(act.presentation, RADIUS, dedup, x,
+    p = act.presentation
+    for w, v in walk(p, RADIUS, key_rule(p) if dedup else None, x,
                      _letter_step(act, evaluate)):
         assert v.bounds() == evaluate(realize(act, w), x).bounds(), str(w)
 
@@ -95,12 +96,12 @@ def test_carried_images_match_rebuilt_images(name, dedup):
 def test_walk_lists_shortlex_words(name):
     p = ACTIONS[name][0]().presentation
     words = _shortlex_reduced_words(p, RADIUS)
-    assert [w for w, _ in walk(p, RADIUS, False)] == words
+    assert [w for w, _ in walk(p, RADIUS, None)] == words
 
     first_per_element = {}
     for w in words:
         first_per_element.setdefault(normal_form_key(p, w), w)
-    assert [w for w, _ in walk(p, RADIUS, True)] == list(first_per_element.values())
+    assert [w for w, _ in walk(p, RADIUS, key_rule(p))] == list(first_per_element.values())
 
 
 @pytest.mark.parametrize("dedup", [True, False])

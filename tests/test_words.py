@@ -180,7 +180,7 @@ class TestBall:
         assert [str(w) for w in b] == ["1", "a", "a^-1", "b", "b^-1"]
 
     def test_negative_radius_refused(self):
-        for sweep in (lambda: ball(F2, -1), lambda: list(walk(F2, -1, False)),
+        for sweep in (lambda: ball(F2, -1), lambda: list(walk(F2, -1, None)),
                       lambda: list(free_reduced_words(F2, -2))):
             with pytest.raises(ValueError, match="radius must be nonnegative"):
                 sweep()
